@@ -16,10 +16,12 @@ shell:
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 error.  Every value flag can also be set through an environment
-variable: ``--threads`` reads ``CURATE_THREADS``, ``--top-k`` reads
-``CURATE_TOP_K`` and so on.  All output files are written atomically
-(temp file then rename), so an interrupted run never leaves a partial
-file at the target path.
+variable: ``--min-words`` reads ``CURATE_MIN_WORDS``, ``--top-k`` reads
+``CURATE_TOP_K`` and so on.  ``--threads`` (on run, filter and synth)
+is accepted for compatibility and has no effect: every stage runs to
+completion, in order, in one thread.  All output files are written
+atomically (temp file then rename), so an interrupted run never leaves
+a partial file at the target path.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from . import pipeline as pl
 from .corpus import LanguagePair, Side, atomic_write, compute_stats, read_corpus, write_corpus
 from .dedup import DedupSpec, DedupStream
 from .errors import ConfigError, CurateError, DataError
-from .filters import LengthSpec, LidSpec, RatioKind, RatioSpec
-from .lid import ScriptPredictor, TablePredictor, export_predictions, load_prediction_table
+from .lid import export_predictions
 from .metrics import disparity_report, read_score_table, write_disparity_report
 from .ranking import load_embeddings, rank_corpus, top_k, write_ranked_tsv
 from .synthnoise import NoiseRecipe, generate, load_recipe, score_filters, write_labeled_tsv
@@ -53,7 +54,7 @@ _TICK_EVERY = 100_000
 class _EnvArgumentParser(argparse.ArgumentParser):
     """argparse with CURATE_<DEST> environment defaults for every option.
 
-    CURATE_THREADS=2 acts like --threads 2, CURATE_MIN_WORDS=4 like
+    CURATE_TOP_K=10 acts like --top-k 10, CURATE_MIN_WORDS=4 like
     --min-words 4, and so on; explicit flags always win.  String
     defaults go through the normal argparse type conversion.
     """
@@ -122,19 +123,6 @@ def _parse_pair(value: str) -> LanguagePair:
         raise ConfigError(str(exc)) from exc
 
 
-def _build_cli_predictor(args):
-    if getattr(args, "predictions", None):
-        return TablePredictor(load_prediction_table(args.predictions))
-    src = getattr(args, "src_predictions", None)
-    tgt = getattr(args, "tgt_predictions", None)
-    if src or tgt:
-        return TablePredictor(
-            source=load_prediction_table(src) if src else None,
-            target=load_prediction_table(tgt) if tgt else None,
-        )
-    return ScriptPredictor()
-
-
 def _write_removal_log(log, path) -> None:
     with atomic_write(path) as out:
         for pair_id, stage, reason in log:
@@ -150,7 +138,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     removal_log = [] if args.removal_log else None
     started = time.perf_counter()
-    result = pl.run(config, _ticker(pairs, "read"), threads=args.threads, removal_log=removal_log)
+    result = pl.run(config, _ticker(pairs, "read"), removal_log=removal_log)
     written = _write_result(result.pairs, out_dir, as_tsv)
     if result.ranked is not None:
         by_id = {pair.id: pair for pair in result.pairs}
@@ -213,49 +201,27 @@ def cmd_dedup(args) -> int:
 # ---------------------------------------------------------------- filter
 
 
-def _filter_spec_from_args(args, language_pair: LanguagePair | None):
-    kind = args.kind.lower()
-    side = _parse_side(args.side)
-    if kind == "length":
-        return LengthSpec(min_words=args.min_words, side=side)
-    if kind in ("lid", "lidthresh"):
-        if language_pair is None:
-            raise ConfigError("LID filters need --pair (expected languages, like en-si)")
-        min_prob = args.min_prob
-        if kind == "lidthresh" and min_prob is None:
-            min_prob = 0.7
-        return LidSpec(
-            expected_source=language_pair.source_lang,
-            expected_target=language_pair.target_lang,
-            min_prob=min_prob,
-            side=side,
-        )
-    if kind in ("stratio", "sentwratio", "sentcratio"):
-        if args.lo is None:
-            raise ConfigError(f"--kind {kind} needs --lo")
-        if kind == "stratio" and args.hi is None:
-            raise ConfigError("--kind stratio needs both --lo and --hi")
-        return RatioSpec(kind=RatioKind(kind), lo=args.lo, hi=args.hi, side=side)
-    raise ConfigError(f"unknown filter kind {args.kind!r}")
-
-
 def cmd_filter(args) -> int:
     language_pair = _parse_pair(args.pair) if args.pair else None
-    spec = _filter_spec_from_args(args, language_pair)
+    params = {"min_words": args.min_words, "min_prob": args.min_prob, "lo": args.lo, "hi": args.hi}
+    entry = {
+        "kind": args.kind,
+        "side": args.side,
+        "params": {key: value for key, value in params.items() if value is not None},
+    }
+    lid_predictions = None
+    if args.predictions or args.src_predictions or args.tgt_predictions:
+        lid_predictions = pl.LidPredictionFiles(
+            path=args.predictions, source=args.src_predictions, target=args.tgt_predictions
+        )
     config = pl.PipelineConfig(
         language_pair=language_pair or LanguagePair("en", "si"),
-        stages=(spec,),
+        stages=(pl.stage_from_dict(entry, language_pair),),
+        lid_predictions=lid_predictions,
     )
     pairs, as_tsv = _open_corpus(args)
     removal_log = [] if args.log else None
-    predictor = _build_cli_predictor(args) if isinstance(spec, LidSpec) else None
-    result = pl.run(
-        config,
-        _ticker(pairs, "read"),
-        threads=args.threads,
-        removal_log=removal_log,
-        predictor=predictor,
-    )
+    result = pl.run(config, _ticker(pairs, "read"), removal_log=removal_log)
     out_dir = Path(args.out_dir)
     written = _write_result(result.pairs, out_dir, as_tsv)
     if removal_log is not None:
@@ -358,7 +324,7 @@ def cmd_synth(args) -> int:
         print(f"wrote corpus to {args.source_out} / {args.target_out}")
     if args.score_config:
         config = pl.load_config(args.score_config)
-        score = score_filters(labeled, config, threads=args.threads)
+        score = score_filters(labeled, config)
         print(score.to_text(), end="")
     return EXIT_OK
 
@@ -410,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=str(os.cpu_count() or 1),
-            help="worker threads for stateless stages (default: machine parallelism)",
+            default="1",
+            help="accepted for compatibility; has no effect (stages run serially)",
         )
 
     p_run = sub.add_parser("run", help="run a full pipeline from a config file")

@@ -131,18 +131,23 @@ def _decode_line(raw: bytes, path: Path, line_no: int, byte_offset: int) -> str:
         ) from exc
     if text.endswith("\n"):
         text = text[:-1]
-    if "\t" in text:
-        raise DataError(f"{path}: line {line_no} contains a tab character")
     return text
 
 
-def _iter_lines(path: Path) -> Iterator[str]:
-    """Yield decoded lines, tracking byte offsets for error reporting."""
+def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, decoded line), tracking byte offsets for error reporting."""
     offset = 0
     with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, start=1):
-            yield _decode_line(raw, path, line_no, offset)
+            yield line_no, _decode_line(raw, path, line_no, offset)
             offset += len(raw)
+
+
+def _iter_tabless_lines(path: Path) -> Iterator[str]:
+    for line_no, text in _iter_lines(path):
+        if "\t" in text:
+            raise DataError(f"{path}: line {line_no} contains a tab character")
+        yield text
 
 
 def read_corpus(
@@ -175,8 +180,8 @@ def read_corpus(
 
 
 def _read_two_file(source_path: Path, target_path: Path) -> Iterator[SentencePair]:
-    src_lines = _iter_lines(source_path)
-    tgt_lines = _iter_lines(target_path)
+    src_lines = _iter_tabless_lines(source_path)
+    tgt_lines = _iter_tabless_lines(target_path)
     pair_id = 0
     while True:
         src = next(src_lines, None)
@@ -195,26 +200,13 @@ def _read_two_file(source_path: Path, target_path: Path) -> Iterator[SentencePai
 
 
 def _read_tsv(path: Path) -> Iterator[SentencePair]:
-    offset = 0
-    with open(path, "rb") as handle:
-        pair_id = 0
-        for line_no, raw in enumerate(handle, start=1):
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DataError(
-                    f"{path}: invalid UTF-8 at line {line_no}, byte offset {offset + exc.start}"
-                ) from exc
-            offset += len(raw)
-            if text.endswith("\n"):
-                text = text[:-1]
-            fields = text.split("\t")
-            if len(fields) != 2:
-                raise DataError(
-                    f"{path}: line {line_no} has {len(fields)} tab-separated fields, expected 2"
-                )
-            yield SentencePair(pair_id, fields[0], fields[1])
-            pair_id += 1
+    for line_no, text in _iter_lines(path):
+        fields = text.split("\t")
+        if len(fields) != 2:
+            raise DataError(
+                f"{path}: line {line_no} has {len(fields)} tab-separated fields, expected 2"
+            )
+        yield SentencePair(line_no - 1, fields[0], fields[1])
 
 
 @contextmanager

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .corpus import SentencePair, Side
 from .errors import ConfigError
@@ -134,7 +134,7 @@ class DedupStream:
         self._source_index = SeenIndex(exact=exact) if spec.side.checks_source else None
         self._target_index = SeenIndex(exact=exact) if spec.side.checks_target else None
 
-    def _keys(self, text: str) -> set[str] | tuple[str]:
+    def _keys(self, text: str) -> Collection[str]:
         normalized = normalize(text, self.spec.norm)
         if self.spec.ngram is None:
             return (normalized,)

@@ -80,7 +80,8 @@ class RatioKind(Enum):
 class RatioSpec:
     """Ratio filter: a [lo, hi] window for ST_RATIO, a floor for the others.
 
-    side is ignored for ST_RATIO, which is inherently pairwise.
+    side is ignored for ST_RATIO, which is inherently pairwise.  The
+    floor-only kinds reject hi rather than silently ignore it.
     """
 
     kind: RatioKind
@@ -89,12 +90,12 @@ class RatioSpec:
     side: Side = Side.BOTH
 
     def __post_init__(self):
-        if self.kind is RatioKind.ST_RATIO:
-            if self.hi is None:
-                raise ConfigError("stratio needs both lo and hi bounds")
-            if self.lo > self.hi:
-                raise ConfigError(f"lo {self.lo} exceeds hi {self.hi}")
-        elif self.hi is not None and self.lo > self.hi:
+        if self.kind is not RatioKind.ST_RATIO:
+            if self.hi is not None:
+                raise ConfigError(f"{self.kind.value} takes only lo, got hi {self.hi}")
+        elif self.hi is None:
+            raise ConfigError("stratio needs both lo and hi bounds")
+        elif self.lo > self.hi:
             raise ConfigError(f"lo {self.lo} exceeds hi {self.hi}")
 
 

@@ -24,10 +24,9 @@ and LID on both sides, and the ratio filter on the source side for the
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 import yaml
 
@@ -87,45 +86,57 @@ class PipelineConfig:
     report: str | None = None
 
 
+def _kind_at_side(stage) -> str:
+    return f"{stage_kind(stage)}@{stage.side.value}"
+
+
+@dataclass(frozen=True, slots=True)
+class _StageKind:
+    """One row of the stage table: how a stage kind is named, parsed, written and run.
+
+    names are the config kinds the row parses; kind(spec) is the one it
+    writes and describe(spec) names the stage in reports.  apply(spec,
+    pairs, name, ctx) runs the stage over all pairs that reach it and
+    returns the kept ones in order.
+    """
+
+    names: tuple[str, ...]
+    kind: Callable[[Any], str]
+    parse: Callable[[str, Side, dict, LanguagePair | None], StageSpec]
+    params: Callable[[Any], dict]
+    apply: Callable[[Any, list[SentencePair], str, "_StageContext"], list[SentencePair]]
+    describe: Callable[[Any], str] = _kind_at_side
+    uses_predictor: bool = False
+
+
+def _row(stage: StageSpec) -> _StageKind:
+    row = _STAGE_KINDS.get(type(stage))
+    if row is None:
+        raise ConfigError(f"unsupported stage object: {stage!r}")
+    return row
+
+
 def stage_kind(stage: StageSpec) -> str:
-    if isinstance(stage, DedupSpec):
-        return "dedup"
-    if isinstance(stage, LengthSpec):
-        return "length"
-    if isinstance(stage, LidSpec):
-        return "lid"
-    if isinstance(stage, RatioSpec):
-        return stage.kind.value
-    raise ConfigError(f"unknown stage type: {type(stage).__name__}")
+    return _row(stage).kind(stage)
 
 
 def stage_name(index: int, stage: StageSpec) -> str:
-    if isinstance(stage, DedupSpec):
-        return f"{index}:{stage.describe()}"
-    return f"{index}:{stage_kind(stage)}@{stage.side.value}"
+    return f"{index}:{_row(stage).describe(stage)}"
 
 
 def _stage_to_dict(stage: StageSpec) -> dict:
-    kind = stage_kind(stage)
-    if isinstance(stage, DedupSpec):
-        params = {"norm": stage.norm.value, "ngram": stage.ngram}
-    elif isinstance(stage, LengthSpec):
-        params = {"min_words": stage.min_words}
-    elif isinstance(stage, LidSpec):
-        params = {
-            "expected_source": stage.expected_source,
-            "expected_target": stage.expected_target,
-            "min_prob": stage.min_prob,
-        }
-    else:
-        params = {"lo": stage.lo, "hi": stage.hi}
-    return {"kind": kind, "side": stage.side.value, "params": params}
+    row = _row(stage)
+    return {"kind": row.kind(stage), "side": stage.side.value, "params": row.params(stage)}
 
 
-def _stage_from_dict(entry: dict, language_pair: LanguagePair) -> StageSpec:
+def stage_from_dict(entry: dict, language_pair: LanguagePair | None) -> StageSpec:
+    """Parse one ``{kind, side, params}`` entry; language_pair gives LID defaults."""
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError(f"each stage needs a 'kind' key, got {entry!r}")
     kind = str(entry["kind"]).lower()
+    row = _STAGE_KINDS_BY_NAME.get(kind)
+    if row is None:
+        raise ConfigError(f"unknown stage kind {kind!r}")
     try:
         side = Side.from_string(entry.get("side", "st"))
     except ValueError as exc:
@@ -134,35 +145,127 @@ def _stage_from_dict(entry: dict, language_pair: LanguagePair) -> StageSpec:
     if not isinstance(params, dict):
         raise ConfigError(f"stage params must be a mapping, got {params!r}")
     try:
-        if kind == "dedup":
-            norm = NormMode.from_string(params.get("norm", "identity"))
-            ngram = params.get("ngram")
-            return DedupSpec(norm=norm, ngram=None if ngram is None else int(ngram), side=side)
-        if kind == "length":
-            return LengthSpec(min_words=int(params.get("min_words", 5)), side=side)
-        if kind in ("lid", "lidthresh"):
-            min_prob = params.get("min_prob")
-            if kind == "lidthresh" and min_prob is None:
-                min_prob = 0.7
-            return LidSpec(
-                expected_source=params.get("expected_source", language_pair.source_lang),
-                expected_target=params.get("expected_target", language_pair.target_lang),
-                min_prob=None if min_prob is None else float(min_prob),
-                side=side,
-            )
-        if kind in ("stratio", "sentwratio", "sentcratio"):
-            hi = params.get("hi")
-            return RatioSpec(
-                kind=RatioKind(kind),
-                lo=float(params["lo"]),
-                hi=None if hi is None else float(hi),
-                side=side,
-            )
+        return row.parse(kind, side, params, language_pair)
     except KeyError as exc:
         raise ConfigError(f"stage {kind!r} is missing required param {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"stage {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown stage kind {kind!r}")
+
+
+def _optional(value, convert):
+    return None if value is None else convert(value)
+
+
+def _parse_lid(kind: str, side: Side, params: dict, language_pair: LanguagePair | None) -> LidSpec:
+    if language_pair is None:
+        raise ConfigError(
+            f"stage {kind!r} needs a language pair (like en-si) for its expected languages"
+        )
+    min_prob = params.get("min_prob")
+    if kind == "lidthresh" and min_prob is None:
+        min_prob = 0.7
+    return LidSpec(
+        expected_source=params.get("expected_source", language_pair.source_lang),
+        expected_target=params.get("expected_target", language_pair.target_lang),
+        min_prob=_optional(min_prob, float),
+        side=side,
+    )
+
+
+@dataclass
+class _StageContext:
+    """What stage functions share within one run besides their pairs."""
+
+    report: RunReport
+    removal_log: RemovalLog | None
+    predictor: LidPredictor | None
+
+    def remove(self, pair: SentencePair, stage: str, reason: str) -> None:
+        if self.removal_log is not None:
+            self.removal_log.append((pair.id, stage, reason))
+
+    def lid_failed(self, *_) -> None:
+        self.report.lid_failures += 1  # the pair fails closed and is removed as "lid"
+
+
+# Stage functions reach length_pass, ratio_pass, lid_pass and DedupStream
+# through this module's globals at call time, so patching those names
+# here (as an instrumented run does) reaches every stage.
+
+
+def _filter_stage(passes):
+    """The stage function of a per-pair test passes(spec, pair, ctx) -> bool.
+
+    Removed pairs are logged with the stage kind as their reason.
+    """
+
+    def apply(spec, pairs, name, ctx):
+        reason = stage_kind(spec)
+        kept = []
+        for pair in pairs:
+            if passes(spec, pair, ctx):
+                kept.append(pair)
+            else:
+                ctx.remove(pair, name, reason)
+        return kept
+
+    return apply
+
+
+def _dedup_stage(spec, pairs, name, ctx):
+    return list(DedupStream(pairs, spec, on_removed=ctx.remove, stage_name=name))
+
+
+_STAGE_KINDS: dict[type, _StageKind] = {
+    DedupSpec: _StageKind(
+        names=("dedup",),
+        kind=lambda spec: "dedup",
+        parse=lambda kind, side, params, _: DedupSpec(
+            norm=NormMode.from_string(params.get("norm", "identity")),
+            ngram=_optional(params.get("ngram"), int),
+            side=side,
+        ),
+        params=lambda spec: {"norm": spec.norm.value, "ngram": spec.ngram},
+        apply=_dedup_stage,
+        describe=DedupSpec.describe,
+    ),
+    LengthSpec: _StageKind(
+        names=("length",),
+        kind=lambda spec: "length",
+        parse=lambda kind, side, params, _: LengthSpec(
+            min_words=int(params.get("min_words", 5)), side=side
+        ),
+        params=lambda spec: {"min_words": spec.min_words},
+        apply=_filter_stage(lambda spec, pair, ctx: length_pass(pair, spec)),
+    ),
+    LidSpec: _StageKind(
+        names=("lid", "lidthresh"),
+        kind=lambda spec: "lid",
+        parse=_parse_lid,
+        params=lambda spec: {
+            "expected_source": spec.expected_source,
+            "expected_target": spec.expected_target,
+            "min_prob": spec.min_prob,
+        },
+        apply=_filter_stage(
+            lambda spec, pair, ctx: lid_pass(pair, spec, ctx.predictor, on_error=ctx.lid_failed)
+        ),
+        uses_predictor=True,
+    ),
+    RatioSpec: _StageKind(
+        names=tuple(kind.value for kind in RatioKind),
+        kind=lambda spec: spec.kind.value,
+        parse=lambda kind, side, params, _: RatioSpec(
+            kind=RatioKind(kind),
+            lo=float(params["lo"]),
+            hi=_optional(params.get("hi"), float),
+            side=side,
+        ),
+        params=lambda spec: {"lo": spec.lo, "hi": spec.hi},
+        apply=_filter_stage(lambda spec, pair, ctx: ratio_pass(pair, spec)),
+    ),
+}
+_STAGE_KINDS_BY_NAME = {name: row for row in _STAGE_KINDS.values() for name in row.names}
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
@@ -203,7 +306,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
     raw_stages = data.get("stages") or []
     if not isinstance(raw_stages, list):
         raise ConfigError("stages must be a list")
-    stages = tuple(_stage_from_dict(entry, language_pair) for entry in raw_stages)
+    stages = tuple(stage_from_dict(entry, language_pair) for entry in raw_stages)
     ranking = None
     if data.get("ranking") is not None:
         r = data["ranking"]
@@ -349,51 +452,28 @@ def _build_predictor(config: PipelineConfig) -> LidPredictor:
     )
 
 
-def _chunked_map(
-    predicate: Callable[[SentencePair], object],
-    pairs: Sequence[SentencePair],
-    threads: int,
-) -> Iterable[object]:
-    """Evaluate a pure predicate over all pairs, id order preserved.
-
-    With threads > 1 the corpus is split into contiguous chunks and each
-    chunk is evaluated as one task; results are concatenated in chunk
-    order, so output is identical to the serial path by construction.
-    Chunk tasks keep task-dispatch overhead negligible; speedup appears
-    only for predicates that release the GIL (pure-Python predicates are
-    bound by it either way).
-    """
-    if threads <= 1 or len(pairs) < 50_000:
-        return [predicate(pair) for pair in pairs]
-    chunk_count = threads * 4
-    size = (len(pairs) + chunk_count - 1) // chunk_count
-    chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
-
-    def evaluate(chunk: Sequence[SentencePair]) -> list[object]:
-        return [predicate(pair) for pair in chunk]
-
-    verdicts: list[object] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(evaluate, chunks):
-            verdicts.extend(part)
-    return verdicts
+def _lid_stages(config: PipelineConfig) -> list[LidSpec]:
+    return [stage for stage in config.stages if _row(stage).uses_predictor]
 
 
 def validate_config(config: PipelineConfig) -> None:
     """Fail fast before any pair is processed."""
-    for stage in config.stages:
-        if not isinstance(stage, (DedupSpec, LengthSpec, LidSpec, RatioSpec)):
-            raise ConfigError(f"unsupported stage object: {stage!r}")
+    files = config.lid_predictions
+    shared_table = files is not None and files.path is not None
+    for stage in _lid_stages(config):  # also rejects stage objects of no known kind
+        # one shared table gives both sides of a pair the same label
+        differ = stage.expected_source != stage.expected_target
+        if shared_table and stage.side is Side.BOTH and differ:
+            raise ConfigError(
+                f"one shared prediction table cannot tell {stage.expected_source} from "
+                f"{stage.expected_target} on side st; give per-side prediction files"
+            )
     if config.ranking is not None:
         for path in (config.ranking.source_embeddings, config.ranking.target_embeddings):
             if not Path(path).is_file():
                 raise DataError(f"embedding file not found: {path}")
-    if config.lid_predictions is not None:
-        for path in (
-            config.lid_predictions.path,
-            config.lid_predictions.source,
-            config.lid_predictions.target,
-        ):
+    if files is not None:
+        for path in (files.path, files.source, files.target):
             if path is not None and not Path(path).is_file():
                 raise DataError(f"prediction file not found: {path}")
 
@@ -408,13 +488,16 @@ def run(
 ) -> RunResult:
     """Run stages in order, then rank survivors and slice top-k.
 
-    Pair ids always index the original corpus, so embedding stores built
-    for the unfiltered corpus keep working after filtering.  Identical
-    input and config give byte-identical output regardless of threads.
+    Each stage runs over all pairs that reach it before the next stage
+    starts, in this process and thread; threads is accepted for
+    compatibility and has no effect.  Pair ids always index the original
+    corpus, so embedding stores built for the unfiltered corpus keep
+    working after filtering.  Identical input and config give
+    byte-identical output.
     """
     validate_config(config)
     report = RunReport()
-    lid_stages = [s for s in config.stages if isinstance(s, LidSpec)]
+    lid_stages = _lid_stages(config)
     if predictor is None and lid_stages:
         predictor = _build_predictor(config)
     if isinstance(predictor, ScriptPredictor):
@@ -426,6 +509,7 @@ def run(
                 f"script LID cannot predict {sorted(unsupported)}; "
                 "load prediction files for these languages"
             )
+    ctx = _StageContext(report, removal_log, predictor)
 
     current = list(pairs)
     input_count = len(current)
@@ -434,14 +518,7 @@ def run(
         name = stage_name(index, stage)
         started = time.perf_counter()
         before = len(current)
-        if isinstance(stage, DedupSpec):
-            on_removed = None
-            if removal_log is not None:
-                on_removed = lambda pair, st, reason: removal_log.append((pair.id, name, reason))
-            stream = DedupStream(current, stage, on_removed=on_removed, stage_name=name)
-            current = list(stream)
-        else:
-            current = _apply_stateless(stage, current, name, threads, report, removal_log, predictor)
+        current = _row(stage).apply(stage, current, name, ctx)
         report.stages.append(
             StageReport(
                 name=name,
@@ -473,47 +550,6 @@ def run(
         )
 
     return RunResult(pairs=current, report=report, ranked=ranked)
-
-
-def _apply_stateless(
-    stage: StageSpec,
-    current: list[SentencePair],
-    name: str,
-    threads: int,
-    report: RunReport,
-    removal_log: RemovalLog | None,
-    predictor: LidPredictor | None,
-) -> list[SentencePair]:
-    kind = stage_kind(stage)
-    if isinstance(stage, LengthSpec):
-        predicate = lambda pair: length_pass(pair, stage)
-    elif isinstance(stage, RatioSpec):
-        predicate = lambda pair: ratio_pass(pair, stage)
-    elif isinstance(stage, LidSpec):
-        if predictor is None:
-            raise ConfigError("pipeline has a LID stage but no predictor")
-        lid_predictor = predictor
-
-        def predicate(pair: SentencePair) -> bool:
-            failures: list[int] = []
-            verdict = lid_pass(
-                pair, stage, lid_predictor, on_error=lambda *_: failures.append(1)
-            )
-            return verdict if not failures else None  # None marks a predictor failure
-    else:
-        raise ConfigError(f"unsupported stateless stage: {stage!r}")
-
-    verdicts = _chunked_map(predicate, current, threads)
-    kept: list[SentencePair] = []
-    for pair, verdict in zip(current, verdicts):
-        if verdict is None:
-            report.lid_failures += 1
-            verdict = False
-        if verdict:
-            kept.append(pair)
-        elif removal_log is not None:
-            removal_log.append((pair.id, name, kind))
-    return kept
 
 
 def recommended_preset(

@@ -376,7 +376,8 @@ def score_filters(
     Recall per category counts a pair as caught when any stage removed
     it.  Removal precision counts planted duplicates as true noise;
     removals of genuine CC/CN/CB pairs count against it.  Ranking in the
-    config is ignored: scoring targets the heuristics.
+    config is ignored: scoring targets the heuristics.  threads is
+    accepted for compatibility and has no effect.
     """
     if not labeled:
         raise ValueError("score_filters needs a non-empty labeled corpus")
@@ -389,7 +390,6 @@ def score_filters(
     result = run(
         stage_only,
         [item.pair for item in labeled],
-        threads=threads,
         removal_log=removal_log,
         predictor=predictor,
     )

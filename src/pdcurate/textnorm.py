@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import unicodedata
 from enum import Enum
+from typing import KeysView
 
 
 class NormMode(Enum):
@@ -120,16 +121,15 @@ def char_ratios(text: str) -> tuple[float, float]:
     return (alpha_count / len(joined), alpha_words / len(tokens))
 
 
-def word_ngrams(tokens: list[str], n: int) -> set[str]:
-    """All consecutive n-token windows, keyed by space-joined tokens.
+def word_ngrams(tokens: list[str], n: int) -> KeysView[str]:
+    """All distinct consecutive n-token windows as a set-like view, in order.
 
-    Tokens never contain whitespace, so the space separator cannot make
-    two distinct windows collide.  Shorter-than-n input yields the empty
-    set.
+    Windows are keyed by space-joined tokens and come in order of first
+    position, so the first key a dedup probe hits does not depend on
+    Python's per-process hash seed, as set order would.  Tokens never
+    contain whitespace, so the space separator cannot make two distinct
+    windows collide.  Shorter-than-n input yields no windows.
     """
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
-    count = len(tokens) - n + 1
-    if count <= 0:
-        return set()
-    return {" ".join(tokens[i : i + n]) for i in range(count)}
+    return dict.fromkeys([" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]).keys()

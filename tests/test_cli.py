@@ -1,3 +1,4 @@
+import os
 import signal
 import subprocess
 import sys
@@ -315,3 +316,71 @@ def test_killed_run_leaves_no_partial_output(tmp_path):
         path = out_dir / name
         if path.exists():
             assert len(path.read_text().splitlines()) == n
+
+
+def test_filter_rejects_hi_on_floor_only_ratio(corpus, capsys):
+    code = run_cli(
+        "filter",
+        "--kind", "sentwratio",
+        "--lo", "0.1",
+        "--hi", "0.5",
+        "--source", str(corpus / "s.txt"),
+        "--target", str(corpus / "t.txt"),
+        "--out-dir", str(corpus / "out"),
+    )
+    assert code == 2
+    assert "hi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("per_side, match", [(False, "shared prediction table"), (True, "not both")])
+def test_filter_rejects_ambiguous_prediction_tables(corpus, capsys, per_side, match):
+    preds = corpus / "preds.tsv"
+    preds.write_text("".join(f"{i}\ten\t0.99\n" for i in range(4)))
+    code = run_cli(
+        "filter",
+        "--kind", "lid",
+        "--pair", "en-si",
+        "--side", "st",
+        "--predictions", str(preds),
+        *(["--src-predictions", str(preds)] if per_side else []),
+        "--source", str(corpus / "s.txt"),
+        "--target", str(corpus / "t.txt"),
+        "--out-dir", str(corpus / "out"),
+    )
+    assert code == 2
+    assert match in capsys.readouterr().err
+
+
+def test_removal_log_is_independent_of_hash_seed(tmp_path):
+    # every later pair shares several 3-grams with an earlier kept pair,
+    # so the reported key depends on the order in which keys are probed
+    rows = []
+    for i in range(40):
+        base = f"w{i} x{i} y{i} z{i} v{i} u{i}"
+        rows.append((base, f"t{i}"))
+        rows.append((f"{base} extra{i}", f"t{i} copy"))
+    pairs = (SentencePair(i, s, t) for i, (s, t) in enumerate(rows))
+    write_corpus(pairs, tmp_path / "s.txt", tmp_path / "t.txt")
+    config = tmp_path / "cfg.yaml"
+    config.write_text(
+        "language_pair: en-si\nstages:\n- {kind: dedup, side: s, params: {norm: identity, ngram: 3}}\n"
+    )
+    logs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"out{seed}"
+        subprocess.run(
+            [
+                sys.executable, "-m", "pdcurate.cli", "run",
+                "--config", str(config),
+                "--source", str(tmp_path / "s.txt"),
+                "--target", str(tmp_path / "t.txt"),
+                "--out-dir", str(out),
+                "--removal-log",
+            ],
+            check=True,
+            stdout=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        logs.append((out / "removals.tsv").read_bytes())
+    assert logs[0].count(b"\n") == 40
+    assert logs[0] == logs[1]

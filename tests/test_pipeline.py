@@ -2,23 +2,39 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdcurate.corpus import LanguagePair, SentencePair, Side
+from pdcurate.dedup import DedupSpec
 from pdcurate.errors import ConfigError, DataError
-from pdcurate.filters import LengthSpec, LidSpec, RatioKind, RatioSpec
+from pdcurate.filters import (
+    LengthSpec,
+    LidSpec,
+    RatioKind,
+    RatioSpec,
+    length_pass,
+    lid_pass,
+    ratio_pass,
+)
+from pdcurate.lid import ScriptPredictor, TablePredictor, script_predict
 from pdcurate.pipeline import (
     PipelineConfig,
     RankingSpec,
+    config_from_dict,
+    config_to_dict,
     dump_config,
     load_config,
     parse_config,
     recommended_preset,
     run,
+    stage_kind,
+    stage_name,
 )
 from pdcurate.ranking import write_embeddings
 from pdcurate.synthnoise import NoiseRecipe, generate
 from pdcurate.taxonomy import NoiseLabel
-from pdcurate.textnorm import NormMode
+from pdcurate.textnorm import NormMode, normalize
 
 EN_SI = LanguagePair("en", "si")
 
@@ -286,3 +302,152 @@ def test_report_renders_both_formats():
     assert "total" in text and "lid failures" in text
     assert tsv.startswith("section\tname\t")
     assert f"\t{len(labeled)}\t" in tsv
+
+
+# ---------------------------------------------------------------- stage table
+
+
+def test_config_round_trip_over_every_kind():
+    data = {
+        "language_pair": "en-si",
+        "stages": [
+            {"kind": "dedup", "side": "st", "params": {"norm": "nums", "ngram": 4}},
+            {"kind": "dedup", "side": "t", "params": {"norm": "punctnums"}},
+            {"kind": "length", "side": "s", "params": {"min_words": 3}},
+            {"kind": "lid", "side": "t", "params": {"expected_target": "ta"}},
+            {"kind": "lidthresh", "side": "st"},
+            {"kind": "stratio", "params": {"lo": 0.79, "hi": 1.39}},
+            {"kind": "sentwratio", "side": "s", "params": {"lo": 0.6}},
+            {"kind": "sentcratio", "side": "t", "params": {"lo": 0.5}},
+        ],
+    }
+    config = config_from_dict(data)
+    assert config_from_dict(config_to_dict(config)) == config
+    assert parse_config(dump_config(config)) == config
+    kinds = [stage_kind(stage) for stage in config.stages]
+    assert kinds == ["dedup", "dedup", "length", "lid", "lid", "stratio", "sentwratio", "sentcratio"]
+    lidthresh = config.stages[4]
+    assert lidthresh == LidSpec("en", "si", min_prob=0.7, side=Side.BOTH)
+    assert config.stages[5].hi == 1.39
+
+
+@pytest.mark.parametrize("kind", ["sentwratio", "sentcratio"])
+def test_config_rejects_hi_on_floor_only_ratio(kind):
+    text = f"language_pair: en-si\nstages:\n- {{kind: {kind}, params: {{lo: 0.1, hi: 0.5}}}}\n"
+    with pytest.raises(ConfigError, match="hi"):
+        parse_config(text)
+
+
+def test_shared_prediction_table_rejected_for_lid_on_both_sides(tmp_path):
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("0\ten\t0.99\n1\ten\t0.99\n")
+    pairs = [SentencePair(0, "hello there", "x"), SentencePair(1, "hello again", "y")]
+
+    def config(side, pair="en-si"):
+        return parse_config(
+            f"language_pair: {pair}\nstages:\n- {{kind: lid, side: {side}}}\n"
+            f"lid_predictions: {{path: {preds} }}\n"
+        )
+
+    with pytest.raises(ConfigError, match="shared prediction table"):
+        run(config("st"), pairs)
+    # one checked side, or the same language on both, is well defined
+    assert len(run(config("s"), pairs).pairs) == 2
+    assert len(run(config("st", "en-en"), pairs).pairs) == 2
+
+
+_WORDS = ["the", "cat", "sat", "on", "a", "mat", "Mat", "42", "7.5", "!!", "x_y", "මම", "ගෙදර", "යමි"]
+_sentences = st.lists(st.sampled_from(_WORDS), max_size=7).map(" ".join)
+_sides = st.sampled_from(list(Side))
+_stage_specs = st.one_of(
+    st.builds(
+        DedupSpec,
+        norm=st.sampled_from(list(NormMode)),
+        ngram=st.sampled_from([None, 2, 3]),
+        side=_sides,
+    ),
+    st.builds(LengthSpec, min_words=st.integers(1, 4), side=_sides),
+    st.builds(
+        LidSpec,
+        expected_source=st.just("en"),
+        expected_target=st.sampled_from(["si", "en"]),
+        min_prob=st.sampled_from([None, 0.5, 0.9]),
+        side=_sides,
+    ),
+    st.builds(
+        RatioSpec,
+        kind=st.just(RatioKind.ST_RATIO),
+        lo=st.sampled_from([0.5, 0.8]),
+        hi=st.sampled_from([1.0, 1.5]),
+        side=_sides,
+    ),
+    st.builds(
+        RatioSpec,
+        kind=st.sampled_from([RatioKind.SENT_W_RATIO, RatioKind.SENT_C_RATIO]),
+        lo=st.sampled_from([0.3, 0.6, 0.9]),
+        side=_sides,
+    ),
+)
+
+
+def _naive_dedup_keys(text, spec):
+    norm = normalize(text, spec.norm)
+    if spec.ngram is None:
+        return [norm]
+    tokens = norm.split()
+    return [" ".join(tokens[i : i + spec.ngram]) for i in range(len(tokens) - spec.ngram + 1)]
+
+
+def _naive_run(stages, pairs, predictor):
+    """Stage-major reference: every stage sees the whole survivor list in id order."""
+    current, rows, failures = list(pairs), [], []
+    for index, stage in enumerate(stages):
+        name = stage_name(index, stage)
+        kept = []
+        for pair in current:
+            if type(stage) is DedupSpec:
+                reason = None
+                for side in (Side.SOURCE, Side.TARGET):
+                    if reason is not None or stage.side not in (side, Side.BOTH):
+                        continue
+                    keys_of = lambda p: _naive_dedup_keys(p.side_text(side)[0], stage)
+                    seen = {key for earlier in kept for key in keys_of(earlier)}
+                    reason = next((key for key in keys_of(pair) if key in seen), None)
+            elif type(stage) is LengthSpec:
+                reason = None if length_pass(pair, stage) else "length"
+            elif type(stage) is LidSpec:
+                ok = lid_pass(pair, stage, predictor, on_error=lambda *_: failures.append(pair.id))
+                reason = None if ok else "lid"
+            else:
+                reason = None if ratio_pass(pair, stage) else stage.kind.value
+            if reason is None:
+                kept.append(pair)
+            else:
+                rows.append((pair.id, name, reason))
+        current = kept
+    return [pair.id for pair in current], rows, len(failures)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(st.tuples(_sentences, _sentences), max_size=14),
+    stages=st.lists(_stage_specs, max_size=5),
+    table_ids=st.one_of(st.none(), st.sets(st.integers(0, 13))),
+)
+def test_run_matches_naive_stage_major_reference(texts, stages, table_ids):
+    pairs = [SentencePair(i, s, t) for i, (s, t) in enumerate(texts)]
+    if table_ids is None:
+        predictor = ScriptPredictor()
+    else:  # ids outside the table make the predictor fail, which fails the pair closed
+        table = {i: script_predict(pairs[i].source) for i in table_ids if i < len(pairs)}
+        predictor = TablePredictor(source=table, target=table)
+    config = PipelineConfig(language_pair=EN_SI, stages=tuple(stages))
+    removal_log = []
+    result = run(config, pairs, removal_log=removal_log, predictor=predictor)
+    expected_ids, expected_rows, expected_failures = _naive_run(stages, pairs, predictor)
+    assert [pair.id for pair in result.pairs] == expected_ids
+    assert removal_log == expected_rows
+    assert result.report.lid_failures == expected_failures
+    assert [stage.name for stage in result.report.stages] == [
+        stage_name(i, stage) for i, stage in enumerate(stages)
+    ]
