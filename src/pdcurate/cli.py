@@ -34,13 +34,12 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .corpus import LanguagePair, Side, atomic_write, compute_stats, read_corpus, write_corpus
-from .dedup import DedupSpec, DedupStream
+from .dedup import DedupStream
 from .errors import ConfigError, CurateError, DataError
 from .lid import export_predictions
 from .metrics import disparity_report, read_score_table, write_disparity_report
 from .ranking import load_embeddings, rank_corpus, top_k, write_ranked_tsv
-from .synthnoise import NoiseRecipe, generate, load_recipe, score_filters, write_labeled_tsv
-from .taxonomy import NoiseLabel
+from .synthnoise import generate, load_recipe, recipe_from_dict, score_filters, write_labeled_tsv
 from .textnorm import NormMode
 
 EXIT_OK = 0
@@ -179,11 +178,8 @@ def cmd_preset(args) -> int:
 
 
 def cmd_dedup(args) -> int:
-    try:
-        norm = NormMode.from_string(args.norm)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    spec = DedupSpec(norm=norm, ngram=args.ngram, side=_parse_side(args.side))
+    entry = {"kind": "dedup", "side": args.side, "params": {"norm": args.norm, "ngram": args.ngram}}
+    spec = pl.stage_from_dict(entry, None)
     pairs, as_tsv = _open_corpus(args)
     log = [] if args.log else None
     on_removed = None
@@ -284,23 +280,6 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------- synth
 
 
-def _parse_rates(entries) -> dict[NoiseLabel, float]:
-    rates: dict[NoiseLabel, float] = {}
-    for entry in entries or []:
-        if "=" not in entry:
-            raise ConfigError(f"--rate takes LABEL=FRACTION, got {entry!r}")
-        code, _, value = entry.partition("=")
-        try:
-            label = NoiseLabel(code)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        try:
-            rates[label] = float(value)
-        except ValueError:
-            raise ConfigError(f"bad fraction in {entry!r}") from None
-    return rates
-
-
 def cmd_synth(args) -> int:
     if args.recipe is not None:
         if args.pairs is not None or args.rate:
@@ -309,12 +288,21 @@ def cmd_synth(args) -> int:
     else:
         if args.pairs is None:
             raise ConfigError("need --pairs N (or a --recipe file)")
-        recipe = NoiseRecipe(
-            seed=args.seed,
-            pair_count=args.pairs,
-            rates=_parse_rates(args.rate),
-            duplicate_rate=args.duplicates,
-            language_pair=_parse_pair(args.pair),
+        rates = {}
+        for entry in args.rate or []:
+            try:
+                code, value = entry.split("=")
+                rates[code] = float(value)
+            except ValueError:
+                raise ConfigError(f"--rate takes LABEL=FRACTION, got {entry!r}") from None
+        recipe = recipe_from_dict(
+            {
+                "seed": args.seed,
+                "pair_count": args.pairs,
+                "rates": rates,
+                "duplicate_rate": args.duplicates,
+                "language_pair": args.pair,
+            }
         )
     labeled = generate(recipe)
     write_labeled_tsv(labeled, args.out)
@@ -400,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dedup = sub.add_parser("dedup", help="apply one deduplication stage")
     _add_corpus_args(p_dedup)
-    p_dedup.add_argument("--norm", default="identity", choices=["identity", "nums", "punctnums"])
+    p_dedup.add_argument("--norm", default="identity", choices=[mode.value for mode in NormMode])
     p_dedup.add_argument("--ngram", type=int, default=None, help="n-gram overlap order (omit for full-sentence)")
     p_dedup.add_argument("--side", default="st", help="s, t or st")
     p_dedup.add_argument("--out-dir", required=True)
@@ -412,10 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.add_argument(
         "--kind",
         required=True,
-        choices=["length", "lid", "lidthresh", "stratio", "sentwratio", "sentcratio"],
+        choices=[kind for kind in pl._STAGE_KINDS_BY_NAME if kind != "dedup"],
     )
     p_filter.add_argument("--side", default="st", help="s, t or st")
-    p_filter.add_argument("--min-words", type=int, default="5")
+    p_filter.add_argument("--min-words", type=int, default=None)
     p_filter.add_argument("--min-prob", type=float, default=None)
     p_filter.add_argument("--lo", type=float, default=None)
     p_filter.add_argument("--hi", type=float, default=None)

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import AlignmentError, ConfigError, DataError
 
@@ -141,6 +141,42 @@ def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
         for line_no, raw in enumerate(handle, start=1):
             yield line_no, _decode_line(raw, path, line_no, offset)
             offset += len(raw)
+
+
+def read_side_file(
+    path: str | Path,
+    fields: int | None,
+    parse_row: Callable[[list[str]], Any],
+    *,
+    comments: bool = False,
+) -> Iterator:
+    """Yield parse_row(fields) for each row of a TSV side file.
+
+    Side files are the TSV inputs other than the corpus.  Lines end in LF
+    or CRLF; a leading BOM, blank lines and, with comments, ``#`` lines
+    are skipped.  Every row has fields fields (None: as many as the
+    first row).  A missing file, invalid UTF-8, a wrong field count or a
+    ValueError from parse_row raises DataError naming the line.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"file not found: {path}")
+    for line_no, text in _iter_lines(path):
+        text = text.removesuffix("\r")
+        if line_no == 1:
+            text = text.removeprefix("\ufeff")
+        if not text or comments and text.startswith("#"):
+            continue
+        row = text.split("\t")
+        if fields is None:
+            fields = len(row)
+        if len(row) != fields:
+            raise DataError(f"{path}: line {line_no}: expected {fields} fields, got {len(row)}")
+        try:
+            parsed = parse_row(row)
+        except ValueError as exc:
+            raise DataError(f"{path}: line {line_no}: {exc}") from exc
+        yield parsed
 
 
 def _iter_tabless_lines(path: Path) -> Iterator[str]:

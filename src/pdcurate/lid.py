@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import SentencePair, Side, atomic_write
-from .errors import DataError, PredictorError
+from .corpus import SentencePair, Side, atomic_write, read_side_file
+from .errors import PredictorError
 
 # letters are mapped to one marker char per script so counting runs at
 # C speed inside str.translate / str.count
@@ -155,26 +155,12 @@ class TablePredictor(LidPredictor):
 
 
 def load_prediction_table(path: str | Path) -> dict[int, LidPrediction]:
-    """Parse a ``id<TAB>label<TAB>prob`` TSV into an id-keyed table."""
-    path = Path(path)
-    table: dict[int, LidPrediction] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}: line {line_no}: expected 3 fields, got {len(fields)}")
-            try:
-                pair_id = int(fields[0])
-                prob = float(fields[2])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_no}: {exc}") from exc
-            if not 0.0 <= prob <= 1.0:
-                raise DataError(f"{path}: line {line_no}: probability {prob} outside [0, 1]")
-            table[pair_id] = LidPrediction(fields[1], prob)
-    return table
+    """Parse a ``id<TAB>label<TAB>prob`` TSV into an id-keyed table.
+
+    When an id appears on more than one row, the last row wins.
+    """
+    parse_row = lambda fields: (int(fields[0]), LidPrediction(fields[1], float(fields[2])))
+    return dict(read_side_file(path, 3, parse_row))
 
 
 def load_predictions(path: str | Path) -> TablePredictor:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import atomic_write
+from .corpus import atomic_write, read_side_file
 from .errors import DataError
 
 ScoreKey = tuple[str, str, str, str]  # (corpus, language pair, model, heuristic)
@@ -52,23 +52,20 @@ class ScoreTable:
 
 
 def read_score_table(path: str | Path) -> ScoreTable:
-    path = Path(path)
+    """Read a score TSV; lines starting with ``#`` are comments."""
     rows: dict[ScoreKey, float] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise DataError(f"{path}: line {line_no}: expected 5 fields, got {len(fields)}")
-            key = (fields[0], fields[1], fields[2], fields[3])
-            if key in rows:
-                raise DataError(f"{path}: line {line_no}: duplicate key {key}")
-            try:
-                rows[key] = float(fields[4])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_no}: {exc}") from exc
+
+    def add_row(fields: list[str]) -> None:
+        key = (fields[0], fields[1], fields[2], fields[3])
+        if key in rows:
+            raise ValueError(f"duplicate key {key}")
+        score = float(fields[4])
+        if not math.isfinite(score):
+            raise ValueError(f"non-finite score {fields[4]!r}")
+        rows[key] = score
+
+    for _ in read_side_file(path, 5, add_row, comments=True):
+        pass
     return ScoreTable(rows)
 
 

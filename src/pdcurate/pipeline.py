@@ -9,8 +9,10 @@ Config files are YAML with top-level keys ``language_pair``, ``stages``
 (a list of ``{kind, side, params}``), optional ``ranking``
 (``{source_embeddings, target_embeddings, top_k}``), optional
 ``lid_predictions`` (``{path}`` or ``{source, target}``) and optional
-``report`` (output path).  Validation is fail-fast: a bad stage aborts
-the run before any pair is processed.
+``report`` (output path).  Each mapping accepts only its declared keys
+and checks the type of each value; a null value counts as absent.
+Validation is fail-fast: a bad stage aborts the run before any pair is
+processed.
 
 The recommended preset chains full punctuation+number-stripped dedup,
 n-gram dedup, the 5-word length floor, LID with a 0.7 probability
@@ -23,8 +25,10 @@ and LID on both sides, and the ratio filter on the source side for the
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
+from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -34,6 +38,8 @@ from .corpus import CorpusStats, LanguagePair, SentencePair, Side, compute_stats
 from .dedup import DedupSpec, DedupStream
 from .errors import ConfigError, DataError
 from .filters import (
+    LID_PROB_THRESHOLD,
+    MIN_WORDS_DEFAULT,
     LengthSpec,
     LidSpec,
     RatioKind,
@@ -49,6 +55,82 @@ from .textnorm import NormMode
 StageSpec = DedupSpec | LengthSpec | LidSpec | RatioSpec
 
 PRESET_NGRAM_RANGE = (4, 7)
+
+
+# Converters from one YAML value to a config value; each raises
+# ValueError for a value of the wrong type or range.
+
+
+def _integer(value) -> int:
+    """An int, or a float with an integral value; booleans raise."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _typed(kind: type, name: str) -> Callable[[Any], Any]:
+    def convert(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"expected {name}, got {value!r}")
+        return value
+
+    return convert
+
+
+_text = _typed(str, "a string")
+_mapping = _typed(dict, "a mapping")
+_list = _typed(list, "a list")
+
+
+def _language_pair(value) -> LanguagePair:
+    return LanguagePair.from_string(_text(value))
+
+
+def _build(cls, section: str, data, converters: dict[str, Callable[[Any], Any]], **defaults):
+    """Build the dataclass cls from one YAML mapping of a config section.
+
+    Only the keys of converters are accepted; each non-null value goes
+    through its converter, and defaults fill the fields the mapping
+    leaves out.  An unknown key, a missing required field, a value its
+    converter rejects and a ValueError from cls all raise ConfigError.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} must be a mapping, got {data!r}")
+    unknown = set(map(str, data)) - set(converters)
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    values = dict(defaults)
+    for key, convert in converters.items():
+        if data.get(key) is not None:
+            try:
+                values[key] = convert(data[key])
+            except (ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
+                raise ConfigError(f"{section} {key}: {exc}") from exc
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{section} is missing {', '.join(missing)}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _declared(obj, converters: dict) -> dict:
+    """The fields of obj that converters declares, as YAML values."""
+    values = {name: getattr(obj, name) for name in converters}
+    return {name: v.value if isinstance(v, Enum) else v for name, v in values.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,6 +159,10 @@ class LidPredictionFiles:
             raise ConfigError("lid_predictions: no file given")
 
 
+_RANKING_FIELDS = {"source_embeddings": _text, "target_embeddings": _text, "top_k": _integer}
+_LID_FILES_FIELDS = {"path": _text, "source": _text, "target": _text}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     language_pair: LanguagePair
@@ -94,23 +180,35 @@ def _kind_at_side(stage) -> str:
 class _StageKind:
     """One row of the stage table: how a stage kind is named, parsed, written and run.
 
-    names are the config kinds the row parses; kind(spec) is the one it
-    writes and describe(spec) names the stage in reports.  apply(spec,
-    pairs, name, ctx) runs the stage over all pairs that reach it and
-    returns the kept ones in order.
+    names are the config kinds the row parses into its spec class;
+    params maps each spec field a stage's params may set to its
+    converter, and defaults(kind, language_pair) gives the fields they
+    leave out.  kind(spec) is the kind the row writes and describe(spec)
+    names the stage in reports.  apply(spec, pairs, name, ctx) runs the
+    stage over all pairs that reach it and returns the kept ones in order.
     """
 
     names: tuple[str, ...]
+    spec: type
+    params: dict[str, Callable[[Any], Any]]
     kind: Callable[[Any], str]
-    parse: Callable[[str, Side, dict, LanguagePair | None], StageSpec]
-    params: Callable[[Any], dict]
     apply: Callable[[Any, list[SentencePair], str, "_StageContext"], list[SentencePair]]
+    defaults: Callable[[str, LanguagePair | None], dict] = lambda kind, language_pair: {}
     describe: Callable[[Any], str] = _kind_at_side
     uses_predictor: bool = False
 
 
+@dataclass(frozen=True, slots=True)
+class _StageEntry:
+    """One item of a config's stage list, before its params are parsed."""
+
+    kind: str
+    side: Side = Side.BOTH
+    params: dict = field(default_factory=dict)
+
+
 def _row(stage: StageSpec) -> _StageKind:
-    row = _STAGE_KINDS.get(type(stage))
+    row = _STAGE_KINDS_BY_SPEC.get(type(stage))
     if row is None:
         raise ConfigError(f"unsupported stage object: {stage!r}")
     return row
@@ -126,50 +224,42 @@ def stage_name(index: int, stage: StageSpec) -> str:
 
 def _stage_to_dict(stage: StageSpec) -> dict:
     row = _row(stage)
-    return {"kind": row.kind(stage), "side": stage.side.value, "params": row.params(stage)}
+    params = _declared(stage, row.params)
+    return {"kind": row.kind(stage), "side": stage.side.value, "params": params}
 
 
 def stage_from_dict(entry: dict, language_pair: LanguagePair | None) -> StageSpec:
     """Parse one ``{kind, side, params}`` entry; language_pair gives LID defaults."""
-    if not isinstance(entry, dict) or "kind" not in entry:
-        raise ConfigError(f"each stage needs a 'kind' key, got {entry!r}")
-    kind = str(entry["kind"]).lower()
-    row = _STAGE_KINDS_BY_NAME.get(kind)
-    if row is None:
-        raise ConfigError(f"unknown stage kind {kind!r}")
-    try:
-        side = Side.from_string(entry.get("side", "st"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    params = entry.get("params") or {}
-    if not isinstance(params, dict):
-        raise ConfigError(f"stage params must be a mapping, got {params!r}")
-    try:
-        return row.parse(kind, side, params, language_pair)
-    except KeyError as exc:
-        raise ConfigError(f"stage {kind!r} is missing required param {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"stage {kind!r}: {exc}") from exc
+    entry = _build(_StageEntry, "stage", entry, _STAGE_ENTRY_FIELDS)
+    row = _STAGE_KINDS_BY_NAME[entry.kind]
+    defaults = {"side": entry.side, **row.defaults(entry.kind, language_pair)}
+    return _build(row.spec, f"{entry.kind} params", entry.params, row.params, **defaults)
 
 
-def _optional(value, convert):
-    return None if value is None else convert(value)
+def _stage_kind_name(value) -> str:
+    kind = _text(value).lower()
+    if kind not in _STAGE_KINDS_BY_NAME:
+        raise ValueError(f"unknown stage kind {kind!r}")
+    return kind
 
 
-def _parse_lid(kind: str, side: Side, params: dict, language_pair: LanguagePair | None) -> LidSpec:
+_STAGE_ENTRY_FIELDS = {
+    "kind": _stage_kind_name,
+    "side": lambda value: Side.from_string(_text(value)),
+    "params": _mapping,
+}
+
+
+def _lid_defaults(kind: str, language_pair: LanguagePair | None) -> dict:
     if language_pair is None:
         raise ConfigError(
             f"stage {kind!r} needs a language pair (like en-si) for its expected languages"
         )
-    min_prob = params.get("min_prob")
-    if kind == "lidthresh" and min_prob is None:
-        min_prob = 0.7
-    return LidSpec(
-        expected_source=params.get("expected_source", language_pair.source_lang),
-        expected_target=params.get("expected_target", language_pair.target_lang),
-        min_prob=_optional(min_prob, float),
-        side=side,
-    )
+    return {
+        "expected_source": language_pair.source_lang,
+        "expected_target": language_pair.target_lang,
+        "min_prob": LID_PROB_THRESHOLD if kind == "lidthresh" else None,
+    }
 
 
 @dataclass
@@ -216,56 +306,44 @@ def _dedup_stage(spec, pairs, name, ctx):
     return list(DedupStream(pairs, spec, on_removed=ctx.remove, stage_name=name))
 
 
-_STAGE_KINDS: dict[type, _StageKind] = {
-    DedupSpec: _StageKind(
+_STAGE_KINDS = (
+    _StageKind(
         names=("dedup",),
+        spec=DedupSpec,
+        params={"norm": lambda value: NormMode.from_string(_text(value)), "ngram": _integer},
         kind=lambda spec: "dedup",
-        parse=lambda kind, side, params, _: DedupSpec(
-            norm=NormMode.from_string(params.get("norm", "identity")),
-            ngram=_optional(params.get("ngram"), int),
-            side=side,
-        ),
-        params=lambda spec: {"norm": spec.norm.value, "ngram": spec.ngram},
         apply=_dedup_stage,
         describe=DedupSpec.describe,
     ),
-    LengthSpec: _StageKind(
+    _StageKind(
         names=("length",),
+        spec=LengthSpec,
+        params={"min_words": _integer},
         kind=lambda spec: "length",
-        parse=lambda kind, side, params, _: LengthSpec(
-            min_words=int(params.get("min_words", 5)), side=side
-        ),
-        params=lambda spec: {"min_words": spec.min_words},
         apply=_filter_stage(lambda spec, pair, ctx: length_pass(pair, spec)),
     ),
-    LidSpec: _StageKind(
+    _StageKind(
         names=("lid", "lidthresh"),
+        spec=LidSpec,
+        params={"expected_source": _text, "expected_target": _text, "min_prob": _number},
         kind=lambda spec: "lid",
-        parse=_parse_lid,
-        params=lambda spec: {
-            "expected_source": spec.expected_source,
-            "expected_target": spec.expected_target,
-            "min_prob": spec.min_prob,
-        },
         apply=_filter_stage(
             lambda spec, pair, ctx: lid_pass(pair, spec, ctx.predictor, on_error=ctx.lid_failed)
         ),
+        defaults=_lid_defaults,
         uses_predictor=True,
     ),
-    RatioSpec: _StageKind(
+    _StageKind(
         names=tuple(kind.value for kind in RatioKind),
+        spec=RatioSpec,
+        params={"lo": _number, "hi": _number},
         kind=lambda spec: spec.kind.value,
-        parse=lambda kind, side, params, _: RatioSpec(
-            kind=RatioKind(kind),
-            lo=float(params["lo"]),
-            hi=_optional(params.get("hi"), float),
-            side=side,
-        ),
-        params=lambda spec: {"lo": spec.lo, "hi": spec.hi},
         apply=_filter_stage(lambda spec, pair, ctx: ratio_pass(pair, spec)),
+        defaults=lambda kind, language_pair: {"kind": RatioKind(kind)},
     ),
-}
-_STAGE_KINDS_BY_NAME = {name: row for row in _STAGE_KINDS.values() for name in row.names}
+)
+_STAGE_KINDS_BY_SPEC = {row.spec: row for row in _STAGE_KINDS}
+_STAGE_KINDS_BY_NAME = {name: row for row in _STAGE_KINDS for name in row.names}
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
@@ -274,86 +352,58 @@ def config_to_dict(config: PipelineConfig) -> dict:
         "stages": [_stage_to_dict(stage) for stage in config.stages],
     }
     if config.ranking is not None:
-        data["ranking"] = {
-            "source_embeddings": config.ranking.source_embeddings,
-            "target_embeddings": config.ranking.target_embeddings,
-            "top_k": config.ranking.top_k,
-        }
+        data["ranking"] = _declared(config.ranking, _RANKING_FIELDS)
     if config.lid_predictions is not None:
-        lp = config.lid_predictions
-        data["lid_predictions"] = {
-            key: value
-            for key, value in (("path", lp.path), ("source", lp.source), ("target", lp.target))
-            if value is not None
-        }
+        files = _declared(config.lid_predictions, _LID_FILES_FIELDS)
+        data["lid_predictions"] = {key: value for key, value in files.items() if value is not None}
     if config.report is not None:
         data["report"] = config.report
     return data
 
 
+_CONFIG_FIELDS = {
+    "language_pair": _language_pair,
+    "stages": lambda value: tuple(_list(value)),
+    "ranking": lambda value: _build(RankingSpec, "ranking", value, _RANKING_FIELDS),
+    "lid_predictions": lambda value: _build(
+        LidPredictionFiles, "lid_predictions", value, _LID_FILES_FIELDS
+    ),
+    "report": _text,
+}
+
+
 def config_from_dict(data: dict) -> PipelineConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    unknown = set(data) - {"language_pair", "stages", "ranking", "lid_predictions", "report"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        language_pair = LanguagePair.from_string(str(data["language_pair"]))
-    except KeyError:
-        raise ConfigError("config needs a language_pair (like 'en-si')") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raw_stages = data.get("stages") or []
-    if not isinstance(raw_stages, list):
-        raise ConfigError("stages must be a list")
-    stages = tuple(stage_from_dict(entry, language_pair) for entry in raw_stages)
-    ranking = None
-    if data.get("ranking") is not None:
-        r = data["ranking"]
-        if not isinstance(r, dict):
-            raise ConfigError("ranking must be a mapping")
-        try:
-            ranking = RankingSpec(
-                source_embeddings=str(r["source_embeddings"]),
-                target_embeddings=str(r["target_embeddings"]),
-                top_k=int(r["top_k"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"ranking is missing {exc}") from exc
-    lid_predictions = None
-    if data.get("lid_predictions") is not None:
-        lp = data["lid_predictions"]
-        if not isinstance(lp, dict):
-            raise ConfigError("lid_predictions must be a mapping")
-        lid_predictions = LidPredictionFiles(
-            path=lp.get("path"), source=lp.get("source"), target=lp.get("target")
-        )
-    return PipelineConfig(
-        language_pair=language_pair,
-        stages=stages,
-        ranking=ranking,
-        lid_predictions=lid_predictions,
-        report=data.get("report"),
-    )
+    config = _build(PipelineConfig, "config", data, _CONFIG_FIELDS)
+    # LID stages take their default languages from the parsed language pair
+    stages = tuple(stage_from_dict(entry, config.language_pair) for entry in config.stages)
+    return replace(config, stages=stages)
 
 
 def dump_config(config: PipelineConfig) -> str:
     return yaml.safe_dump(config_to_dict(config), sort_keys=False)
 
 
-def parse_config(text: str) -> PipelineConfig:
+def _parse_yaml(text: str | bytes, what: str):
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    return config_from_dict(data)
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:  # also invalid UTF-8 in bytes
+        raise ConfigError(f"{what} is not valid YAML: {exc}") from exc
+
+
+def _load_yaml(path: str | Path, what: str):
+    """The YAML document in a config or recipe file."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"{what} file not found: {path}")
+    return _parse_yaml(path.read_bytes(), what)
+
+
+def parse_config(text: str) -> PipelineConfig:
+    return config_from_dict(_parse_yaml(text, "config"))
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text(encoding="utf-8"))
+    return config_from_dict(_load_yaml(path, "config"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -580,11 +630,11 @@ def recommended_preset(
     stages: tuple[StageSpec, ...] = (
         DedupSpec(norm=NormMode.STRIP_PUNCT_NUMS, ngram=None, side=dedup_side),
         DedupSpec(norm=NormMode.IDENTITY, ngram=n, side=Side.TARGET),
-        LengthSpec(min_words=5, side=Side.BOTH),
+        LengthSpec(min_words=MIN_WORDS_DEFAULT, side=Side.BOTH),
         LidSpec(
             expected_source=language_pair.source_lang,
             expected_target=language_pair.target_lang,
-            min_prob=0.7,
+            min_prob=LID_PROB_THRESHOLD,
             side=Side.BOTH,
         ),
         RatioSpec(kind=RatioKind.SENT_W_RATIO, lo=ratio_lo, hi=None, side=ratio_side),

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import SentencePair, atomic_write
+from .corpus import SentencePair, atomic_write, read_side_file
 from .errors import DataError
 
 MAGIC = b"PDCEMB01"
@@ -96,24 +96,8 @@ def _load_binary(path: Path) -> EmbeddingStore:
 
 
 def _load_tsv(path: Path) -> EmbeddingStore:
-    rows: list[np.ndarray] = []
-    dim: int | None = None
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                row = np.array([float(v) for v in line.split("\t")], dtype=np.float32)
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_no}: {exc}") from exc
-            if dim is None:
-                dim = len(row)
-            elif len(row) != dim:
-                raise DataError(
-                    f"{path}: line {line_no}: expected {dim} components, got {len(row)}"
-                )
-            rows.append(row)
+    parse_row = lambda fields: np.array([float(v) for v in fields], dtype=np.float32)
+    rows = list(read_side_file(path, None, parse_row))
     if not rows:
         raise DataError(f"{path}: no embedding rows")
     matrix = np.vstack(rows)

@@ -35,10 +35,9 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
-import yaml
-
-from .corpus import LanguagePair, SentencePair, atomic_write
-from .errors import ConfigError, DataError
+from . import pipeline as pl
+from .corpus import LanguagePair, SentencePair, atomic_write, read_side_file
+from .errors import ConfigError
 from .pipeline import PipelineConfig, RemovalLog, run, stage_name
 from .taxonomy import ERROR_LABELS, NoiseLabel
 
@@ -112,44 +111,27 @@ def recipe_to_dict(recipe: NoiseRecipe) -> dict:
     return data
 
 
+_RECIPE_FIELDS = {
+    "seed": pl._integer,
+    "pair_count": pl._integer,
+    "language_pair": pl._language_pair,
+    "rates": lambda rates: {
+        NoiseLabel(code): pl._number(rate) for code, rate in pl._mapping(rates).items()
+    },
+    "duplicate_rate": pl._number,
+    "vocabularies": lambda vocabularies: {
+        pl._text(lang): [pl._text(word) for word in pl._list(words)]
+        for lang, words in pl._mapping(vocabularies).items()
+    },
+}
+
+
 def recipe_from_dict(data: dict) -> NoiseRecipe:
-    if not isinstance(data, dict):
-        raise ConfigError("recipe must be a mapping")
-    unknown = set(data) - {
-        "seed", "pair_count", "language_pair", "rates", "duplicate_rate", "vocabularies"
-    }
-    if unknown:
-        raise ConfigError(f"unknown recipe keys: {sorted(unknown)}")
-    try:
-        rates = {
-            NoiseLabel(code): float(rate) for code, rate in (data.get("rates") or {}).items()
-        }
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        return NoiseRecipe(
-            seed=int(data["seed"]),
-            pair_count=int(data["pair_count"]),
-            rates=rates,
-            duplicate_rate=float(data.get("duplicate_rate", 0.0)),
-            language_pair=LanguagePair.from_string(str(data.get("language_pair", "en-si"))),
-            vocabularies=data.get("vocabularies"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"recipe is missing {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return pl._build(NoiseRecipe, "recipe", data, _RECIPE_FIELDS)
 
 
 def load_recipe(path: str | Path) -> NoiseRecipe:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"recipe file not found: {path}")
-    try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"recipe is not valid YAML: {exc}") from exc
-    return recipe_from_dict(data)
+    return recipe_from_dict(pl._load_yaml(path, "recipe"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,22 +281,8 @@ def write_labeled_tsv(labeled: Iterable[LabeledPair], path: str | Path) -> None:
 
 
 def read_labeled_tsv(path: str | Path) -> list[LabeledPair]:
-    path = Path(path)
-    out: list[LabeledPair] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise DataError(f"{path}: line {line_no}: expected 4 fields, got {len(fields)}")
-            try:
-                pair = SentencePair(int(fields[0]), fields[2], fields[3])
-                out.append(LabeledPair(pair, NoiseLabel(fields[1])))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_no}: {exc}") from exc
-    return out
+    parse_row = lambda f: LabeledPair(SentencePair(int(f[0]), f[2], f[3]), NoiseLabel(f[1]))
+    return list(read_side_file(path, 4, parse_row))
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,8 +28,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import atomic_write
-from .errors import DataError
+from .corpus import atomic_write, read_side_file
 
 
 class NoiseLabel(Enum):
@@ -136,21 +135,8 @@ class AnnotationSet:
 
 
 def read_annotations(path: str | Path) -> AnnotationSet:
-    path = Path(path)
-    items = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}: line {line_no}: expected 3 fields, got {len(fields)}")
-            try:
-                items.append(Annotation(int(fields[0]), fields[1], NoiseLabel(fields[2])))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_no}: {exc}") from exc
-    return AnnotationSet(tuple(items))
+    parse_row = lambda fields: Annotation(int(fields[0]), fields[1], NoiseLabel(fields[2]))
+    return AnnotationSet(tuple(read_side_file(path, 3, parse_row)))
 
 
 def write_annotations(annotations: AnnotationSet, path: str | Path) -> None:

@@ -3,10 +3,12 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdcurate
 from pdcurate.cli import main
 from pdcurate.corpus import SentencePair, read_corpus, write_corpus
 from pdcurate.ranking import cosine, write_embeddings
@@ -384,3 +386,122 @@ def test_removal_log_is_independent_of_hash_seed(tmp_path):
         logs.append((out / "removals.tsv").read_bytes())
     assert logs[0].count(b"\n") == 40
     assert logs[0] == logs[1]
+
+
+_PAIRS_TSV = "one two three four five\tsix seven eight nine ten\nhello world\tමම ගෙදර\n"
+_CONFIG = "language_pair: en-si\n"
+_RUN = ("run", "--config", "cfg.yaml", "--tsv", "c.tsv", "--out-dir", "out")
+
+# each case: files to write, curate arguments, expected exit code (2 config, 3 data)
+_HOSTILE_CASES = {
+    "unknown dedup param": (
+        {"cfg.yaml": _CONFIG + "stages:\n- {kind: dedup, params: {ngrams: 5}}\n"}, _RUN, 2
+    ),
+    "unknown lid_predictions key": (
+        {
+            "cfg.yaml": _CONFIG + "stages:\n- {kind: lid}\n"
+            "lid_predictions: {source: p.tsv, targets: p.tsv}\n",
+            "p.tsv": "0\ten\t0.9\n",
+        },
+        _RUN,
+        2,
+    ),
+    "top_k not an integer": (
+        {
+            "cfg.yaml": _CONFIG + "ranking: {source_embeddings: e.bin, "
+            "target_embeddings: e.bin, top_k: ten}\n"
+        },
+        _RUN,
+        2,
+    ),
+    "norm not a string": ({"cfg.yaml": _CONFIG + "stages:\n- {kind: dedup, params: {norm: 5}}\n"}, _RUN, 2),
+    "side not a string": ({"cfg.yaml": _CONFIG + "stages:\n- {kind: length, side: 1}\n"}, _RUN, 2),
+    "fractional min_words": (
+        {"cfg.yaml": _CONFIG + "stages:\n- {kind: length, params: {min_words: 5.9}}\n"}, _RUN, 2
+    ),
+    "config not UTF-8": ({"cfg.yaml": b"language_pair: en-si\n# \xff\n"}, _RUN, 2),
+    "recipe rates not a mapping": (
+        {"r.yaml": "seed: 1\npair_count: 10\nrates: [CS]\n"},
+        ("synth", "--recipe", "r.yaml", "--out", "l.tsv"),
+        2,
+    ),
+    "prediction table not UTF-8": (
+        {
+            "cfg.yaml": _CONFIG + "stages:\n- {kind: lid, side: s}\nlid_predictions: {path: p.tsv}\n",
+            "p.tsv": b"0\ten\t0.9\n\xff\xfe\ten\t0.9\n",
+        },
+        _RUN,
+        3,
+    ),
+    "embedding file with a wrong magic": (
+        {
+            "cfg.yaml": _CONFIG + "ranking: {source_embeddings: e.bin, "
+            "target_embeddings: e.bin, top_k: 1}\n",
+            "e.bin": b"PDCEMB0X\x01\x00\x00\x00\x01\x00\x00\x00\x00\x00\x80\x3f",
+        },
+        _RUN,
+        3,
+    ),
+    "missing score table": ({}, ("report", "--scores", "missing.tsv", "--reference", "x"), 3),
+    "non-finite score": (
+        {"s.tsv": "c\tp\tm\tbaseline\tnan\n"}, ("report", "--scores", "s.tsv", "--reference", "m"), 3
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HOSTILE_CASES))
+def test_hostile_input_exits_with_config_or_data_code(tmp_path, case):
+    files, argv, expected = _HOSTILE_CASES[case]
+    (tmp_path / "c.tsv").write_text(_PAIRS_TSV)
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    env = {key: value for key, value in os.environ.items() if not key.startswith("CURATE_")}
+    env["PYTHONPATH"] = str(Path(pdcurate.__file__).parents[1])  # the package under test
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdcurate.cli", *argv],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "internal error" not in proc.stderr
+
+
+def test_filter_flag_of_another_kind_is_rejected(corpus, capsys, monkeypatch):
+    monkeypatch.setenv("CURATE_MIN_WORDS", "3")
+    code = run_cli(
+        "filter",
+        "--kind", "lid",
+        "--pair", "en-si",
+        "--source", str(corpus / "s.txt"),
+        "--target", str(corpus / "t.txt"),
+        "--out-dir", str(corpus / "out"),
+    )
+    assert code == 2
+    assert "unknown lid params keys: ['min_words']" in capsys.readouterr().err
+
+
+def test_filter_length_defaults_to_five_words(corpus, capsys):
+    code = run_cli(
+        "filter",
+        "--kind", "length",
+        "--source", str(corpus / "s.txt"),
+        "--target", str(corpus / "t.txt"),
+        "--out-dir", str(corpus / "out"),
+    )
+    assert code == 0
+    assert "kept 3, removed 1" in capsys.readouterr().out
+
+
+def test_dedup_bad_norm_from_environment_exits_2(corpus, capsys, monkeypatch):
+    monkeypatch.setenv("CURATE_NORM", "bogus")
+    code = run_cli(
+        "dedup",
+        "--source", str(corpus / "s.txt"),
+        "--target", str(corpus / "t.txt"),
+        "--out-dir", str(corpus / "out"),
+    )
+    assert code == 2
+    assert "normalization mode" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,7 @@ from pdcurate.pipeline import (
     stage_name,
 )
 from pdcurate.ranking import write_embeddings
-from pdcurate.synthnoise import NoiseRecipe, generate
+from pdcurate.synthnoise import NoiseRecipe, generate, recipe_from_dict
 from pdcurate.taxonomy import NoiseLabel
 from pdcurate.textnorm import NormMode, normalize
 
@@ -451,3 +452,103 @@ def test_run_matches_naive_stage_major_reference(texts, stages, table_ids):
     assert [stage.name for stage in result.report.stages] == [
         stage_name(i, stage) for i, stage in enumerate(stages)
     ]
+
+
+# ---------------------------------------------------------------- config checks
+
+
+def _recipe_text(key, value):
+    values = {"seed": 1, "pair_count": 10, key: value}
+    return "".join(f"{name}: {text}\n" for name, text in values.items())
+
+
+_INTEGER_KEYS = {
+    "min_words": lambda value: parse_config(
+        f"language_pair: en-si\nstages:\n- {{kind: length, params: {{min_words: {value}}}}}\n"
+    ).stages[0].min_words,
+    "ngram": lambda value: parse_config(
+        f"language_pair: en-si\nstages:\n- {{kind: dedup, params: {{ngram: {value}}}}}\n"
+    ).stages[0].ngram,
+    "top_k": lambda value: parse_config(
+        "language_pair: en-si\nranking: {source_embeddings: s.bin, target_embeddings: t.bin, "
+        f"top_k: {value}}}\n"
+    ).ranking.top_k,
+    "seed": lambda value: recipe_from_dict(yaml.safe_load(_recipe_text("seed", value))).seed,
+    "pair_count": lambda value: recipe_from_dict(
+        yaml.safe_load(_recipe_text("pair_count", value))
+    ).pair_count,
+}
+
+
+@pytest.mark.parametrize("key", sorted(_INTEGER_KEYS))
+def test_integer_keys_reject_fractions_and_booleans(key):
+    parse = _INTEGER_KEYS[key]
+    assert parse("4") == 4 and parse("4.0") == 4
+    for value in ("5.9", "true", "ten", "[4]"):
+        with pytest.raises(ConfigError, match=f"{key}: expected an integer"):
+            parse(value)
+
+
+@pytest.mark.parametrize(
+    "stages, match",
+    [
+        ("- {kind: dedup, params: {ngrams: 5}}", r"unknown dedup params keys: \['ngrams'\]"),
+        ("- {kind: length, parms: {min_words: 3}}", r"unknown stage keys: \['parms'\]"),
+        ("- {kind: lid, params: {min_words: 3}}", r"unknown lid params keys: \['min_words'\]"),
+        ("- {kind: length, params: {lo: 0.5}}", r"unknown length params keys: \['lo'\]"),
+        ("- {kind: stratio, params: {hi: 1.2}}", "stratio params is missing lo"),
+        ("- {side: st}", "stage is missing kind"),
+        ("- {kind: length, side: 1}", "stage side: expected a string"),
+        ("- {kind: length, side: sideways}", "unknown side"),
+        ("- {kind: dedup, params: {norm: 5}}", "dedup params norm: expected a string"),
+        ("- {kind: dedup, params: [norm]}", "stage params: expected a mapping"),
+        ("- {kind: lid, params: {expected_source: 5}}", "expected_source: expected a string"),
+        ("- {kind: sentwratio, params: {lo: .nan}}", "lo: expected a finite number"),
+        ("- {kind: lidthresh, params: {min_prob: yes}}", "min_prob: expected a finite number"),
+        ("- length", "stage must be a mapping"),
+        ("  {kind: length}", "config stages: expected a list"),
+    ],
+)
+def test_config_rejects_wrong_keys_and_types(stages, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(f"language_pair: en-si\nstages:\n{stages}\n")
+
+
+@pytest.mark.parametrize(
+    "section, match",
+    [
+        ("lid_predictions: {source: p.tsv, targets: p.tsv}", r"unknown lid_predictions keys: \['targets'\]"),
+        ("lid_predictions: p.tsv", "lid_predictions must be a mapping"),
+        ("ranking: {source_embeddings: s.bin, top_k: 5}", "ranking is missing target_embeddings"),
+        ("ranking: {source_embeddings: s.bin, target_embeddings: 7, top_k: 5}", "expected a string"),
+        ("report: [a]", "report: expected a string"),
+    ],
+)
+def test_config_sections_reject_wrong_keys_and_types(section, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(f"language_pair: en-si\n{section}\n")
+    with pytest.raises(ConfigError, match="language_pair: expected a string"):
+        parse_config("language_pair: 5\n")
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        ("rates: [CS]", "rates: expected a mapping"),
+        ("rates: {CS: .nan}", "expected a finite number"),
+        ("rates: {QQ: 0.1}", "QQ"),
+        ("vocabularies: {en: 5}", "expected a list"),
+        ("vocabularies: {en: [1, 2]}", "expected a string"),
+    ],
+)
+def test_recipe_rejects_wrong_types(line, match):
+    with pytest.raises(ConfigError, match=match):
+        recipe_from_dict(yaml.safe_load(f"seed: 1\npair_count: 10\n{line}\n"))
+
+
+def test_null_values_take_the_defaults():
+    config = parse_config(
+        "language_pair: en-si\nstages:\n- {kind: lidthresh, side: null, params: {min_prob: null}}\n"
+        "- {kind: length, params: null}\nranking: null\nreport: null\n"
+    )
+    assert config.stages == (LidSpec("en", "si", min_prob=0.7), LengthSpec(min_words=5))
