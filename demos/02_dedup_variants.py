@@ -5,7 +5,16 @@ only in numbers or punctuation, and near-copies that share long word
 spans.  Each variant below catches one of these, and they chain.
 """
 
-from pdcurate import DedupSpec, NormMode, SentencePair, Side, chain_dedup, dedup_stream
+from pdcurate import (
+    DedupSpec,
+    LanguagePair,
+    NormMode,
+    PipelineConfig,
+    SentencePair,
+    Side,
+    dedup_stream,
+    run,
+)
 
 pairs = [
     SentencePair(0, "order 66 confirmed today !", "tgt a"),
@@ -32,13 +41,15 @@ show("punctnums", DedupSpec(norm=NormMode.STRIP_PUNCT_NUMS, side=Side.SOURCE))
 print("5-gram dedup: pair 3 shares 'quick brown fox jumps over' with pair 2")
 show("5gram", DedupSpec(ngram=5, side=Side.SOURCE))
 
-print("chaining stages, the order used by the recommended pipeline:")
-chained = chain_dedup(
-    pairs,
-    [
+print("chaining stages through pipeline.run, the order used by the recommended pipeline:")
+config = PipelineConfig(
+    language_pair=LanguagePair("en", "si"),
+    stages=(
         DedupSpec(norm=NormMode.STRIP_PUNCT_NUMS, side=Side.SOURCE),
         DedupSpec(ngram=5, side=Side.SOURCE),
-    ],
+    ),
 )
-kept = [p.id for p in chained]
-print(f"  kept {kept}, per-stage removals {chained.per_stage_removed}")
+result = run(config, pairs)
+print(f"  kept {[p.id for p in result.pairs]}")
+for stage in result.report.stages:
+    print(f"  {stage.name}: removed {stage.stats.pair_count - stage.stats.retained_count}")

@@ -23,7 +23,7 @@ from .corpus import (
     read_corpus,
     write_corpus,
 )
-from .dedup import DedupSpec, SeenIndex, chain_dedup, dedup_stream
+from .dedup import DedupSpec, SeenIndex, dedup_stream
 from .errors import ConfigError, CurateError, DataError
 from .filters import (
     LengthSpec,

@@ -149,14 +149,17 @@ def read_side_file(
     parse_row: Callable[[list[str]], Any],
     *,
     comments: bool = False,
+    blank_lines: bool = True,
 ) -> Iterator:
     """Yield parse_row(fields) for each row of a TSV side file.
 
     Side files are the TSV inputs other than the corpus.  Lines end in LF
-    or CRLF; a leading BOM, blank lines and, with comments, ``#`` lines
-    are skipped.  Every row has fields fields (None: as many as the
-    first row).  A missing file, invalid UTF-8, a wrong field count or a
-    ValueError from parse_row raises DataError naming the line.
+    or CRLF; a leading BOM, blank lines (unless blank_lines is False, for
+    files whose row position is the pair id) and, with comments, ``#``
+    lines are skipped.  Every row has fields fields (None: as many as the
+    first row).  A missing file, invalid UTF-8, a wrong field count, a
+    blank line that is not skipped or a ValueError from parse_row raises
+    DataError naming the line.
     """
     path = Path(path)
     if not path.is_file():
@@ -165,6 +168,8 @@ def read_side_file(
         text = text.removesuffix("\r")
         if line_no == 1:
             text = text.removeprefix("\ufeff")
+        if not text and not blank_lines:
+            raise DataError(f"{path}: line {line_no}: blank line")
         if not text or comments and text.startswith("#"):
             continue
         row = text.split("\t")

@@ -18,8 +18,12 @@ removed by the n-gram variant.
 
 Keys are stored as 64-bit fingerprints (blake2b), which keeps the index
 small and makes output independent of Python's per-process hash seed.
-The optional exact mode additionally stores key strings, verifies every
-fingerprint hit and counts fingerprint collisions between distinct keys.
+Each key is fingerprinted once.  Two distinct keys that share a
+fingerprint count as duplicates; at about 2^-64 per comparison, that
+risk is accepted.
+
+Stages are chained by ``pipeline.run``, which feeds the survivors of one
+stage to the next.
 """
 
 from __future__ import annotations
@@ -61,48 +65,10 @@ class DedupSpec:
         return f"{base}@{self.side.value}"
 
 
-class SeenIndex:
-    """Growable set of key fingerprints with optional exact verification."""
+class SeenIndex(set):
+    """The key fingerprints of one side's kept pairs."""
 
-    __slots__ = ("_fingerprints", "_exact", "collision_count", "_hash")
-
-    def __init__(self, exact: bool = False, hash_fn: Callable[[str], int] | None = None):
-        self._fingerprints: set[int] = set()
-        self._exact: dict[int, str | set[str]] | None = {} if exact else None
-        self.collision_count = 0
-        self._hash = hash_fn or _blake_fingerprint
-
-    def __len__(self) -> int:
-        return len(self._fingerprints)
-
-    def __contains__(self, key: str) -> bool:
-        fp = self._hash(key)
-        if fp not in self._fingerprints:
-            return False
-        if self._exact is None:
-            return True
-        stored = self._exact[fp]
-        if isinstance(stored, str):
-            if stored == key:
-                return True
-        elif key in stored:
-            return True
-        self.collision_count += 1
-        return False
-
-    def add(self, key: str) -> None:
-        fp = self._hash(key)
-        self._fingerprints.add(fp)
-        if self._exact is None:
-            return
-        stored = self._exact.get(fp)
-        if stored is None:
-            self._exact[fp] = key
-        elif isinstance(stored, str):
-            if stored != key:
-                self._exact[fp] = {stored, key}
-        else:
-            stored.add(key)
+    __slots__ = ()
 
 
 RemovalCallback = Callable[[SentencePair, str, str], None]
@@ -121,7 +87,6 @@ class DedupStream:
         pairs: Iterable[SentencePair],
         spec: DedupSpec,
         *,
-        exact: bool = False,
         on_removed: RemovalCallback | None = None,
         stage_name: str | None = None,
     ):
@@ -131,8 +96,8 @@ class DedupStream:
         self._on_removed = on_removed
         self._stage_name = stage_name or spec.describe()
         # separate index per checked side: comparison is same-side only
-        self._source_index = SeenIndex(exact=exact) if spec.side.checks_source else None
-        self._target_index = SeenIndex(exact=exact) if spec.side.checks_target else None
+        self._source_index = SeenIndex() if spec.side.checks_source else None
+        self._target_index = SeenIndex() if spec.side.checks_target else None
 
     def _keys(self, text: str) -> Collection[str]:
         normalized = normalize(text, self.spec.norm)
@@ -140,7 +105,17 @@ class DedupStream:
             return (normalized,)
         return word_ngrams(normalized.split(), self.spec.ngram)
 
+    def _first_hit(self, text: str, index: SeenIndex, fresh: list[int]) -> str | None:
+        """The first key of text already in index; fresh gets the fingerprints probed before it."""
+        for key in self._keys(text):
+            fingerprint = _blake_fingerprint(key)
+            if fingerprint in index:
+                return key
+            fresh.append(fingerprint)
+        return None
+
     def __iter__(self) -> Iterator[SentencePair]:
+        source_index, target_index = self._source_index, self._target_index
         last_id = -1
         for pair in self._pairs:
             if pair.id <= last_id:
@@ -149,31 +124,23 @@ class DedupStream:
                 )
             last_id = pair.id
 
-            src_keys = self._keys(pair.source) if self._source_index is not None else ()
-            tgt_keys = self._keys(pair.target) if self._target_index is not None else ()
-
+            source_fresh: list[int] = []
+            target_fresh: list[int] = []
             hit = None
-            for key in src_keys:
-                if key in self._source_index:
-                    hit = key
-                    break
-            if hit is None:
-                for key in tgt_keys:
-                    if key in self._target_index:
-                        hit = key
-                        break
+            if source_index is not None:
+                hit = self._first_hit(pair.source, source_index, source_fresh)
+            if hit is None and target_index is not None:
+                hit = self._first_hit(pair.target, target_index, target_fresh)
             if hit is not None:
                 self.removed_count += 1
                 if self._on_removed is not None:
                     self._on_removed(pair, self._stage_name, hit)
                 continue
 
-            if self._source_index is not None:
-                for key in src_keys:
-                    self._source_index.add(key)
-            if self._target_index is not None:
-                for key in tgt_keys:
-                    self._target_index.add(key)
+            for fingerprint in source_fresh:
+                source_index.add(fingerprint)
+            for fingerprint in target_fresh:
+                target_index.add(fingerprint)
             yield pair
 
 
@@ -181,58 +148,7 @@ def dedup_stream(
     pairs: Iterable[SentencePair],
     spec: DedupSpec,
     *,
-    exact: bool = False,
     on_removed: RemovalCallback | None = None,
 ) -> DedupStream:
     """Convenience constructor mirroring the DedupStream class."""
-    return DedupStream(pairs, spec, exact=exact, on_removed=on_removed)
-
-
-class ChainedDedup:
-    """Left-to-right composition of dedup stages over one stream.
-
-    ``per_stage_removed`` is valid once the iterator is exhausted; its
-    entries sum to the total number of removed pairs.
-    """
-
-    def __init__(
-        self,
-        pairs: Iterable[SentencePair],
-        specs: list[DedupSpec],
-        *,
-        exact: bool = False,
-        on_removed: RemovalCallback | None = None,
-    ):
-        if not specs:
-            raise ConfigError("chain_dedup needs at least one dedup spec")
-        self._stages: list[DedupStream] = []
-        stream: Iterable[SentencePair] = pairs
-        for i, spec in enumerate(specs):
-            stage = DedupStream(
-                stream,
-                spec,
-                exact=exact,
-                on_removed=on_removed,
-                stage_name=f"{i}:{spec.describe()}",
-            )
-            self._stages.append(stage)
-            stream = stage
-        self._final = stream
-
-    def __iter__(self) -> Iterator[SentencePair]:
-        return iter(self._final)
-
-    @property
-    def per_stage_removed(self) -> list[int]:
-        return [stage.removed_count for stage in self._stages]
-
-
-def chain_dedup(
-    pairs: Iterable[SentencePair],
-    specs: list[DedupSpec],
-    *,
-    exact: bool = False,
-    on_removed: RemovalCallback | None = None,
-) -> ChainedDedup:
-    """Apply dedup stages in order; output of stage i feeds stage i+1."""
-    return ChainedDedup(pairs, specs, exact=exact, on_removed=on_removed)
+    return DedupStream(pairs, spec, on_removed=on_removed)

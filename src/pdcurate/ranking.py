@@ -97,7 +97,7 @@ def _load_binary(path: Path) -> EmbeddingStore:
 
 def _load_tsv(path: Path) -> EmbeddingStore:
     parse_row = lambda fields: np.array([float(v) for v in fields], dtype=np.float32)
-    rows = list(read_side_file(path, None, parse_row))
+    rows = list(read_side_file(path, None, parse_row, blank_lines=False))
     if not rows:
         raise DataError(f"{path}: no embedding rows")
     matrix = np.vstack(rows)

@@ -28,6 +28,7 @@ remainder clean.  Identical recipes produce byte-identical corpora.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -76,8 +77,8 @@ class NoiseRecipe:
     vocabularies: Mapping[str, Sequence[str]] | None = None
 
     def __post_init__(self):
-        if self.pair_count < 1:
-            raise ConfigError(f"pair_count must be >= 1, got {self.pair_count}")
+        if not 1 <= self.pair_count <= sys.maxsize:  # a list holds at most sys.maxsize slots
+            raise ConfigError(f"pair_count must lie in [1, {sys.maxsize}], got {self.pair_count}")
         for label, rate in self.rates.items():
             if label is NoiseLabel.CC:
                 raise ConfigError("CC is the clean remainder; it takes no injection rate")

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import atomic_write, read_side_file
+from .errors import DataError
 
 
 class NoiseLabel(Enum):
@@ -136,7 +137,11 @@ class AnnotationSet:
 
 def read_annotations(path: str | Path) -> AnnotationSet:
     parse_row = lambda fields: Annotation(int(fields[0]), fields[1], NoiseLabel(fields[2]))
-    return AnnotationSet(tuple(read_side_file(path, 3, parse_row)))
+    items = tuple(read_side_file(path, 3, parse_row))
+    try:
+        return AnnotationSet(items)
+    except ValueError as exc:  # one pair labeled twice by one annotator
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_annotations(annotations: AnnotationSet, path: str | Path) -> None:

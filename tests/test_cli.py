@@ -425,6 +425,11 @@ _HOSTILE_CASES = {
         ("synth", "--recipe", "r.yaml", "--out", "l.tsv"),
         2,
     ),
+    "pair_count too large for a list": (
+        {"r.yaml": "seed: 1\npair_count: 100000000000000000000\n"},
+        ("synth", "--recipe", "r.yaml", "--out", "l.tsv"),
+        2,
+    ),
     "prediction table not UTF-8": (
         {
             "cfg.yaml": _CONFIG + "stages:\n- {kind: lid, side: s}\nlid_predictions: {path: p.tsv}\n",

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from pdcurate.corpus import SentencePair, Side
-from pdcurate.dedup import DedupSpec, SeenIndex, chain_dedup, dedup_stream
+from pdcurate import dedup
+from pdcurate.corpus import LanguagePair, SentencePair, Side
+from pdcurate.dedup import DedupSpec, SeenIndex, dedup_stream
 from pdcurate.errors import ConfigError
+from pdcurate.pipeline import PipelineConfig, run
 from pdcurate.textnorm import NormMode, normalize, word_ngrams
 
 
@@ -165,15 +167,22 @@ def test_full_sentence_pass_leaves_no_duplicate_keys():
     assert len(keys) == len(set(keys))
 
 
+def run_chain(pairs, specs):
+    """Chain dedup stages through pipeline.run; kept ids and removals per stage."""
+    config = PipelineConfig(language_pair=LanguagePair("en", "si"), stages=tuple(specs))
+    result = run(config, pairs)
+    removed = [stage.stats.pair_count - stage.stats.retained_count for stage in result.report.stages]
+    return [p.id for p in result.pairs], removed
+
+
 def test_chain_single_spec_matches_dedup_stream():
     rng = random.Random(3)
     pairs = random_corpus(rng, 80)
     spec = DedupSpec(norm=NormMode.IDENTITY, side=Side.BOTH)
-    chained = chain_dedup(pairs, [spec])
-    chain_kept = list(chained)
+    chain_kept, chain_removed = run_chain(pairs, [spec])
     direct_kept, direct_removed = run_dedup(pairs, spec)
-    assert chain_kept == direct_kept
-    assert chained.per_stage_removed == [direct_removed]
+    assert chain_kept == [p.id for p in direct_kept]
+    assert chain_removed == [direct_removed]
 
 
 def test_chain_per_stage_counts():
@@ -189,11 +198,10 @@ def test_chain_per_stage_counts():
         DedupSpec(norm=NormMode.IDENTITY, side=Side.SOURCE),
         DedupSpec(ngram=5, side=Side.SOURCE),
     ]
-    chained = chain_dedup(pairs, specs)
-    kept = list(chained)
-    assert [p.id for p in kept] == [0, 2, 4]
-    assert chained.per_stage_removed == [1, 1]
-    assert sum(chained.per_stage_removed) == len(pairs) - len(kept)
+    kept, removed = run_chain(pairs, specs)
+    assert kept == [0, 2, 4]
+    assert removed == [1, 1]
+    assert sum(removed) == len(pairs) - len(kept)
 
 
 def test_chain_order_matters():
@@ -206,19 +214,14 @@ def test_chain_order_matters():
     )
     spec_a = DedupSpec(norm=NormMode.STRIP_NUMS, side=Side.SOURCE)
     spec_b = DedupSpec(ngram=2, side=Side.SOURCE)
-    kept_ab = [p.id for p in chain_dedup(pairs, [spec_a, spec_b])]
-    kept_ba = [p.id for p in chain_dedup(pairs, [spec_b, spec_a])]
+    kept_ab, _ = run_chain(pairs, [spec_a, spec_b])
+    kept_ba, _ = run_chain(pairs, [spec_b, spec_a])
     assert kept_ab != kept_ba
     # each order must still match composing the brute-force stages
     for specs, kept in ((spec_a, spec_b), kept_ab), ((spec_b, spec_a), kept_ba):
         step1, _ = brute_force_dedup(pairs, specs[0])
         step2, _ = brute_force_dedup(step1, specs[1])
         assert kept == [p.id for p in step2]
-
-
-def test_chain_requires_specs():
-    with pytest.raises(ConfigError):
-        chain_dedup([], [])
 
 
 def test_seen_index_contract():
@@ -230,20 +233,30 @@ def test_seen_index_contract():
     assert len(index) == 1
 
 
-def test_seen_index_exact_mode_detects_collisions():
-    # a constant hash forces every key onto one fingerprint
-    index = SeenIndex(exact=True, hash_fn=lambda key: 42)
-    index.add("first")
-    assert "first" in index
-    assert "second" not in index
-    assert index.collision_count == 1
-    index.add("second")
-    assert "second" in index
-    assert "third" not in index
-    assert index.collision_count == 2
+def test_fingerprint_collisions_are_accepted(monkeypatch):
+    # a constant fingerprint makes every key collide with the first kept one
+    monkeypatch.setattr(dedup, "_blake_fingerprint", lambda key: 42)
+    pairs = pairs_of(("first", "x"), ("second", "y"))
+    kept, removed = run_dedup(pairs, DedupSpec(side=Side.SOURCE))
+    assert [p.id for p in kept] == [0]  # a false positive, accepted by design
+    assert removed == 1
 
 
-def test_fingerprint_only_mode_accepts_collisions():
-    index = SeenIndex(exact=False, hash_fn=lambda key: 42)
-    index.add("first")
-    assert "second" in index  # false positive by design without exact mode
+def test_each_key_is_fingerprinted_once(monkeypatch):
+    counts = {"hashes": 0, "probes": 0}
+    real_fingerprint, real_contains = dedup._blake_fingerprint, SeenIndex.__contains__
+
+    def fingerprint(key):
+        counts["hashes"] += 1
+        return real_fingerprint(key)
+
+    def contains(index, key):
+        counts["probes"] += 1
+        return real_contains(index, key)
+
+    monkeypatch.setattr(dedup, "_blake_fingerprint", fingerprint)
+    monkeypatch.setattr(SeenIndex, "__contains__", contains)
+    pairs = random_corpus(random.Random(5), 100)
+    kept, removed = run_dedup(pairs, DedupSpec(ngram=2, side=Side.BOTH))
+    assert kept and removed
+    assert counts["hashes"] == counts["probes"]

@@ -32,8 +32,16 @@ EQUAL_VARIANTS = {
 }
 
 
-@pytest.mark.parametrize("variant", sorted(EQUAL_VARIANTS))
-@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize(
+    "reader, variant",
+    [
+        (reader, variant)
+        for reader in sorted(READERS)
+        for variant in sorted(EQUAL_VARIANTS)
+        # an embedding row's position is its pair id: blank lines are errors there
+        if (reader, variant) != ("embeddings", "blank lines")
+    ],
+)
 def test_side_file_line_endings_bom_and_blank_lines(tmp_path, reader, variant):
     read, valid, _ = READERS[reader]
     (tmp_path / "plain.tsv").write_bytes(valid.encode("utf-8"))
@@ -86,3 +94,20 @@ def test_wrong_embedding_magic_is_data_error(tmp_path):
     (tmp_path / "e.bin").write_bytes(b"PDCEMB0X" + np.ones(4, dtype="<u4").tobytes() + b"\x80\x3f")
     with pytest.raises(DataError):
         load_embeddings(tmp_path / "e.bin")
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [("1.0\t0.0\n\n0.0\t1.0\n", 2), ("\n1.0\t0.0\n", 1), ("1.0\t0.0\n\r\n", 2)],
+    ids=["middle", "first", "last"],
+)
+def test_blank_line_in_embedding_tsv_is_data_error(tmp_path, data, line):
+    (tmp_path / "e.tsv").write_text(data, newline="")
+    with pytest.raises(DataError, match=f"line {line}: blank line"):
+        load_embeddings(tmp_path / "e.tsv")
+
+
+def test_duplicate_annotation_is_data_error_naming_the_file(tmp_path):
+    (tmp_path / "a.tsv").write_text("0\ta\tCC\n0\ta\tCS\n")
+    with pytest.raises(DataError, match="a.tsv: duplicate annotation for pair 0"):
+        read_annotations(tmp_path / "a.tsv")

@@ -139,6 +139,12 @@ def test_rates_over_one_rejected():
         recipe(rates={NoiseLabel.CC: 0.1})
 
 
+def test_pair_count_out_of_range_rejected():
+    for count in (0, 10**20):
+        with pytest.raises(ConfigError, match="pair_count"):
+            recipe(pair_count=count)
+
+
 def test_recipe_yaml_round_trip(tmp_path):
     import yaml
 
