@@ -13,6 +13,12 @@ clamped to [-1, 1] against rounding.  A zero-norm vector scores 0 and is
 flagged rather than failing the run, since web-scale embedding dumps do
 contain degenerate rows.  Ranking sorts by score descending with ties
 broken by ascending pair id, which makes output deterministic.
+
+Validation and scoring walk the rows in fixed blocks of about
+``_BLOCK_ELEMENTS`` values, so ranking holds the two loaded stores plus
+one block in memory, never a float64 copy of every survivor's vectors.
+Each score depends only on its own row, so scores do not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +35,13 @@ from .errors import DataError
 
 MAGIC = b"PDCEMB01"
 _HEADER = struct.Struct("<8sII")
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _row_blocks(rows: int, dim: int) -> Iterator[slice]:
+    """Consecutive row slices of about ``_BLOCK_ELEMENTS`` values each."""
+    step = max(1, _BLOCK_ELEMENTS // max(dim, 1))
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 class EmbeddingStore:
@@ -55,10 +68,11 @@ class EmbeddingStore:
 
 
 def _validate_finite(matrix: np.ndarray, path: Path) -> None:
-    bad = ~np.isfinite(matrix)
-    if bad.any():
-        row = int(np.argwhere(bad)[0][0])
-        raise DataError(f"{path}: non-finite embedding component at row {row}")
+    for block in _row_blocks(*matrix.shape):
+        bad = np.flatnonzero(~np.isfinite(matrix[block]).all(axis=1))
+        if bad.size:
+            row = block.start + int(bad[0])
+            raise DataError(f"{path}: non-finite embedding component at row {row}")
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
@@ -173,24 +187,29 @@ def rank_corpus(
     ids = np.fromiter((pair.id for pair in pairs), dtype=np.int64)
     if ids.size == 0:
         return RankedCorpus(entries=())
+    for side, store in (("source", src_emb), ("target", tgt_emb)):
+        if store.count == 0:
+            raise DataError(f"{side} embedding store is empty (0 rows), so it covers no pair id")
     limit = min(src_emb.count, tgt_emb.count)
     out_of_range = ids[(ids < 0) | (ids >= limit)]
     if out_of_range.size:
         raise DataError(
             f"embedding stores cover ids 0..{limit - 1}; first missing id {int(out_of_range[0])}"
         )
-    src = src_emb.vectors[ids].astype(np.float64)
-    tgt = tgt_emb.vectors[ids].astype(np.float64)
-    dots = np.einsum("ij,ij->i", src, tgt)
-    norms = np.linalg.norm(src, axis=1) * np.linalg.norm(tgt, axis=1)
+    dots = np.empty(len(ids), dtype=np.float64)
+    norms = np.empty(len(ids), dtype=np.float64)
+    for block in _row_blocks(len(ids), src_emb.dim):
+        src = src_emb.vectors[ids[block]].astype(np.float64)
+        tgt = tgt_emb.vectors[ids[block]].astype(np.float64)
+        dots[block] = np.einsum("ij,ij->i", src, tgt)
+        norms[block] = np.linalg.norm(src, axis=1) * np.linalg.norm(tgt, axis=1)
     zero = norms == 0.0
     scores = np.zeros(len(ids), dtype=np.float64)
     np.divide(dots, norms, out=scores, where=~zero)
     np.clip(scores, -1.0, 1.0, out=scores)
     order = np.lexsort((ids, -scores))
     entries = tuple(
-        RankEntry(pair_id=int(ids[i]), score=float(scores[i]), rank=rank)
-        for rank, i in enumerate(order, start=1)
+        map(RankEntry, ids[order].tolist(), scores[order].tolist(), range(1, len(ids) + 1))
     )
     return RankedCorpus(entries=entries, zero_norm_count=int(zero.sum()))
 

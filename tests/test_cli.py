@@ -447,6 +447,15 @@ _HOSTILE_CASES = {
         _RUN,
         3,
     ),
+    "embedding file with zero rows": (
+        {
+            "cfg.yaml": _CONFIG + "ranking: {source_embeddings: e.bin, "
+            "target_embeddings: e.bin, top_k: 1}\n",
+            "e.bin": b"PDCEMB01\x00\x00\x00\x00\x03\x00\x00\x00",
+        },
+        _RUN,
+        3,
+    ),
     "missing score table": ({}, ("report", "--scores", "missing.tsv", "--reference", "x"), 3),
     "non-finite score": (
         {"s.tsv": "c\tp\tm\tbaseline\tnan\n"}, ("report", "--scores", "s.tsv", "--reference", "m"), 3

@@ -1,11 +1,15 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pdcurate import ranking
 from pdcurate.corpus import SentencePair
 from pdcurate.errors import DataError
 from pdcurate.ranking import (
+    MAGIC,
     EmbeddingStore,
     cosine,
     load_embeddings,
@@ -62,6 +66,48 @@ def test_nonfinite_value_reports_row(tmp_path):
     write_embeddings(matrix, tmp_path / "e.bin")
     with pytest.raises(DataError, match="row 1"):
         load_embeddings(tmp_path / "e.bin")
+
+
+def test_nonfinite_row_found_across_blocks(tmp_path):
+    dim = 1024
+    block_rows = ranking._BLOCK_ELEMENTS // dim
+    matrix = np.ones((4 * block_rows, dim), dtype=np.float32)
+    later = 2 * block_rows + 5
+    matrix[later, 7] = np.nan
+    write_embeddings(matrix, tmp_path / "later.bin")
+    with pytest.raises(DataError, match=f"row {later}$"):
+        load_embeddings(tmp_path / "later.bin")
+    earlier = block_rows + 1
+    matrix[earlier, dim - 1] = np.inf
+    matrix[earlier + 1, 0] = np.nan
+    write_embeddings(matrix, tmp_path / "both.bin")
+    with pytest.raises(DataError, match=f"row {earlier}$"):
+        load_embeddings(tmp_path / "both.bin")
+
+
+def _binary(count, dim, payload=b""):
+    return struct.pack("<8sII", MAGIC, count, dim) + payload
+
+
+# each case: the file's bytes; every one must end in DataError, at load or at ranking
+_HOSTILE_HEADERS = {
+    "magic only": MAGIC,
+    "10-byte header": MAGIC + b"\x01\x00",
+    "count larger than the data": _binary(3, 2, np.ones(4, dtype="<f4").tobytes()),
+    "count smaller than the data": _binary(1, 2, np.ones(4, dtype="<f4").tobytes()),
+    "count x dim bytes past 2**64": _binary(0xFFFFFFFF, 0xFFFFFFFF, np.ones(4, dtype="<f4").tobytes()),
+    "zero dim": _binary(5, 0),
+    "zero count": _binary(0, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HOSTILE_HEADERS))
+def test_hostile_binary_header_is_data_error(tmp_path, case):
+    path = tmp_path / "e.bin"
+    path.write_bytes(_HOSTILE_HEADERS[case])
+    with pytest.raises(DataError):
+        store = load_embeddings(path)
+        rank_corpus(make_pairs(1), store, store)
 
 
 def test_tsv_and_binary_load_equal_stores(tmp_path):
@@ -160,6 +206,15 @@ def test_rank_missing_id_reports_first():
         rank_corpus(pairs, src, tgt)
 
 
+@pytest.mark.parametrize("empty_side", ["source", "target"])
+def test_rank_names_the_empty_store(empty_side):
+    full = EmbeddingStore(np.ones((2, 3), dtype=np.float32))
+    empty = EmbeddingStore(np.empty((0, 3), dtype=np.float32))
+    stores = (empty, full) if empty_side == "source" else (full, empty)
+    with pytest.raises(DataError, match=f"^{empty_side} embedding store is empty"):
+        rank_corpus(make_pairs(1), *stores)
+
+
 def test_rank_dim_mismatch():
     src, tgt = stores_from([[1, 0]], [[1, 0, 0]])
     with pytest.raises(DataError, match="dims differ"):
@@ -195,6 +250,53 @@ def test_rank_scale_invariance():
     scales = rng.uniform(0.25, 4.0, size=(n, 1)).astype(np.float32)
     scaled = rank_corpus(pairs, EmbeddingStore(src_matrix * scales), EmbeddingStore(tgt_matrix))
     assert scaled.ids() == baseline.ids()
+
+
+def whole_matrix_scores(ids, src, tgt):
+    """Reference: every survivor's vectors cast to float64 at once, one formula."""
+    u = src.vectors[ids].astype(np.float64)
+    v = tgt.vectors[ids].astype(np.float64)
+    dots = np.einsum("ij,ij->i", u, v)
+    norms = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+    scores = np.zeros(len(ids), dtype=np.float64)
+    np.divide(dots, norms, out=scores, where=norms != 0.0)
+    return np.clip(scores, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("block_elements", [1, 768 * 7, 1 << 18, 1 << 30])
+def test_block_scores_equal_whole_matrix_scores(monkeypatch, block_elements):
+    monkeypatch.setattr(ranking, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(41)
+    n, dim = 2000, 768
+    src = EmbeddingStore(rng.normal(size=(n, dim)).astype(np.float32))
+    tgt = EmbeddingStore(rng.normal(size=(n, dim)).astype(np.float32))
+    src.vectors[[10, 1500]] = 0.0
+    tgt.vectors[900] = 0.0
+    ids = np.union1d(rng.choice(n, size=n // 2, replace=False), [10, 900, 1500])
+    pairs = [SentencePair(int(i), f"s{i}", f"t{i}") for i in ids]
+    ranked = rank_corpus(pairs, src, tgt)
+    reference = dict(zip(ids.tolist(), whole_matrix_scores(ids, src, tgt).tolist()))
+    assert {entry.pair_id: entry.score for entry in ranked.entries} == reference
+    assert ranked.zero_norm_count == 3
+    assert all(type(e.pair_id) is int and type(e.score) is float for e in ranked.entries)
+    if block_elements == 1 << 18:
+        assert ranked.ids() == brute_force_rank(pairs, src, tgt)
+
+
+def test_rank_memory_is_bounded_by_one_block():
+    rng = np.random.default_rng(5)
+    src = EmbeddingStore(rng.normal(size=(20_000, 256)).astype(np.float32))
+    tgt = EmbeddingStore(rng.normal(size=(20_000, 256)).astype(np.float32))
+    pairs = make_pairs(20_000)[::2]
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        ranked = rank_corpus(pairs, src, tgt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ranked) == 10_000
+    assert peak - start < src.vectors.nbytes / 2
 
 
 def test_top_k_prefix_property():
