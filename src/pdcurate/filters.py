@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .corpus import SentencePair, Side
 from .errors import ConfigError, PredictorError
 from .lid import LidPredictor
@@ -160,6 +158,8 @@ def stratio_bounds_from_reference(
     Use this to extend the published windows to new language pairs from
     a trusted reference set.
     """
+    import numpy as np
+
     if len(src_lengths) == 0 or len(src_lengths) != len(tgt_lengths):
         raise ValueError("need equal-length non-empty source/target length lists")
     tgt = np.asarray(tgt_lengths, dtype=np.float64)

@@ -14,24 +14,30 @@ flagged rather than failing the run, since web-scale embedding dumps do
 contain degenerate rows.  Ranking sorts by score descending with ties
 broken by ascending pair id, which makes output deterministic.
 
-Validation and scoring walk the rows in fixed blocks of about
-``_BLOCK_ELEMENTS`` values, so ranking holds the two loaded stores plus
-one block in memory, never a float64 copy of every survivor's vectors.
+A binary store is mapped read-only, not read: its pages come in from the
+file as rows are used.  Validation and scoring walk the rows in fixed
+blocks of about ``_BLOCK_ELEMENTS`` values and release each block's
+pages once it has been used, so ranking holds about one block per
+store in memory, never a whole store or a float64 copy of every
+survivor's vectors.  A released page that is read again is faulted back
+in from the file, so the file must not change while a run uses it.
 Each score depends only on its own row, so scores do not depend on the
 block size.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import SentencePair, atomic_write, read_side_file
 from .errors import DataError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAGIC = b"PDCEMB01"
 _HEADER = struct.Struct("<8sII")
@@ -45,13 +51,20 @@ def _row_blocks(rows: int, dim: int) -> Iterator[slice]:
 
 
 class EmbeddingStore:
-    """Dense float vectors indexed by pair id (row = id)."""
+    """Dense float vectors indexed by pair id (row = id).
 
-    def __init__(self, vectors: np.ndarray):
+    A store loaded from a binary file keeps the file's read-only mapping,
+    so that the pages of rows already used can be released.
+    """
+
+    def __init__(self, vectors: np.ndarray, *, mapping: mmap.mmap | None = None):
+        import numpy as np
+
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {vectors.shape}")
         self.vectors = vectors
+        self._mapping = mapping
 
     @property
     def count(self) -> int:
@@ -66,28 +79,56 @@ class EmbeddingStore:
             raise DataError(f"embedding store has no row for pair id {pair_id}")
         return self.vectors[pair_id]
 
+    def _release(self, stop: int) -> None:
+        """Drop the mapped pages of rows 0..stop-1; a later read faults them back in.
 
-def _validate_finite(matrix: np.ndarray, path: Path) -> None:
-    for block in _row_blocks(*matrix.shape):
-        bad = np.flatnonzero(~np.isfinite(matrix[block]).all(axis=1))
+        All rows before stop, not only the last block's, because a page
+        fault can map back neighbouring pages of rows released earlier.
+        """
+        if self._mapping is None or not hasattr(mmap, "MADV_DONTNEED"):
+            return
+        self._mapping.madvise(mmap.MADV_DONTNEED, 0, _HEADER.size + 4 * self.dim * min(stop, self.count))
+
+
+def _validate_finite(store: EmbeddingStore, path: Path) -> None:
+    import numpy as np
+
+    for block in _row_blocks(store.count, store.dim):
+        bad = np.flatnonzero(~np.isfinite(store.vectors[block]).all(axis=1))
+        store._release(block.stop)
         if bad.size:
             row = block.start + int(bad[0])
             raise DataError(f"{path}: non-finite embedding component at row {row}")
 
 
+def _float64_rows(store: EmbeddingStore, rows: np.ndarray) -> np.ndarray:
+    """A float64 copy of the given rows; mapped pages up to the last of them are released."""
+    import numpy as np
+
+    copy = store.vectors[rows]
+    store._release(int(rows.max()) + 1)
+    return copy.astype(np.float64)
+
+
 def load_embeddings(path: str | Path) -> EmbeddingStore:
-    """Load a binary or TSV embedding file, validating shape and values."""
+    """Load a binary or TSV embedding file, validating shape and values.
+
+    A binary file is mapped read-only rather than read, and must not
+    change while the returned store is in use.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"embedding file not found: {path}")
     with open(path, "rb") as handle:
         head = handle.read(_HEADER.size)
-    if head[: len(MAGIC)] == MAGIC:
-        return _load_binary(path)
-    return _load_tsv(path)
+    store = _load_binary(path) if head[: len(MAGIC)] == MAGIC else _load_tsv(path)
+    _validate_finite(store, path)
+    return store
 
 
 def _load_binary(path: Path) -> EmbeddingStore:
+    import numpy as np
+
     size = path.stat().st_size
     if size < _HEADER.size:
         raise DataError(f"{path}: truncated header ({size} bytes)")
@@ -103,24 +144,35 @@ def _load_binary(path: Path) -> EmbeddingStore:
             )
         if dim == 0:
             raise DataError(f"{path}: zero embedding dimension")
-        data = np.fromfile(handle, dtype="<f4", count=count * dim)
-    matrix = data.reshape(count, dim)
-    _validate_finite(matrix, path)
-    return EmbeddingStore(matrix)
+        if count == 0:
+            raise DataError(f"{path}: no embedding rows")
+        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    matrix = np.frombuffer(mapping, dtype="<f4", count=count * dim, offset=_HEADER.size)
+    return EmbeddingStore(matrix.reshape(count, dim), mapping=mapping)
 
 
 def _load_tsv(path: Path) -> EmbeddingStore:
-    parse_row = lambda fields: np.array([float(v) for v in fields], dtype=np.float32)
-    rows = list(read_side_file(path, None, parse_row, blank_lines=False))
-    if not rows:
+    import numpy as np
+
+    matrix = np.empty((0, 0), dtype=np.float32)
+    count = 0
+    parse_row = lambda fields: [float(v) for v in fields]
+    for row in read_side_file(path, None, parse_row, blank_lines=False):
+        if count == len(matrix):
+            # grows in place by a quarter, so the peak stays near the store's size
+            matrix.resize((count + count // 4 + 64, len(row)), refcheck=False)
+        matrix[count] = row
+        count += 1
+    if not count:
         raise DataError(f"{path}: no embedding rows")
-    matrix = np.vstack(rows)
-    _validate_finite(matrix, path)
+    matrix.resize((count, matrix.shape[1]), refcheck=False)
     return EmbeddingStore(matrix)
 
 
 def write_embeddings(store: EmbeddingStore | np.ndarray, path: str | Path, fmt: str = "binary") -> None:
     """Write a store in either encoding; both load back bit-identical."""
+    import numpy as np
+
     matrix = store.vectors if isinstance(store, EmbeddingStore) else np.asarray(store, dtype=np.float32)
     path = Path(path)
     if fmt == "binary":
@@ -140,6 +192,8 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
 
     A zero-norm operand scores 0 by convention instead of erroring.
     """
+    import numpy as np
+
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
@@ -181,7 +235,10 @@ def rank_corpus(
 
     Pair ids index into the stores, so filtered survivors keep using the
     stores built for the original corpus.  Ties break by ascending id.
+    Each block's rows are released from mapped stores once copied.
     """
+    import numpy as np
+
     if src_emb.dim != tgt_emb.dim:
         raise DataError(f"embedding dims differ: source {src_emb.dim} vs target {tgt_emb.dim}")
     ids = np.fromiter((pair.id for pair in pairs), dtype=np.int64)
@@ -199,8 +256,8 @@ def rank_corpus(
     dots = np.empty(len(ids), dtype=np.float64)
     norms = np.empty(len(ids), dtype=np.float64)
     for block in _row_blocks(len(ids), src_emb.dim):
-        src = src_emb.vectors[ids[block]].astype(np.float64)
-        tgt = tgt_emb.vectors[ids[block]].astype(np.float64)
+        src = _float64_rows(src_emb, ids[block])
+        tgt = _float64_rows(tgt_emb, ids[block])
         dots[block] = np.einsum("ij,ij->i", src, tgt)
         norms[block] = np.linalg.norm(src, axis=1) * np.linalg.norm(tgt, axis=1)
     zero = norms == 0.0

@@ -483,6 +483,14 @@ def test_hostile_input_exits_with_config_or_data_code(tmp_path, case):
     assert "internal error" not in proc.stderr
 
 
+def test_importing_the_cli_does_not_load_numpy():
+    env = {**os.environ, "PYTHONPATH": str(Path(pdcurate.__file__).parents[1])}
+    code = "import sys, pdcurate.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_filter_flag_of_another_kind_is_rejected(corpus, capsys, monkeypatch):
     monkeypatch.setenv("CURATE_MIN_WORDS", "3")
     code = run_cli(

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdcurate.cli import main
 from pdcurate.corpus import (
     AlignmentError,
     LanguagePair,
@@ -121,6 +124,41 @@ def test_round_trip_two_file_and_tsv(tmp_path_factory, rows):
     assert list(read_corpus(tmp_path / "s.txt", tmp_path / "t.txt")) == pairs
     write_corpus(pairs, tsv_path=tmp_path / "c.tsv")
     assert list(read_corpus(tsv_path=tmp_path / "c.tsv")) == pairs
+
+
+# byte pieces of hostile corpus lines: tabs, CR, a BOM, invalid and truncated UTF-8
+_HOSTILE_PIECES = [b"word", b" ", b"\t", b"\r", b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xed\xa0\x80", "මම".encode()]
+
+hostile_file = st.builds(
+    lambda lines, final_newline: b"\n".join(lines) + (b"\n" if final_newline and lines else b""),
+    st.lists(st.lists(st.sampled_from(_HOSTILE_PIECES), max_size=5).map(b"".join), max_size=5),
+    st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hostile_file, hostile_file, st.booleans())
+def test_hostile_corpus_raises_only_data_or_config_errors(tmp_path_factory, source, target, as_tsv):
+    tmp_path = tmp_path_factory.mktemp("hostile")
+    (tmp_path / "s.txt").write_bytes(source)
+    (tmp_path / "t.txt").write_bytes(target)
+    if as_tsv:
+        paths, argv = {"tsv_path": tmp_path / "s.txt"}, ["--tsv", str(tmp_path / "s.txt")]
+    else:
+        paths = {"source_path": tmp_path / "s.txt", "target_path": tmp_path / "t.txt"}
+        argv = ["--source", str(tmp_path / "s.txt"), "--target", str(tmp_path / "t.txt")]
+    expected = 0
+    try:
+        list(read_corpus(**paths))
+    except ConfigError:
+        expected = 2
+    except DataError:
+        expected = 3
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["dedup", *argv, "--side", "t", "--out-dir", str(tmp_path / "out")])
+    assert code == expected, stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue() and "internal error" not in stderr.getvalue()
 
 
 def test_compute_stats_published_reductions():

@@ -1,10 +1,16 @@
 import math
+import mmap
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdcurate
 from pdcurate import ranking
 from pdcurate.corpus import SentencePair
 from pdcurate.errors import DataError
@@ -118,6 +124,60 @@ def test_tsv_and_binary_load_equal_stores(tmp_path):
     a = load_embeddings(tmp_path / "e.bin")
     b = load_embeddings(tmp_path / "e.tsv")
     assert np.array_equal(a.vectors, b.vectors)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "tsv"])
+def test_empty_store_is_rejected_at_load(tmp_path, fmt):
+    path = tmp_path / f"e.{fmt}"
+    if fmt == "binary":
+        write_embeddings(np.empty((0, 3), dtype=np.float32), path)
+    else:
+        path.write_text("")
+    with pytest.raises(DataError, match="no embedding rows$"):
+        load_embeddings(path)
+
+
+def test_binary_store_is_mapped_read_only(tmp_path):
+    matrix = np.arange(12, dtype=np.float32).reshape(4, 3)
+    write_embeddings(matrix, tmp_path / "e.bin")
+    store = load_embeddings(tmp_path / "e.bin")
+    assert not store.vectors.flags.writeable
+    assert np.array_equal(store.vectors, matrix)
+
+
+def test_tsv_values_equal_per_row_float32_casts(tmp_path):
+    rows = [
+        ["0.1", "-0.0", "1e-45", "7e-46", "1e-50"],
+        ["3.4028235e38", "16777217", "1_000.5", "-2.5e-39", " 4.25 "],
+        ["0.30000000000000004", "1e-38", "-1.1754943e-38", "123456789.123", "5"],
+    ]
+    (tmp_path / "e.tsv").write_text("".join("\t".join(row) + "\n" for row in rows))
+    expected = np.vstack([np.array([float(v) for v in row], dtype=np.float32) for row in rows])
+    loaded = load_embeddings(tmp_path / "e.tsv").vectors
+    assert loaded.dtype == np.float32 and loaded.shape == expected.shape
+    assert np.array_equal(loaded.view(np.uint32), expected.view(np.uint32))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_tsv_value_overflowing_float32_is_non_finite(tmp_path):
+    (tmp_path / "e.tsv").write_text("1.0\t2.0\n3.0\t1e39\n")
+    with pytest.raises(DataError, match="non-finite embedding component at row 1$"):
+        load_embeddings(tmp_path / "e.tsv")
+
+
+def test_tsv_load_peaks_near_the_store_size(tmp_path):
+    rng = np.random.default_rng(8)
+    matrix = rng.normal(size=(4_000, 768)).astype(np.float32)
+    np.savetxt(tmp_path / "e.tsv", matrix, fmt="%.4f", delimiter="\t")
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        store = load_embeddings(tmp_path / "e.tsv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store.vectors.shape == matrix.shape
+    assert peak - start <= 1.5 * matrix.nbytes
 
 
 def test_tsv_ragged_row_rejected(tmp_path):
@@ -281,6 +341,70 @@ def test_block_scores_equal_whole_matrix_scores(monkeypatch, block_elements):
     assert all(type(e.pair_id) is int and type(e.score) is float for e in ranked.entries)
     if block_elements == 1 << 18:
         assert ranked.ids() == brute_force_rank(pairs, src, tgt)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_mapped_scores_equal_in_memory_scores(tmp_path, monkeypatch, block_rows, shuffled):
+    rng = np.random.default_rng(43)
+    n, dim = 600, 768
+    src_matrix = rng.normal(size=(n, dim)).astype(np.float32)
+    tgt_matrix = rng.normal(size=(n, dim)).astype(np.float32)
+    src_matrix[[3, 400]] = 0.0
+    write_embeddings(src_matrix, tmp_path / "src.bin")
+    write_embeddings(tgt_matrix, tmp_path / "tgt.bin")
+    ids = np.union1d(rng.choice(n, size=n // 2, replace=False), [3, 400])
+    if shuffled:
+        rng.shuffle(ids)
+    pairs = [SentencePair(int(i), f"s{i}", f"t{i}") for i in ids]
+    if block_rows is not None:
+        monkeypatch.setattr(ranking, "_BLOCK_ELEMENTS", block_rows * dim)
+    mapped = rank_corpus(
+        pairs, load_embeddings(tmp_path / "src.bin"), load_embeddings(tmp_path / "tgt.bin")
+    )
+    in_memory = rank_corpus(pairs, EmbeddingStore(src_matrix), EmbeddingStore(tgt_matrix))
+    assert mapped == in_memory
+    assert mapped.zero_norm_count == 2
+
+
+_RSS_CHILD = """
+import resource, sys
+import numpy as np
+from pdcurate.corpus import SentencePair
+from pdcurate.ranking import EmbeddingStore, load_embeddings, rank_corpus
+
+warm = EmbeddingStore(np.ones((4, 8), dtype=np.float32))
+rank_corpus([SentencePair(i, "", "") for i in range(4)], warm, warm)
+pairs = [SentencePair(i, "", "") for i in range(int(sys.argv[3]))]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+ranked = rank_corpus(pairs, load_embeddings(sys.argv[1]), load_embeddings(sys.argv[2]))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(len(ranked), (after - before) * 1024)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or not hasattr(mmap, "MADV_DONTNEED"),
+    reason="needs MADV_DONTNEED and ru_maxrss in KiB",
+)
+def test_ranking_mapped_stores_keeps_rss_below_a_quarter_store(tmp_path):
+    rng = np.random.default_rng(47)
+    n, dim = 20_000, 768
+    for name in ("src.bin", "tgt.bin"):
+        write_embeddings(rng.normal(size=(n, dim)).astype(np.float32), tmp_path / name)
+    store_bytes = n * dim * 4
+    env = {**os.environ, "PYTHONPATH": str(Path(pdcurate.__file__).parents[1])}
+    # a child starts with the ru_maxrss of the process that started it,
+    # so the measured interpreter is started from a small one, not from pytest
+    launcher = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    child = [sys.executable, "-c", _RSS_CHILD, str(tmp_path / "src.bin"), str(tmp_path / "tgt.bin"), str(n)]
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, *child], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    ranked_n, grown = map(int, proc.stdout.split())
+    assert ranked_n == n
+    assert grown < store_bytes / 4, f"ru_maxrss grew by {grown} bytes; one store is {store_bytes}"
 
 
 def test_rank_memory_is_bounded_by_one_block():
