@@ -17,11 +17,13 @@ shell:
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 error.  Every value flag can also be set through an environment
 variable: ``--min-words`` reads ``CURATE_MIN_WORDS``, ``--top-k`` reads
-``CURATE_TOP_K`` and so on.  ``--threads`` (on run, filter and synth)
-is accepted for compatibility and has no effect: every stage runs to
-completion, in order, in one thread.  All output files are written
-atomically (temp file then rename), so an interrupted run never leaves
-a partial file at the target path.
+``CURATE_TOP_K`` and so on.  Each corpus flag group is given whole:
+both of ``--source/--target`` or ``--tsv`` alone, and the same for
+``stats``' ``--ref-*`` flags and ``synth``'s ``--source-out/--target-out``.
+``--threads`` (on run only) is accepted for compatibility and has no
+effect: every stage runs to completion, in order, in one thread.  All
+output files are written atomically (temp file then rename), so an
+interrupted run never leaves a partial file at the target path.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .corpus import LanguagePair, Side, atomic_write, compute_stats, read_corpus
 from .dedup import DedupStream
 from .errors import ConfigError, CurateError, DataError
 from .lid import export_predictions
-from .metrics import disparity_report, read_score_table, write_disparity_report
+from .metrics import disparity_report, format_disparity_report, read_score_table, write_disparity_report
 from .ranking import load_embeddings, rank_corpus, top_k, write_ranked_tsv
 from .synthnoise import generate, load_recipe, recipe_from_dict, score_filters, write_labeled_tsv
 from .textnorm import NormMode
@@ -81,14 +83,29 @@ def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tsv", help="source<TAB>target file instead of two files")
 
 
+def _flag_group(args, source: str, target: str, tsv: str | None = None) -> dict | None:
+    """The paths of one corpus flag group as corpus I/O keywords; None when none is given.
+
+    The source and target flags go together, the TSV flag (if the group
+    has one) goes alone; any other mix is a ConfigError.
+    """
+    paths = {
+        "source_path": getattr(args, source),
+        "target_path": getattr(args, target),
+        "tsv_path": getattr(args, tsv) if tsv else None,
+    }
+    given = [key for key, path in paths.items() if path is not None]
+    if given not in ([], ["source_path", "target_path"], ["tsv_path"]):
+        usage = f"--{source} and --{target} together" + (f", or --{tsv} alone" if tsv else "")
+        raise ConfigError("give " + usage.replace("_", "-"))
+    return paths if given else None
+
+
 def _open_corpus(args):
-    if args.tsv is not None:
-        if args.source is not None or args.target is not None:
-            raise ConfigError("give either --tsv or --source/--target, not both")
-        return read_corpus(tsv_path=args.tsv), True
-    if args.source is None or args.target is None:
+    paths = _flag_group(args, "source", "target", "tsv")
+    if paths is None:
         raise ConfigError("need --source and --target (or --tsv)")
-    return read_corpus(args.source, args.target), False
+    return read_corpus(**paths), paths["tsv_path"] is not None
 
 
 def _ticker(pairs, label: str):
@@ -108,16 +125,10 @@ def _write_result(pairs, out_dir: Path, as_tsv: bool) -> int:
     return stats.pair_count
 
 
-def _parse_side(value: str) -> Side:
+def _parse(from_string, value: str):
+    """from_string(value), with a ValueError raised as a ConfigError."""
     try:
-        return Side.from_string(value)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _parse_pair(value: str) -> LanguagePair:
-    try:
-        return LanguagePair.from_string(value)
+        return from_string(value)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -160,14 +171,14 @@ def cmd_run(args) -> int:
 def cmd_preset(args) -> int:
     ranking = None
     if args.src_emb or args.tgt_emb:
-        if not (args.src_emb and args.tgt_emb and args.top_k):
+        if not (args.src_emb and args.tgt_emb) or args.top_k is None:
             raise ConfigError("ranking needs --src-emb, --tgt-emb and --top-k together")
         ranking = pl.RankingSpec(args.src_emb, args.tgt_emb, args.top_k)
     config = pl.recommended_preset(
-        _parse_pair(args.pair),
+        _parse(LanguagePair.from_string, args.pair),
         n=args.ngram,
         ratio_lo=args.ratio,
-        dedup_side=_parse_side(args.dedup_side),
+        dedup_side=_parse(Side.from_string, args.dedup_side),
         ranking=ranking,
     )
     sys.stdout.write(pl.dump_config(config))
@@ -198,7 +209,7 @@ def cmd_dedup(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    language_pair = _parse_pair(args.pair) if args.pair else None
+    language_pair = _parse(LanguagePair.from_string, args.pair) if args.pair else None
     params = {"min_words": args.min_words, "min_prob": args.min_prob, "lo": args.lo, "hi": args.hi}
     entry = {
         "kind": args.kind,
@@ -233,6 +244,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.top_k is not None and args.top_k < 1:
+        raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
     pairs, as_tsv = _open_corpus(args)
     src_emb = load_embeddings(args.src_emb)
     tgt_emb = load_embeddings(args.tgt_emb)
@@ -260,20 +273,13 @@ def cmd_rank(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    reference_paths = _flag_group(args, "ref_source", "ref_target", "ref_tsv")
     count = sum(1 for _ in _open_corpus(args)[0])
-    if args.ref_source or args.ref_tsv:
-        if args.ref_tsv is not None:
-            reference = sum(1 for _ in read_corpus(tsv_path=args.ref_tsv))
-        else:
-            if args.ref_target is None:
-                raise ConfigError("need both --ref-source and --ref-target")
-            reference = sum(1 for _ in read_corpus(args.ref_source, args.ref_target))
-        stats = compute_stats(reference, count)
-        print(f"pairs: {count}")
+    print(f"pairs: {count}")
+    if reference_paths is not None:
+        reference = sum(1 for _ in read_corpus(**reference_paths))
         print(f"reference: {reference}")
-        print(f"reduction: {stats.reduction_pct:.2f}%")
-    else:
-        print(f"pairs: {count}")
+        print(f"reduction: {compute_stats(reference, count).reduction_pct:.2f}%")
     return EXIT_OK
 
 
@@ -281,6 +287,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    corpus_paths = _flag_group(args, "source_out", "target_out")
     if args.recipe is not None:
         if args.pairs is not None or args.rate:
             raise ConfigError("give either --recipe or inline --pairs/--rate flags, not both")
@@ -307,8 +314,8 @@ def cmd_synth(args) -> int:
     labeled = generate(recipe)
     write_labeled_tsv(labeled, args.out)
     print(f"wrote {len(labeled)} labeled pairs to {args.out}")
-    if args.source_out and args.target_out:
-        write_corpus((item.pair for item in labeled), args.source_out, args.target_out)
+    if corpus_paths is not None:
+        write_corpus((item.pair for item in labeled), **corpus_paths)
         print(f"wrote corpus to {args.source_out} / {args.target_out}")
     if args.score_config:
         config = pl.load_config(args.score_config)
@@ -321,7 +328,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_lid(args) -> int:
-    side = _parse_side(args.side)
+    side = _parse(Side.from_string, args.side)
     if side is Side.BOTH:
         raise ConfigError("export one side at a time: --side s or --side t")
     pairs, _ = _open_corpus(args)
@@ -340,13 +347,7 @@ def cmd_report(args) -> int:
         write_disparity_report(rows, args.out)
         print(f"wrote {len(rows)} report rows to {args.out}")
     else:
-        print("corpus\tpair\tmodel\theuristic\tdelta\treduction_pct")
-        for row in rows:
-            reduction = "NA" if row.reduction_pct is None else f"{row.reduction_pct:.2f}"
-            print(
-                f"{row.corpus}\t{row.pair}\t{row.model}\t{row.heuristic}\t"
-                f"{row.delta:.2f}\t{reduction}"
-            )
+        sys.stdout.write(format_disparity_report(rows))
     return EXIT_OK
 
 
@@ -360,20 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_threads(p):
-        p.add_argument(
-            "--threads",
-            type=int,
-            default="1",
-            help="accepted for compatibility; has no effect (stages run serially)",
-        )
-
     p_run = sub.add_parser("run", help="run a full pipeline from a config file")
     p_run.add_argument("--config", required=True, help="pipeline config (YAML)")
     _add_corpus_args(p_run)
     p_run.add_argument("--out-dir", required=True)
     p_run.add_argument("--removal-log", action="store_true", help="also write removals.tsv")
-    add_threads(p_run)
+    p_run.add_argument(
+        "--threads",
+        type=int,
+        default="1",
+        help="accepted for compatibility; has no effect (stages run serially)",
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_preset = sub.add_parser("preset", help="print the recommended pipeline config")
@@ -413,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.add_argument("--tgt-predictions", help="prediction TSV for the target side")
     p_filter.add_argument("--out-dir", required=True)
     p_filter.add_argument("--log", help="write removal log TSV here")
-    add_threads(p_filter)
     p_filter.set_defaults(func=cmd_filter)
 
     p_rank = sub.add_parser("rank", help="rank by cosine similarity and slice top-k")
@@ -447,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--source-out", help="also write the bare corpus: source side")
     p_synth.add_argument("--target-out", help="also write the bare corpus: target side")
     p_synth.add_argument("--score-config", help="score these stages against the planted truth")
-    add_threads(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 
     p_lid = sub.add_parser("lid", help="export script-detector predictions for caching")

@@ -144,11 +144,4 @@ class DedupStream:
             yield pair
 
 
-def dedup_stream(
-    pairs: Iterable[SentencePair],
-    spec: DedupSpec,
-    *,
-    on_removed: RemovalCallback | None = None,
-) -> DedupStream:
-    """Convenience constructor mirroring the DedupStream class."""
-    return DedupStream(pairs, spec, on_removed=on_removed)
+dedup_stream = DedupStream  # function-style name for the same constructor

@@ -26,6 +26,7 @@ from typing import Iterable, Mapping
 
 from .corpus import SentencePair, Side, atomic_write, read_side_file
 from .errors import PredictorError
+from .textnorm import LazyTranslateTable
 
 # letters are mapped to one marker char per script so counting runs at
 # C speed inside str.translate / str.count
@@ -48,28 +49,19 @@ TIE_ORDER = ("en", "si", "ta")
 SCRIPT_LANGS = frozenset(TIE_ORDER)
 
 
-class _ScriptMarkTable(dict):
-    def __missing__(self, codepoint: int):
-        ch = chr(codepoint)
-        if not ch.isalpha():
-            value = None
-        elif self._in_blocks(codepoint, _LATIN_BLOCKS):
-            value = _MARK_LATIN
-        elif _SINHALA_BLOCK[0] <= codepoint <= _SINHALA_BLOCK[1]:
-            value = _MARK_SINHALA
-        elif _TAMIL_BLOCK[0] <= codepoint <= _TAMIL_BLOCK[1]:
-            value = _MARK_TAMIL
-        else:
-            value = _MARK_OTHER
-        self[codepoint] = value
-        return value
-
-    @staticmethod
-    def _in_blocks(codepoint: int, blocks) -> bool:
-        return any(lo <= codepoint <= hi for lo, hi in blocks)
+def _script_mark(codepoint: int) -> str | None:
+    if not chr(codepoint).isalpha():
+        return None
+    if any(lo <= codepoint <= hi for lo, hi in _LATIN_BLOCKS):
+        return _MARK_LATIN
+    if _SINHALA_BLOCK[0] <= codepoint <= _SINHALA_BLOCK[1]:
+        return _MARK_SINHALA
+    if _TAMIL_BLOCK[0] <= codepoint <= _TAMIL_BLOCK[1]:
+        return _MARK_TAMIL
+    return _MARK_OTHER
 
 
-_SCRIPT_MARKS = _ScriptMarkTable()
+_SCRIPT_MARKS = LazyTranslateTable(_script_mark)
 
 
 @dataclass(frozen=True, slots=True)

@@ -135,12 +135,9 @@ def disparity_report(
     """
     rows: list[DisparityRow] = []
     for corpus, pair in table.groups():
-        heuristics = sorted(
-            {key[3] for key in table.rows if key[0] == corpus and key[1] == pair}
-        )
-        models = sorted(
-            {key[2] for key in table.rows if key[0] == corpus and key[1] == pair}
-        )
+        keys = [key for key in table.rows if key[:2] == (corpus, pair)]
+        heuristics = sorted({key[3] for key in keys})
+        models = sorted({key[2] for key in keys})
         if baseline_tag not in heuristics:
             raise DataError(
                 f"no {baseline_tag!r} scores for {corpus}/{pair}; cannot anchor reductions"
@@ -178,12 +175,18 @@ def disparity_report(
     return rows
 
 
+def format_disparity_report(rows: Iterable[DisparityRow]) -> str:
+    """Disparity rows as TSV text under a header line."""
+    lines = ["corpus\tpair\tmodel\theuristic\tdelta\treduction_pct"]
+    for row in rows:
+        reduction = "NA" if row.reduction_pct is None else f"{row.reduction_pct:.2f}"
+        lines.append(
+            f"{row.corpus}\t{row.pair}\t{row.model}\t{row.heuristic}\t"
+            f"{row.delta:.2f}\t{reduction}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def write_disparity_report(rows: Iterable[DisparityRow], path: str | Path) -> None:
     with atomic_write(path) as out:
-        out.write("corpus\tpair\tmodel\theuristic\tdelta\treduction_pct\n")
-        for row in rows:
-            reduction = "NA" if row.reduction_pct is None else f"{row.reduction_pct:.2f}"
-            out.write(
-                f"{row.corpus}\t{row.pair}\t{row.model}\t{row.heuristic}\t"
-                f"{row.delta:.2f}\t{reduction}\n"
-            )
+        out.write(format_disparity_report(rows))

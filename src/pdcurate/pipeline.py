@@ -26,6 +26,7 @@ and LID on both sides, and the ratio filter on the source side for the
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
@@ -48,7 +49,8 @@ from .filters import (
     lid_pass,
     ratio_pass,
 )
-from .lid import SCRIPT_LANGS, LidPredictor, ScriptPredictor, TablePredictor, load_prediction_table
+from .lid import SCRIPT_LANGS, LidPredictor, ScriptPredictor, TablePredictor
+from .lid import load_prediction_table, load_predictions
 from .ranking import RankedCorpus, load_embeddings, rank_corpus, top_k
 from .textnorm import NormMode
 
@@ -495,7 +497,7 @@ def _build_predictor(config: PipelineConfig) -> LidPredictor:
     if files is None:
         return ScriptPredictor()
     if files.path is not None:
-        return TablePredictor(load_prediction_table(files.path))
+        return load_predictions(files.path)
     return TablePredictor(
         source=load_prediction_table(files.source) if files.source else None,
         target=load_prediction_table(files.target) if files.target else None,
@@ -508,39 +510,41 @@ def _lid_stages(config: PipelineConfig) -> list[LidSpec]:
 
 def validate_config(config: PipelineConfig) -> None:
     """Fail fast before any pair is processed."""
+    lid_stages = _lid_stages(config)  # also rejects stage objects of no known kind
+    if config.ranking is not None:
+        for path in (config.ranking.source_embeddings, config.ranking.target_embeddings):
+            if not Path(path).is_file():
+                raise DataError(f"embedding file not found: {path}")
     files = config.lid_predictions
-    shared_table = files is not None and files.path is not None
-    for stage in _lid_stages(config):  # also rejects stage objects of no known kind
+    if files is not None:
+        for path in (files.path, files.source, files.target):
+            if path is not None and not Path(path).is_file():
+                raise DataError(f"prediction file not found: {path}")
+    shared_table = files is not None and (
+        files.path is not None
+        or (None not in (files.source, files.target) and os.path.samefile(files.source, files.target))
+    )
+    for stage in lid_stages:
         # one shared table gives both sides of a pair the same label
         differ = stage.expected_source != stage.expected_target
         if shared_table and stage.side is Side.BOTH and differ:
             raise ConfigError(
                 f"one shared prediction table cannot tell {stage.expected_source} from "
-                f"{stage.expected_target} on side st; give per-side prediction files"
+                f"{stage.expected_target} on side st; give distinct per-side prediction files"
             )
-    if config.ranking is not None:
-        for path in (config.ranking.source_embeddings, config.ranking.target_embeddings):
-            if not Path(path).is_file():
-                raise DataError(f"embedding file not found: {path}")
-    if files is not None:
-        for path in (files.path, files.source, files.target):
-            if path is not None and not Path(path).is_file():
-                raise DataError(f"prediction file not found: {path}")
 
 
 def run(
     config: PipelineConfig,
     pairs: Iterable[SentencePair],
     *,
-    threads: int = 1,
     removal_log: RemovalLog | None = None,
     predictor: LidPredictor | None = None,
 ) -> RunResult:
     """Run stages in order, then rank survivors and slice top-k.
 
     Each stage runs over all pairs that reach it before the next stage
-    starts, in this process and thread; threads is accepted for
-    compatibility and has no effect.  Pair ids always index the original
+    starts, in this process and thread.  Pair ids always index the original
     corpus, so embedding stores built for the unfiltered corpus keep
     working after filtering.  Identical input and config give
     byte-identical output.

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from random import Random
@@ -338,75 +338,53 @@ def score_filters(
     config: PipelineConfig,
     *,
     predictor=None,
-    threads: int = 1,
 ) -> FilterScore:
     """Run the config's stages over a labeled corpus and score removals.
 
     Recall per category counts a pair as caught when any stage removed
     it.  Removal precision counts planted duplicates as true noise;
     removals of genuine CC/CN/CB pairs count against it.  Ranking in the
-    config is ignored: scoring targets the heuristics.  threads is
-    accepted for compatibility and has no effect.
+    config is ignored: scoring targets the heuristics.
     """
     if not labeled:
         raise ValueError("score_filters needs a non-empty labeled corpus")
-    stage_only = PipelineConfig(
-        language_pair=config.language_pair,
-        stages=config.stages,
-        lid_predictions=config.lid_predictions,
-    )
     removal_log: RemovalLog = []
     result = run(
-        stage_only,
+        replace(config, ranking=None),
         [item.pair for item in labeled],
         removal_log=removal_log,
         predictor=predictor,
     )
 
-    by_id = {item.pair.id: item for item in labeled}
     removed_stage_by_id: dict[int, str] = {}
     for pair_id, stage, _reason in removal_log:
         removed_stage_by_id.setdefault(pair_id, stage)
 
-    totals: Counter[NoiseLabel] = Counter()
-    removed: Counter[NoiseLabel] = Counter()
-    dup_total = dup_removed = 0
+    keys = [DUPLICATE_KEY if item.duplicate_of is not None else item.truth.code for item in labeled]
+    totals: Counter[str] = Counter(keys)
+    removed: Counter[str] = Counter()
+    kept_counts: Counter[NoiseLabel] = Counter()
     stage_removals: dict[str, Counter] = {
         stage_name(i, stage): Counter() for i, stage in enumerate(config.stages)
     }
-    true_noise_removed = 0
-    kept_counts: Counter[NoiseLabel] = Counter()
-
-    for item in labeled:
-        is_dup = item.duplicate_of is not None
-        if is_dup:
-            dup_total += 1
-        else:
-            totals[item.truth] += 1
+    for item, key in zip(labeled, keys):
         stage = removed_stage_by_id.get(item.pair.id)
         if stage is None:
             kept_counts[item.truth] += 1
-            continue
-        key = DUPLICATE_KEY if is_dup else item.truth.code
-        stage_removals[stage][key] += 1
-        if is_dup:
-            dup_removed += 1
-            true_noise_removed += 1
         else:
-            removed[item.truth] += 1
-            if item.truth in ERROR_LABELS:
-                true_noise_removed += 1
+            removed[key] += 1
+            stage_removals[stage][key] += 1
 
+    noise_keys = (DUPLICATE_KEY, *(label.code for label in ERROR_LABELS))
+    true_noise_removed = sum(removed[key] for key in noise_keys)
     removed_total = len(removed_stage_by_id)
     kept_total = len(result.pairs)
     n = len(labeled)
     before: Counter[NoiseLabel] = Counter(item.truth for item in labeled)
 
     return FilterScore(
-        per_label={
-            label: LabelScore(totals.get(label, 0), removed.get(label, 0)) for label in NoiseLabel
-        },
-        duplicates=LabelScore(dup_total, dup_removed),
+        per_label={label: LabelScore(totals[label.code], removed[label.code]) for label in NoiseLabel},
+        duplicates=LabelScore(totals[DUPLICATE_KEY], removed[DUPLICATE_KEY]),
         removed_total=removed_total,
         kept_total=kept_total,
         precision=(true_noise_removed / removed_total) if removed_total else None,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import unicodedata
 from enum import Enum
-from typing import KeysView
+from typing import Callable, KeysView
 
 
 class NormMode(Enum):
@@ -40,39 +40,31 @@ class NormMode(Enum):
         raise ValueError(f"unknown normalization mode: {name!r}")
 
 
-class _CategoryDropTable(dict):
-    """translate() table that deletes characters of given categories.
+class LazyTranslateTable(dict):
+    """str.translate() table filled on demand by a per-code-point function.
 
-    Unknown code points are classified once via unicodedata and cached,
-    so repeated translate() calls cost a plain dict lookup per char.
+    Each unknown code point is classified once and cached, so repeated
+    translate() calls cost a plain dict lookup per char.
     """
 
-    def __init__(self, drop_major: str, drop_full: tuple[str, ...] = ()):
+    def __init__(self, classify: Callable[[int], int | str | None]):
         super().__init__()
-        self._drop_major = drop_major
-        self._drop_full = drop_full
+        self._classify = classify
 
     def __missing__(self, codepoint: int):
-        cat = unicodedata.category(chr(codepoint))
-        drop = cat[0] in self._drop_major or cat in self._drop_full
-        value = None if drop else codepoint
-        self[codepoint] = value
+        value = self[codepoint] = self._classify(codepoint)
         return value
 
 
-class _KeepAlphaTable(dict):
-    """translate() table keeping letters and combining marks (L*, M*)."""
-
-    def __missing__(self, codepoint: int):
-        keep = unicodedata.category(chr(codepoint))[0] in "LM"
-        value = codepoint if keep else None
-        self[codepoint] = value
-        return value
+def _category(codepoint: int) -> str:
+    return unicodedata.category(chr(codepoint))
 
 
-_STRIP_NUMS_TABLE = _CategoryDropTable("", ("Nd",))
-_STRIP_PUNCT_NUMS_TABLE = _CategoryDropTable("PS", ("Nd",))
-_ALPHA_TABLE = _KeepAlphaTable()
+_STRIP_NUMS_TABLE = LazyTranslateTable(lambda cp: None if _category(cp) == "Nd" else cp)
+_STRIP_PUNCT_NUMS_TABLE = LazyTranslateTable(
+    lambda cp: None if _category(cp) == "Nd" or _category(cp)[0] in "PS" else cp
+)
+_ALPHA_TABLE = LazyTranslateTable(lambda cp: cp if _category(cp)[0] in "LM" else None)
 
 
 def is_alpha_word(token: str) -> bool:

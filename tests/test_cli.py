@@ -224,6 +224,9 @@ def test_report_command(tmp_path, capsys):
     output = capsys.readouterr().out
     assert "25.21\tNA" in output
     assert "11.92\t52.72" in output
+    out = tmp_path / "report.tsv"
+    assert run_cli("report", "--scores", str(scores), "--reference", "laser3", "--out", str(out)) == 0
+    assert out.read_bytes() == output.encode("utf-8")
 
 
 def test_run_deterministic_across_threads(tmp_path, capsys):
@@ -334,17 +337,29 @@ def test_filter_rejects_hi_on_floor_only_ratio(corpus, capsys):
     assert "hi" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("per_side, match", [(False, "shared prediction table"), (True, "not both")])
+# the prediction flags each case gives, all naming one file
+_TABLE_FLAGS = {
+    False: ("--predictions",),
+    True: ("--predictions", "--src-predictions"),
+    "same file": ("--src-predictions", "--tgt-predictions"),
+}
+
+
+@pytest.mark.parametrize(
+    "per_side, match",
+    [(False, "shared prediction table"), (True, "not both"), ("same file", "shared prediction table")],
+)
 def test_filter_rejects_ambiguous_prediction_tables(corpus, capsys, per_side, match):
     preds = corpus / "preds.tsv"
     preds.write_text("".join(f"{i}\ten\t0.99\n" for i in range(4)))
+    # a second spelling of the same path: the check compares files, not strings
+    spellings = (str(preds), os.path.join(str(corpus), ".", "preds.tsv"))
     code = run_cli(
         "filter",
         "--kind", "lid",
         "--pair", "en-si",
         "--side", "st",
-        "--predictions", str(preds),
-        *(["--src-predictions", str(preds)] if per_side else []),
+        *(arg for flag, path in zip(_TABLE_FLAGS[per_side], spellings) for arg in (flag, path)),
         "--source", str(corpus / "s.txt"),
         "--target", str(corpus / "t.txt"),
         "--out-dir", str(corpus / "out"),
@@ -457,6 +472,26 @@ _HOSTILE_CASES = {
         3,
     ),
     "missing score table": ({}, ("report", "--scores", "missing.tsv", "--reference", "x"), 3),
+    "stats with only --ref-target": ({}, ("stats", "--tsv", "c.tsv", "--ref-target", "c.tsv"), 2),
+    "stats with --ref-tsv and --ref-source/--ref-target": (
+        {},
+        (
+            "stats", "--tsv", "c.tsv", "--ref-tsv", "c.tsv",
+            "--ref-source", "c.tsv", "--ref-target", "c.tsv",
+        ),
+        2,
+    ),
+    "synth with only --source-out": (
+        {}, ("synth", "--pairs", "10", "--out", "l.tsv", "--source-out", "s.txt"), 2
+    ),
+    "rank --top-k 0": (
+        {"e.bin": b"PDCEMB01\x02\x00\x00\x00\x01\x00\x00\x00" + b"\x00\x00\x80\x3f" * 2},
+        (
+            "rank", "--tsv", "c.tsv", "--src-emb", "e.bin", "--tgt-emb", "e.bin",
+            "--top-k", "0", "--out-dir", "out",
+        ),
+        2,
+    ),
     "non-finite score": (
         {"s.tsv": "c\tp\tm\tbaseline\tnan\n"}, ("report", "--scores", "s.tsv", "--reference", "m"), 3
     ),
@@ -481,6 +516,20 @@ def test_hostile_input_exits_with_config_or_data_code(tmp_path, case):
     )
     assert proc.returncode == expected, proc.stderr
     assert "internal error" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rank", "--tsv", "c.tsv", "--src-emb", "e.bin", "--tgt-emb", "e.bin", "--out-dir", "out"),
+        ("preset", "--pair", "en-si", "--src-emb", "e.bin", "--tgt-emb", "e.bin"),
+    ],
+    ids=["rank", "preset"],
+)
+def test_top_k_below_one_from_the_environment_is_a_config_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("CURATE_TOP_K", "0")
+    assert run_cli(*argv) == 2
+    assert "must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_importing_the_cli_does_not_load_numpy():

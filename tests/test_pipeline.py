@@ -152,16 +152,6 @@ def test_run_is_deterministic():
     assert first.pairs == second.pairs
 
 
-def test_threads_do_not_change_output():
-    labeled = labeled_corpus(pair_count=12_000, rates={NoiseLabel.CS: 0.1})
-    pairs = [item.pair for item in labeled]
-    config = PipelineConfig(
-        language_pair=EN_SI,
-        stages=(LengthSpec(5, Side.BOTH), RatioSpec(RatioKind.SENT_W_RATIO, 0.6, side=Side.SOURCE)),
-    )
-    assert run(config, pairs, threads=1).pairs == run(config, pairs, threads=4).pairs
-
-
 def test_stage_bookkeeping_sums():
     labeled = labeled_corpus(
         pair_count=500, rates={NoiseLabel.CS: 0.1, NoiseLabel.NL: 0.1}, duplicate_rate=0.1
@@ -355,6 +345,25 @@ def test_shared_prediction_table_rejected_for_lid_on_both_sides(tmp_path):
     # one checked side, or the same language on both, is well defined
     assert len(run(config("s"), pairs).pairs) == 2
     assert len(run(config("st", "en-en"), pairs).pairs) == 2
+
+
+def test_per_side_prediction_files_naming_one_file_are_a_shared_table(tmp_path):
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("0\ten\t0.99\n")
+    (tmp_path / "link.tsv").symlink_to(preds)
+    (tmp_path / "copy.tsv").write_bytes(preds.read_bytes())
+    pairs = [SentencePair(0, "hello there", "x")]
+
+    def config(target):
+        return parse_config(
+            "language_pair: en-si\nstages:\n- {kind: lid, side: st}\n"
+            f"lid_predictions: {{source: {preds}, target: {tmp_path / target} }}\n"
+        )
+
+    with pytest.raises(ConfigError, match="shared prediction table"):
+        run(config("link.tsv"), pairs)
+    # a second file with the same rows is a per-side table like any other
+    assert run(config("copy.tsv"), pairs).report.total.pair_count == 1
 
 
 _WORDS = ["the", "cat", "sat", "on", "a", "mat", "Mat", "42", "7.5", "!!", "x_y", "මම", "ගෙදර", "යමි"]
