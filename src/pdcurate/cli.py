@@ -19,11 +19,13 @@ error.  Every value flag can also be set through an environment
 variable: ``--min-words`` reads ``CURATE_MIN_WORDS``, ``--top-k`` reads
 ``CURATE_TOP_K`` and so on.  Each corpus flag group is given whole:
 both of ``--source/--target`` or ``--tsv`` alone, and the same for
-``stats``' ``--ref-*`` flags and ``synth``'s ``--source-out/--target-out``.
-``--threads`` (on run only) is accepted for compatibility and has no
-effect: every stage runs to completion, in order, in one thread.  All
-output files are written atomically (temp file then rename), so an
-interrupted run never leaves a partial file at the target path.
+``stats``' ``--ref-*`` flags and ``synth``'s ``--source-out/--target-out``;
+``preset``'s ``--src-emb``, ``--tgt-emb`` and ``--top-k`` go all three or
+none (``CURATE_TOP_K`` counts as ``--top-k``).  ``--threads`` (on run
+only) is accepted for compatibility and has no effect: every stage runs
+to completion, in order, in one thread.  All output files are written
+atomically (temp file then rename), so an interrupted run never leaves a
+partial file at the target path.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .dedup import DedupStream
 from .errors import ConfigError, CurateError, DataError
 from .lid import export_predictions
 from .metrics import disparity_report, format_disparity_report, read_score_table, write_disparity_report
-from .ranking import load_embeddings, rank_corpus, top_k, write_ranked_tsv
+from .ranking import load_embeddings, rank_corpus, ranked_pairs, top_k, write_ranked_tsv
 from .synthnoise import generate, load_recipe, recipe_from_dict, score_filters, write_labeled_tsv
 from .textnorm import NormMode
 
@@ -170,7 +172,7 @@ def cmd_run(args) -> int:
 
 def cmd_preset(args) -> int:
     ranking = None
-    if args.src_emb or args.tgt_emb:
+    if args.src_emb or args.tgt_emb or args.top_k is not None:
         if not (args.src_emb and args.tgt_emb) or args.top_k is None:
             raise ConfigError("ranking needs --src-emb, --tgt-emb and --top-k together")
         ranking = pl.RankingSpec(args.src_emb, args.tgt_emb, args.top_k)
@@ -258,11 +260,10 @@ def cmd_rank(args) -> int:
                 file=sys.stderr,
             )
         ranked = top_k(ranked, args.top_k)
-    by_id = {pair.id: pair for pair in materialized}
-    ordered = [by_id[entry.pair_id] for entry in ranked.entries]
+    ordered = ranked_pairs(ranked, materialized)
     out_dir = Path(args.out_dir)
     written = _write_result(ordered, out_dir, as_tsv)
-    write_ranked_tsv(ranked, by_id, out_dir / "scores.tsv")
+    write_ranked_tsv(ranked, {pair.id: pair for pair in ordered}, out_dir / "scores.tsv")
     print(f"ranked {len(materialized)} pairs, wrote top {written} (dim {src_emb.dim})")
     if ranked.zero_norm_count:
         print(f"zero-norm vectors scored 0: {ranked.zero_norm_count}")

@@ -51,7 +51,7 @@ from .filters import (
 )
 from .lid import SCRIPT_LANGS, LidPredictor, ScriptPredictor, TablePredictor
 from .lid import load_prediction_table, load_predictions
-from .ranking import RankedCorpus, load_embeddings, rank_corpus, top_k
+from .ranking import RankedCorpus, load_embeddings, rank_corpus, ranked_pairs, top_k
 from .textnorm import NormMode
 
 StageSpec = DedupSpec | LengthSpec | LidSpec | RatioSpec
@@ -594,8 +594,7 @@ def run(
                 "emitting everything"
             )
         ranked = top_k(full_ranking, config.ranking.top_k)
-        by_id = {pair.id: pair for pair in current}
-        current = [by_id[entry.pair_id] for entry in ranked.entries]
+        current = ranked_pairs(ranked, current)
         report.ranking = RankingReport(
             requested_k=config.ranking.top_k,
             emitted=len(ranked),

@@ -23,6 +23,12 @@ survivor's vectors.  A released page that is read again is faulted back
 in from the file, so the file must not change while a run uses it.
 Each score depends only on its own row, so scores do not depend on the
 block size.
+
+A ``RankedCorpus`` keeps the ranked ids and scores as two arrays, 16
+bytes per pair.  ``top_k`` slices them, and ``RankEntry`` objects are
+built only for the entries that are read, so a run that emits k of n
+survivors builds k entries and maps k ids back to pairs
+(``ranked_pairs``), not n.
 """
 
 from __future__ import annotations
@@ -212,18 +218,40 @@ class RankEntry:
     rank: int
 
 
-@dataclass(frozen=True)
 class RankedCorpus:
-    """Pairs annotated with cosine score, sorted descending, ranks 1..n."""
+    """Pair ids and cosine scores in rank order (score descending, ties by ascending id).
 
-    entries: tuple[RankEntry, ...]
-    zero_norm_count: int = 0
+    Holds the two as arrays, 16 bytes per pair; ``entries`` builds the
+    ``RankEntry`` objects, ranks 1..n, only when it is read.
+    """
+
+    __slots__ = ("_ids", "_scores", "zero_norm_count")
+
+    def __init__(self, ids: np.ndarray, scores: np.ndarray, zero_norm_count: int = 0):
+        self._ids = ids
+        self._scores = scores
+        self.zero_norm_count = zero_norm_count
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._ids)
+
+    def __eq__(self, other) -> bool:
+        import numpy as np
+
+        if not isinstance(other, RankedCorpus):
+            return NotImplemented
+        return (
+            self.zero_norm_count == other.zero_norm_count
+            and np.array_equal(self._ids, other._ids)
+            and np.array_equal(self._scores, other._scores)
+        )
+
+    @property
+    def entries(self) -> tuple[RankEntry, ...]:
+        return tuple(map(RankEntry, self.ids(), self._scores.tolist(), range(1, len(self) + 1)))
 
     def ids(self) -> list[int]:
-        return [entry.pair_id for entry in self.entries]
+        return self._ids.tolist()
 
 
 def rank_corpus(
@@ -243,7 +271,7 @@ def rank_corpus(
         raise DataError(f"embedding dims differ: source {src_emb.dim} vs target {tgt_emb.dim}")
     ids = np.fromiter((pair.id for pair in pairs), dtype=np.int64)
     if ids.size == 0:
-        return RankedCorpus(entries=())
+        return RankedCorpus(ids, np.zeros(0, dtype=np.float64))
     for side, store in (("source", src_emb), ("target", tgt_emb)):
         if store.count == 0:
             raise DataError(f"{side} embedding store is empty (0 rows), so it covers no pair id")
@@ -265,17 +293,25 @@ def rank_corpus(
     np.divide(dots, norms, out=scores, where=~zero)
     np.clip(scores, -1.0, 1.0, out=scores)
     order = np.lexsort((ids, -scores))
-    entries = tuple(
-        map(RankEntry, ids[order].tolist(), scores[order].tolist(), range(1, len(ids) + 1))
-    )
-    return RankedCorpus(entries=entries, zero_norm_count=int(zero.sum()))
+    return RankedCorpus(ids[order], scores[order], zero_norm_count=int(zero.sum()))
 
 
 def top_k(ranked: RankedCorpus, k: int) -> RankedCorpus:
     """First min(k, n) entries in rank order; k > n returns everything."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return RankedCorpus(entries=ranked.entries[:k], zero_norm_count=ranked.zero_norm_count)
+    return RankedCorpus(ranked._ids[:k], ranked._scores[:k], ranked.zero_norm_count)
+
+
+def ranked_pairs(ranked: RankedCorpus, pairs: Iterable[SentencePair]) -> list[SentencePair]:
+    """The pairs whose ids ``ranked`` holds, in rank order; other pairs are skipped."""
+    slot = {pair_id: rank for rank, pair_id in enumerate(ranked.ids())}
+    ordered: list[SentencePair] = [None] * len(slot)
+    for pair in pairs:
+        rank = slot.get(pair.id)
+        if rank is not None:
+            ordered[rank] = pair
+    return ordered
 
 
 def write_ranked_tsv(

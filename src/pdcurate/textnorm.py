@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import unicodedata
 from enum import Enum
-from typing import Callable, KeysView
+from typing import Any, Callable, KeysView
 
 
 class NormMode(Enum):
@@ -41,18 +41,19 @@ class NormMode(Enum):
 
 
 class LazyTranslateTable(dict):
-    """str.translate() table filled on demand by a per-code-point function.
+    """A dict filled on demand by a function of the key, each key computed once.
 
-    Each unknown code point is classified once and cached, so repeated
-    translate() calls cost a plain dict lookup per char.
+    As a str.translate() table, keyed by code point, repeated translate()
+    calls cost a plain dict lookup per char.  Dedup also keeps one per
+    stage, from token to blake2b fingerprint.
     """
 
-    def __init__(self, classify: Callable[[int], int | str | None]):
+    def __init__(self, classify: Callable[[Any], Any]):
         super().__init__()
         self._classify = classify
 
-    def __missing__(self, codepoint: int):
-        value = self[codepoint] = self._classify(codepoint)
+    def __missing__(self, key):
+        value = self[key] = self._classify(key)
         return value
 
 

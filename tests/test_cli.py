@@ -492,6 +492,7 @@ _HOSTILE_CASES = {
         ),
         2,
     ),
+    "preset --top-k without embeddings": ({}, ("preset", "--pair", "en-si", "--top-k", "5"), 2),
     "non-finite score": (
         {"s.tsv": "c\tp\tm\tbaseline\tnan\n"}, ("report", "--scores", "s.tsv", "--reference", "m"), 3
     ),
@@ -532,12 +533,24 @@ def test_top_k_below_one_from_the_environment_is_a_config_error(capsys, monkeypa
     assert "must be >= 1, got 0" in capsys.readouterr().err
 
 
-def test_importing_the_cli_does_not_load_numpy():
-    env = {**os.environ, "PYTHONPATH": str(Path(pdcurate.__file__).parents[1])}
-    code = "import sys, pdcurate.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+def test_importing_the_cli_does_not_load_numpy(tmp_path):
+    # nor does a run with dedup stages on an empty corpus and no ranking
+    (tmp_path / "s.txt").write_text("")
+    (tmp_path / "t.txt").write_text("")
+    (tmp_path / "cfg.yaml").write_text(
+        "language_pair: en-si\nstages:\n- {kind: dedup}\n- {kind: dedup, params: {ngram: 5}}\n"
+    )
+    env = {key: value for key, value in os.environ.items() if not key.startswith("CURATE_")}
+    env["PYTHONPATH"] = str(Path(pdcurate.__file__).parents[1])
+    run = "run --config cfg.yaml --source s.txt --target t.txt --out-dir out --removal-log".split()
+    code = (
+        "import sys, pdcurate.cli; print('numpy' in sys.modules); "
+        f"code = pdcurate.cli.main({run!r}); print(code, 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_filter_flag_of_another_kind_is_rejected(corpus, capsys, monkeypatch):

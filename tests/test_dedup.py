@@ -1,5 +1,8 @@
+import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from pdcurate import dedup
@@ -226,11 +229,44 @@ def test_chain_order_matters():
 
 def test_seen_index_contract():
     index = SeenIndex()
-    assert "key" not in index
-    index.add("key")
-    assert "key" in index
-    assert "other" not in index
-    assert len(index) == 1
+    assert 7 not in index
+    assert len(index) == 0
+    index.add([7, 2**64 - 1, 7])  # one block; a repeat is stored once
+    assert 7 in index and 2**64 - 1 in index
+    assert 8 not in index
+    assert len(index) == 2
+    index.add(np.array([8, 7], dtype=np.uint64))
+    assert 8 in index
+    assert len(index) == 3
+    assert index.hits(np.array([6, 7, 8], dtype=np.uint64)).tolist() == [False, True, True]
+
+
+def test_seen_index_matches_a_set_across_merged_runs():
+    rng = np.random.default_rng(3)
+    index, reference = SeenIndex(), set()
+    for size in rng.integers(1, 300, size=60):
+        block = rng.integers(0, 2_000, size=size).astype(np.uint64)
+        index.add(block)
+        reference.update(block.tolist())
+        assert len(index) == len(reference)
+    probe = np.arange(2_100, dtype=np.uint64)
+    assert index.hits(probe).tolist() == [key in reference for key in range(2_100)]
+
+
+def test_seen_index_costs_at_most_16_bytes_per_fingerprint():
+    rng = np.random.default_rng(0)
+    blocks = [np.frombuffer(rng.bytes(8 * 4_000), dtype=np.uint64) for _ in range(55)]
+    SeenIndex().add(blocks[0][:10])  # numpy loads the code behind unique and sort on first use
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        index = SeenIndex()
+        for block in blocks:
+            index.add(block)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index) >= 200_000
+    assert held <= 16 * len(index)
 
 
 def test_fingerprint_collisions_are_accepted(monkeypatch):
@@ -243,20 +279,59 @@ def test_fingerprint_collisions_are_accepted(monkeypatch):
 
 
 def test_each_key_is_fingerprinted_once(monkeypatch):
-    counts = {"hashes": 0, "probes": 0}
-    real_fingerprint, real_contains = dedup._blake_fingerprint, SeenIndex.__contains__
-
-    def fingerprint(key):
-        counts["hashes"] += 1
-        return real_fingerprint(key)
-
-    def contains(index, key):
-        counts["probes"] += 1
-        return real_contains(index, key)
-
-    monkeypatch.setattr(dedup, "_blake_fingerprint", fingerprint)
-    monkeypatch.setattr(SeenIndex, "__contains__", contains)
+    # n-gram keys: at most one blake2b call per distinct token per stage, across
+    # blocks; full-sentence keys: one per text probed.  A target is not probed
+    # once its source key is found in the index.  One index insert per block.
+    hashed, inserts = [], []
+    real_fingerprint, real_add = dedup._blake_fingerprint, SeenIndex.add
+    monkeypatch.setattr(dedup, "_blake_fingerprint", lambda key: hashed.append(key) or real_fingerprint(key))
+    monkeypatch.setattr(SeenIndex, "add", lambda index, keys: inserts.append(keys) or real_add(index, keys))
+    monkeypatch.setattr(dedup, "_BLOCK_PAIRS", 7)
     pairs = random_corpus(random.Random(5), 100)
     kept, removed = run_dedup(pairs, DedupSpec(ngram=2, side=Side.BOTH))
     assert kept and removed
-    assert counts["hashes"] == counts["probes"]
+    assert len(hashed) == len(set(hashed))
+    assert {token for p in pairs for token in p.source.split()} <= set(hashed)
+    assert set(hashed) <= {token for p in pairs for token in (p.source + " " + p.target).split()}
+    assert 0 < len(inserts) <= -(-len(pairs) // 7)
+    hashed.clear()
+    run_dedup(pairs, DedupSpec(side=Side.BOTH))
+    assert len(pairs) < len(hashed) < 2 * len(pairs)
+
+
+def brute_force_reasons(pairs, spec):
+    """Quadratic reference: each removed pair's first key, in probe order, held by an earlier kept pair."""
+
+    def keys(text):
+        norm = normalize(text, spec.norm)
+        return [norm] if spec.ngram is None else list(word_ngrams(norm.split(), spec.ngram))
+
+    sides = [name for name in ("source", "target") if getattr(spec.side, f"checks_{name}")]
+    kept, reasons = [], {}
+    for pair in pairs:
+        hit = None
+        for side in sides:
+            earlier = {key for other in kept for key in keys(getattr(other, side))}
+            hit = next((key for key in keys(getattr(pair, side)) if key in earlier), None)
+            if hit is not None:
+                reasons[pair.id] = hit
+                break
+        if hit is None:
+            kept.append(pair)
+    return reasons
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7, dedup._BLOCK_PAIRS, 10_000])
+def test_block_size_does_not_change_kept_ids_or_reasons(monkeypatch, block_pairs):
+    monkeypatch.setattr(dedup, "_BLOCK_PAIRS", block_pairs)
+    rng = random.Random(block_pairs)
+    for norm, ngram, side in itertools.product(list(NormMode), [None, 2, 4], list(Side)):
+        pairs = random_corpus(rng, rng.randint(20, 90))
+        spec = DedupSpec(norm=norm, ngram=ngram, side=side)
+        log = {}
+        stream = dedup_stream(pairs, spec, on_removed=lambda pair, _, reason: log.setdefault(pair.id, reason))
+        kept = [p.id for p in stream]
+        expected_kept, expected_removed = brute_force_dedup(pairs, spec)
+        assert kept == [p.id for p in expected_kept], (norm, ngram, side)
+        assert stream.removed_count == expected_removed == len(log)
+        assert log == brute_force_reasons(pairs, spec), (norm, ngram, side)

@@ -20,6 +20,7 @@ from pdcurate.ranking import (
     cosine,
     load_embeddings,
     rank_corpus,
+    ranked_pairs,
     top_k,
     write_embeddings,
     write_ranked_tsv,
@@ -428,9 +429,14 @@ def test_top_k_prefix_property():
     n = 50
     src = EmbeddingStore(rng.normal(size=(n, 5)).astype(np.float32))
     tgt = EmbeddingStore(rng.normal(size=(n, 5)).astype(np.float32))
-    ranked = rank_corpus(make_pairs(n), src, tgt)
+    pairs = make_pairs(n)
+    ranked = rank_corpus(pairs, src, tgt)
     for k in range(1, n):
         assert top_k(ranked, k).ids() == top_k(ranked, k + 1).ids()[:k]
+        assert top_k(ranked, k).entries == ranked.entries[:k]
+        assert top_k(ranked, k) != top_k(ranked, k + 1)
+        assert ranked_pairs(top_k(ranked, k), reversed(pairs)) == [pairs[i] for i in ranked.ids()[:k]]
+    assert top_k(ranked, n) == ranked == rank_corpus(pairs, src, tgt)
 
 
 def test_top_k_beyond_size_returns_all():
