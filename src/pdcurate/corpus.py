@@ -13,7 +13,8 @@ Two formats are supported:
 Ingestion is byte-faithful: no Unicode normalization, blank lines are
 kept (filters may remove them later).  Lines containing tab characters
 are rejected in both formats, because a tab would corrupt TSV output and
-break the read/write round-trip guarantee.
+break the read/write round-trip guarantee; for the same reason, writing
+rejects a text with a tab or a line feed.
 """
 
 from __future__ import annotations
@@ -191,6 +192,17 @@ def _iter_tabless_lines(path: Path) -> Iterator[str]:
         yield text
 
 
+def _corpus_paths(source_path, target_path, tsv_path) -> list[Path]:
+    """The corpus files: [tsv] or [source, target]; any other combination is a ConfigError."""
+    if tsv_path is not None:
+        if source_path is not None or target_path is not None:
+            raise ConfigError("pass either source/target paths or tsv_path, not both")
+        return [Path(tsv_path)]
+    if source_path is None or target_path is None:
+        raise ConfigError("two-file mode needs both source_path and target_path")
+    return [Path(source_path), Path(target_path)]
+
+
 def read_corpus(
     source_path: str | Path | None = None,
     target_path: str | Path | None = None,
@@ -204,20 +216,13 @@ def read_corpus(
     out; TSV mode rejects lines that do not have exactly two fields.
     Argument and existence checks happen eagerly, before streaming.
     """
-    if tsv_path is not None:
-        if source_path is not None or target_path is not None:
-            raise ConfigError("pass either source/target paths or tsv_path, not both")
-        paths = [Path(tsv_path)]
-    else:
-        if source_path is None or target_path is None:
-            raise ConfigError("two-file mode needs both source_path and target_path")
-        paths = [Path(source_path), Path(target_path)]
+    paths = _corpus_paths(source_path, target_path, tsv_path)
     for path in paths:
         if not path.is_file():
             raise DataError(f"corpus file not found: {path}")
-    if tsv_path is not None:
+    if len(paths) == 1:
         return _read_tsv(paths[0])
-    return _read_two_file(paths[0], paths[1])
+    return _read_two_file(*paths)
 
 
 def _read_two_file(source_path: Path, target_path: Path) -> Iterator[SentencePair]:
@@ -248,6 +253,15 @@ def _read_tsv(path: Path) -> Iterator[SentencePair]:
                 f"{path}: line {line_no} has {len(fields)} tab-separated fields, expected 2"
             )
         yield SentencePair(line_no - 1, fields[0], fields[1])
+
+
+def _writable(pair: SentencePair) -> SentencePair:
+    """The pair, if each text fits on one corpus line; carriage returns read back as they are."""
+    for side, text in (("source", pair.source), ("target", pair.target)):
+        if "\t" in text or "\n" in text:
+            name = "tab" if "\t" in text else "line feed"
+            raise DataError(f"pair {pair.id}: {side} text contains a {name}, which a corpus line cannot hold")
+    return pair
 
 
 @contextmanager
@@ -283,21 +297,20 @@ def write_corpus(
     """Write pairs out in input order; returns the written pair count.
 
     Reading the result back yields text-identical pairs with ids
-    reassigned by position.
+    reassigned by position.  A text with a tab or line feed could not be
+    read back, so it raises DataError and no file is written.
     """
+    paths = _corpus_paths(source_path, target_path, tsv_path)
+    pairs = map(_writable, pairs)
     count = 0
     try:
-        if tsv_path is not None:
-            if source_path is not None or target_path is not None:
-                raise ConfigError("pass either source/target paths or tsv_path, not both")
-            with atomic_write(tsv_path) as out:
+        if len(paths) == 1:
+            with atomic_write(paths[0]) as out:
                 for pair in pairs:
                     out.write(f"{pair.source}\t{pair.target}\n")
                     count += 1
         else:
-            if source_path is None or target_path is None:
-                raise ConfigError("two-file mode needs both source_path and target_path")
-            with atomic_write(source_path) as src_out, atomic_write(target_path) as tgt_out:
+            with atomic_write(paths[0]) as src_out, atomic_write(paths[1]) as tgt_out:
                 for pair in pairs:
                     src_out.write(pair.source + "\n")
                     tgt_out.write(pair.target + "\n")

@@ -28,16 +28,16 @@ distinct keys that share a fingerprint count as duplicates; at about
 
 Pairs are deduplicated ``_BLOCK_PAIRS`` at a time, one checked side
 after the other.  A side's keys for the block are computed as one uint64
-array, and one sort of that array serves both the index probe (one
-binary search per key) and finding the keys that two or more pairs of
-the block share.  A pair with a source key in the index is removed
-whatever its target holds, so its target is not normalized or probed.
-Only pairs that hit the index or share a key take a short sequential
-pass, in id order, which decides them exactly as a pair-at-a-time pass
-would: a pair's source keys are probed before its target keys, each
-side's in positional order, and the first hit is the removal reason.
-The kept pairs' keys then enter the index as one sorted run.  So the
-result does not depend on the block size.
+array, and one ``np.unique`` of that array gives both the distinct keys
+to probe in the index (one binary search each) and the keys that the
+block side counts twice.  A pair with a source key in the index is
+removed whatever its target holds, so its target is not normalized or
+probed.  Only pairs with a key that hits the index or is counted twice
+take a short sequential pass, in id order, which decides them exactly
+as a pair-at-a-time pass would: a pair's source keys are probed before
+its target keys, each side's in positional order, and the first hit is
+the removal reason.  The kept pairs' keys then enter the index as one
+sorted run.  So the result does not depend on the block size.
 
 The index holds its fingerprints as sorted uint64 runs, 8 bytes each,
 merged geometrically (a new run is merged into the one before while it
@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .corpus import SentencePair, Side
 from .errors import ConfigError
-from .textnorm import LazyTranslateTable, NormMode, normalize, word_ngrams
+from .textnorm import LazyTranslateTable, NormMode, normalize, tokenize, word_ngrams
 
 if TYPE_CHECKING:
     import numpy as np
@@ -220,14 +220,15 @@ class DedupStream:
             yield from self._dedup_block(block)
 
     def _keys(self, texts: list[str]) -> _SideKeys:
-        """The keys of one side's texts, each text's in positional order."""
+        """The keys of one side's raw texts, each text's in positional order."""
         import numpy as np
 
-        n = self.spec.ngram
+        n, mode = self.spec.ngram, self.spec.norm
         if n is None:
+            texts = [normalize(text, mode) for text in texts]
             keys = np.fromiter(map(_blake_fingerprint, texts), dtype=np.uint64, count=len(texts))
             return _SideKeys(keys, np.arange(len(texts)), texts)
-        tokens = [text.split() for text in texts]
+        tokens = [tokenize(text, mode) for text in texts]
         lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
         total = int(lengths.sum())
         lookup = self._token_fingerprints.__getitem__
@@ -248,21 +249,13 @@ class DedupStream:
         starts = np.cumsum(lengths) - lengths
         return _SideKeys(keys[starts[text_of_key] + position], text_of_key, texts, tokens, position)
 
-    def _probe(self, keys: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which keys are in the index, and which may decide a pair: in the index or held by two pairs."""
+    def _probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which keys are in the index, and which may decide a pair: in the index or counted twice."""
         import numpy as np
 
-        hit = np.zeros(len(keys), dtype=bool)
-        shared = np.zeros(len(keys), dtype=bool)
-        if len(keys):
-            order = np.argsort(keys)
-            sorted_keys, sorted_owner = keys[order], owner[order]
-            hit[order] = self._index.hits(sorted_keys)
-            run_starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-            lowest = np.minimum.reduceat(sorted_owner, run_starts)
-            highest = np.maximum.reduceat(sorted_owner, run_starts)
-            shared[order] = np.repeat(lowest != highest, np.diff(np.r_[run_starts, len(keys)]))
-        return hit, hit | shared
+        unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        hit = self._index.hits(unique)[inverse]
+        return hit, hit | (counts > 1)[inverse]
 
     def _dedup_block(self, block: list[SentencePair]) -> Iterator[SentencePair]:
         import numpy as np
@@ -279,10 +272,10 @@ class DedupStream:
                 continue
             # a pair with a key in the index goes whatever its other side holds
             open_pairs = np.flatnonzero(~in_index)
-            side = self._keys([normalize(getattr(block[i], name), spec.norm) for i in open_pairs.tolist()])
+            side = self._keys([getattr(block[i], name) for i in open_pairs.tolist()])
             side.keys ^= np.uint64(salt)
             owner = open_pairs[side.text_of_key]
-            hit, maybe = self._probe(side.keys, owner)
+            hit, maybe = self._probe(side.keys)
             in_index[owner[hit]] = True
             sides.append(side)
             parts.append((side.keys, owner, hit, maybe))

@@ -76,6 +76,9 @@ class LidPrediction:
             raise ValueError(f"prediction probability {self.prob} outside [0, 1]")
 
 
+_UNDETERMINED = LidPrediction("und", 0.0)
+
+
 def script_predict(text: str) -> LidPrediction:
     """Classify text by majority letter script.
 
@@ -83,19 +86,12 @@ def script_predict(text: str) -> LidPrediction:
     Ties break in the fixed order en < si < ta.
     """
     marks = text.translate(_SCRIPT_MARKS)
-    total = len(marks)
-    if total == 0:
-        return LidPrediction("und", 0.0)
-    counts = {
-        "en": marks.count(_MARK_LATIN),
-        "si": marks.count(_MARK_SINHALA),
-        "ta": marks.count(_MARK_TAMIL),
-    }
-    best = max(TIE_ORDER, key=lambda lang: counts[lang])
-    if counts[best] == 0:
-        # letters exist but none in a tracked script: no majority script
-        return LidPrediction("und", 0.0)
-    return LidPrediction(best, counts[best] / total)
+    counts = [marks.count(_MARK_LATIN), marks.count(_MARK_SINHALA), marks.count(_MARK_TAMIL)]
+    best = max(counts)
+    if best == 0:
+        # no letters, or none in a tracked script: no majority script
+        return _UNDETERMINED
+    return LidPrediction(TIE_ORDER[counts.index(best)], best / len(marks))
 
 
 class LidPredictor:
@@ -115,23 +111,20 @@ class ScriptPredictor(LidPredictor):
 class TablePredictor(LidPredictor):
     """Serves precomputed predictions looked up by pair id.
 
-    Either a single table (used for whichever side is checked) or one
-    table per side.  A missing id, or a checked side with no table, is a
-    predictor failure; the filter layer fails such pairs closed.
+    One table per side; one shared table is passed as both.  A missing
+    id, or a checked side with no table, is a predictor failure; the
+    filter layer fails such pairs closed.
     """
 
     def __init__(
         self,
-        table: Mapping[int, LidPrediction] | None = None,
         *,
         source: Mapping[int, LidPrediction] | None = None,
         target: Mapping[int, LidPrediction] | None = None,
     ):
-        if table is not None and (source is not None or target is not None):
-            raise ValueError("pass one shared table or per-side tables, not both")
-        self._source = source if source is not None else table
-        self._target = target if target is not None else table
-        if self._source is None and self._target is None:
+        self._source = source
+        self._target = target
+        if source is None and target is None:
             raise ValueError("TablePredictor needs at least one prediction table")
 
     def predict(self, text: str, pair_id: int | None = None, side: Side | None = None) -> LidPrediction:
@@ -157,28 +150,23 @@ def load_prediction_table(path: str | Path) -> dict[int, LidPrediction]:
 
 def load_predictions(path: str | Path) -> TablePredictor:
     """Load one prediction file; the table serves whichever side is checked."""
-    return TablePredictor(load_prediction_table(path))
+    table = load_prediction_table(path)
+    return TablePredictor(source=table, target=table)
 
 
-def export_predictions(
-    pairs: Iterable[SentencePair],
-    side: Side,
-    path: str | Path,
-    predictor: LidPredictor | None = None,
-) -> int:
-    """Write predictions for one side of a corpus to the prediction TSV.
+def export_predictions(pairs: Iterable[SentencePair], side: Side, path: str | Path) -> int:
+    """Write the script detector's predictions for one side of a corpus to the prediction TSV.
 
     Probabilities use shortest round-tripping float repr, so exporting
     and reloading reproduces identical predictions.
     """
     if side is Side.BOTH:
         raise ValueError("export one side at a time (source or target)")
-    predictor = predictor or ScriptPredictor()
     count = 0
     with atomic_write(path) as out:
         for pair in pairs:
             text = pair.source if side is Side.SOURCE else pair.target
-            pred = predictor.predict(text, pair_id=pair.id, side=side)
+            pred = script_predict(text)
             out.write(f"{pair.id}\t{pred.label}\t{pred.prob!r}\n")
             count += 1
     return count

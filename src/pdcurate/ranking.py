@@ -80,11 +80,6 @@ class EmbeddingStore:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def get(self, pair_id: int) -> np.ndarray:
-        if not 0 <= pair_id < self.count:
-            raise DataError(f"embedding store has no row for pair id {pair_id}")
-        return self.vectors[pair_id]
-
     def _release(self, stop: int) -> None:
         """Drop the mapped pages of rows 0..stop-1; a later read faults them back in.
 

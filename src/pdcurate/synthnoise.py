@@ -95,6 +95,9 @@ class NoiseRecipe:
             vocab = list(self.vocabularies[lang])
             if not vocab:
                 raise ConfigError(f"vocabulary for {lang!r} is empty")
+            for word in vocab:
+                if word.split() != [word]:  # one token each, so every text fits on one line
+                    raise ConfigError(f"vocabulary for {lang!r} has an empty word or one with whitespace: {word!r}")
             return vocab
         return builtin_vocabulary(lang)
 

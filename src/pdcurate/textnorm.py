@@ -61,10 +61,12 @@ def _category(codepoint: int) -> str:
     return unicodedata.category(chr(codepoint))
 
 
-_STRIP_NUMS_TABLE = LazyTranslateTable(lambda cp: None if _category(cp) == "Nd" else cp)
-_STRIP_PUNCT_NUMS_TABLE = LazyTranslateTable(
-    lambda cp: None if _category(cp) == "Nd" or _category(cp)[0] in "PS" else cp
-)
+_STRIP_TABLES = {
+    NormMode.STRIP_NUMS: LazyTranslateTable(lambda cp: None if _category(cp) == "Nd" else cp),
+    NormMode.STRIP_PUNCT_NUMS: LazyTranslateTable(
+        lambda cp: None if _category(cp) == "Nd" or _category(cp)[0] in "PS" else cp
+    ),
+}
 _ALPHA_TABLE = LazyTranslateTable(lambda cp: cp if _category(cp)[0] in "LM" else None)
 
 
@@ -75,9 +77,11 @@ def is_alpha_word(token: str) -> bool:
     return bool(token) and len(token.translate(_ALPHA_TABLE)) == len(token)
 
 
-def tokenize(text: str) -> list[str]:
-    """Split on runs of Unicode whitespace; empty input gives an empty list."""
-    return text.split()
+def tokenize(text: str, mode: NormMode = NormMode.IDENTITY) -> list[str]:
+    """The tokens of ``normalize(text, mode)``, from one translate and one whitespace split."""
+    if mode is NormMode.IDENTITY:
+        return text.split()
+    return text.translate(_STRIP_TABLES[mode]).split()
 
 
 def normalize(text: str, mode: NormMode) -> str:
@@ -89,13 +93,7 @@ def normalize(text: str, mode: NormMode) -> str:
     """
     if mode is NormMode.IDENTITY:
         return text
-    if mode is NormMode.STRIP_NUMS:
-        stripped = text.translate(_STRIP_NUMS_TABLE)
-    elif mode is NormMode.STRIP_PUNCT_NUMS:
-        stripped = text.translate(_STRIP_PUNCT_NUMS_TABLE)
-    else:
-        raise ValueError(f"unknown normalization mode: {mode!r}")
-    return " ".join(stripped.split())
+    return " ".join(tokenize(text, mode))
 
 
 def char_ratios(text: str) -> tuple[float, float]:
@@ -108,10 +106,10 @@ def char_ratios(text: str) -> tuple[float, float]:
     tokens = text.split()
     if not tokens:
         return (1.0, 1.0)
-    joined = "".join(tokens)
-    alpha_count = len(joined.translate(_ALPHA_TABLE))
+    # whitespace is never L*/M*, so the alpha count of the text is that of its tokens
+    alpha_count = len(text.translate(_ALPHA_TABLE))
     alpha_words = sum(1 for tok in tokens if is_alpha_word(tok))
-    return (alpha_count / len(joined), alpha_words / len(tokens))
+    return (alpha_count / sum(map(len, tokens)), alpha_words / len(tokens))
 
 
 def word_ngrams(tokens: list[str], n: int) -> KeysView[str]:

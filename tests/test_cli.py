@@ -196,6 +196,20 @@ def test_synth_bad_rate_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("word", ["alpha\\nbeta", "alpha\\tbeta"])
+def test_synth_rejects_a_vocabulary_word_with_whitespace(tmp_path, capsys, word):
+    recipe = tmp_path / "r.yaml"
+    recipe.write_text(f'seed: 1\npair_count: 5\nvocabularies: {{en: ["{word}", gamma, delta]}}\n')
+    out = tmp_path / "out"
+    code = run_cli(
+        "synth", "--recipe", str(recipe), "--out", str(out / "l.tsv"),
+        "--source-out", str(out / "s.txt"), "--target-out", str(out / "t.txt"),
+    )
+    assert code == 2
+    assert "vocabulary for 'en'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lid_export_and_reuse(corpus, capsys):
     preds = corpus / "preds.tsv"
     code = run_cli(

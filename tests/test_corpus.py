@@ -93,6 +93,15 @@ def test_read_argument_validation(tmp_path):
         read_corpus(tmp_path / "s.txt", tmp_path / "t.txt", tsv_path=tmp_path / "c.tsv")
 
 
+def test_write_argument_validation_matches_read(tmp_path):
+    for corpus_io in (read_corpus, lambda *paths, **tsv: write_corpus([], *paths, **tsv)):
+        with pytest.raises(ConfigError, match="two-file mode needs both source_path and target_path"):
+            corpus_io(tmp_path / "s.txt")
+        with pytest.raises(ConfigError, match="pass either source/target paths or tsv_path, not both"):
+            corpus_io(tmp_path / "s.txt", tmp_path / "t.txt", tsv_path=tmp_path / "c.tsv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_blank_lines_are_kept(tmp_path):
     write_lines(tmp_path / "s.txt", ["a", "", "c"])
     write_lines(tmp_path / "t.txt", ["1", "2", ""])
@@ -113,6 +122,26 @@ def test_write_three_pairs_three_lines(tmp_path):
     assert stats.pair_count == 3
     assert (tmp_path / "s.txt").read_text().splitlines() == ["s0", "s1", "s2"]
     assert (tmp_path / "t.txt").read_text().splitlines() == ["t0", "t1", "t2"]
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("char, name", [("\t", "tab"), ("\n", "line feed")])
+@pytest.mark.parametrize("tsv", [False, True])
+def test_write_rejects_a_text_that_cannot_be_read_back(tmp_path, side, char, name, tsv):
+    texts = {"source": "s", "target": "t", side: f"one{char}two"}
+    pairs = [SentencePair(0, "a", "b"), SentencePair(1, texts["source"], texts["target"])]
+    paths = {"tsv_path": tmp_path / "c.tsv"} if tsv else {}
+    with pytest.raises(DataError, match=f"pair 1: {side} text contains a {name}"):
+        write_corpus(pairs, *([] if tsv else [tmp_path / "s.txt", tmp_path / "t.txt"]), **paths)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_keeps_carriage_returns(tmp_path):
+    pairs = [SentencePair(0, "a\rb\r", "\r"), SentencePair(1, "c", "d\r")]
+    write_corpus(pairs, tmp_path / "s.txt", tmp_path / "t.txt")
+    assert list(read_corpus(tmp_path / "s.txt", tmp_path / "t.txt")) == pairs
+    write_corpus(pairs, tsv_path=tmp_path / "c.tsv")
+    assert list(read_corpus(tsv_path=tmp_path / "c.tsv")) == pairs
 
 
 @settings(max_examples=25)

@@ -335,3 +335,27 @@ def test_block_size_does_not_change_kept_ids_or_reasons(monkeypatch, block_pairs
         assert kept == [p.id for p in expected_kept], (norm, ngram, side)
         assert stream.removed_count == expected_removed == len(log)
         assert log == brute_force_reasons(pairs, spec), (norm, ngram, side)
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7, dedup._BLOCK_PAIRS, 10_000])
+def test_an_ngram_repeated_inside_its_own_text_is_not_a_duplicate(monkeypatch, block_pairs):
+    monkeypatch.setattr(dedup, "_BLOCK_PAIRS", block_pairs)
+    rng = random.Random(block_pairs)
+    words = ["alpha", "beta", "gamma!", "77"]
+    rows = [("a b a b", "x y x y"), ("c d c d", "a b"), ("a b", "z z z z")]
+    for _ in range(60):
+        phrase = " ".join(rng.choice(words) for _ in range(rng.randint(1, 3)))
+        other = " ".join(rng.choice(words) for _ in range(rng.randint(1, 6)))
+        rows.append((" ".join([phrase] * rng.randint(2, 3)), other))
+    pairs = pairs_of(*rows)
+    for norm, ngram, side in itertools.product(list(NormMode), [2, 4], list(Side)):
+        spec = DedupSpec(norm=norm, ngram=ngram, side=side)
+        log = {}
+        stream = dedup_stream(pairs, spec, on_removed=lambda pair, _, reason: log.setdefault(pair.id, reason))
+        kept = [p.id for p in stream]
+        expected_kept, expected_removed = brute_force_dedup(pairs, spec)
+        assert kept == [p.id for p in expected_kept], (norm, ngram, side)
+        assert stream.removed_count == expected_removed == len(log)
+        assert log == brute_force_reasons(pairs, spec), (norm, ngram, side)
+    kept, _ = run_dedup(pairs[:3], DedupSpec(ngram=2, side=Side.SOURCE))
+    assert [p.id for p in kept] == [0, 1]

@@ -94,6 +94,18 @@ def test_prob_matches_exact_rational_recount():
             assert counts[pred.label] == expected
 
 
+@given(st.text(alphabet=st.sampled_from(["a", "b", "ම", "ක", "க", "α", "1", " "]), max_size=8))
+def test_label_is_the_first_majority_script_in_tie_order(text):
+    # few letters per script, so ties (en < si < ta) and und come up often
+    counts, total = brute_force_counts(text)
+    best = max(counts.values())
+    if best == 0:
+        assert script_predict(text) == LidPrediction("und", 0.0)
+    else:
+        label = next(lang for lang in ("en", "si", "ta") if counts[lang] == best)
+        assert script_predict(text) == LidPrediction(label, best / total)
+
+
 @given(st.text(alphabet=st.sampled_from(SINHALA), min_size=1))
 def test_pure_sinhala_is_certain(text):
     assert script_predict(text) == LidPrediction("si", 1.0)

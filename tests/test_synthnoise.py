@@ -145,6 +145,15 @@ def test_pair_count_out_of_range_rejected():
             recipe(pair_count=count)
 
 
+@pytest.mark.parametrize("word", ["", "alpha\nbeta", "alpha\tbeta", " alpha", "alpha\u2003beta"])
+def test_vocabulary_word_must_be_one_token(word):
+    bad = recipe(vocabularies={"en": ["gamma", word, "delta"]})
+    with pytest.raises(ConfigError, match="vocabulary for 'en'") as err:
+        bad.vocabulary("en")
+    assert repr(word) in str(err.value)
+    assert bad.vocabulary("si") == builtin_vocabulary("si")
+
+
 def test_recipe_yaml_round_trip(tmp_path):
     import yaml
 

@@ -67,6 +67,15 @@ def test_strip_punct_nums_leaves_no_stripped_categories(text):
 
 
 @given(st.text())
+def test_tokenize_gives_the_tokens_of_normalize(text):
+    for mode in NormMode:
+        tokens = tokenize(text, mode)
+        assert tokens == normalize(text, mode).split()
+        if mode is not NormMode.IDENTITY:
+            assert normalize(text, mode) == " ".join(tokens)
+
+
+@given(st.text())
 def test_strip_modes_collapse_whitespace(text):
     for mode in (NormMode.STRIP_NUMS, NormMode.STRIP_PUNCT_NUMS):
         result = normalize(text, mode)
