@@ -22,10 +22,12 @@ both of ``--source/--target`` or ``--tsv`` alone, and the same for
 ``stats``' ``--ref-*`` flags and ``synth``'s ``--source-out/--target-out``;
 ``preset``'s ``--src-emb``, ``--tgt-emb`` and ``--top-k`` go all three or
 none (``CURATE_TOP_K`` counts as ``--top-k``).  ``--threads`` (on run
-only) is accepted for compatibility and has no effect: every stage runs
-to completion, in order, in one thread.  All output files are written
-atomically (temp file then rename), so an interrupted run never leaves a
-partial file at the target path.
+only) is accepted for compatibility and has no effect: the stages run a
+block of pairs at a time, in order, in one thread.  ``run`` and
+``filter`` write the output corpus while they read the input.  All output
+files are written atomically (temp file then rename, after the last
+input line has been read), so an interrupted or failed run never leaves
+a partial file at the target path.
 """
 
 from __future__ import annotations
@@ -127,6 +129,17 @@ def _write_result(pairs, out_dir: Path, as_tsv: bool) -> int:
     return stats.pair_count
 
 
+def _writer(out_dir: Path, as_tsv: bool) -> pl.Sink:
+    """A pipeline sink that writes the output corpus, and scores.tsv after ranking."""
+
+    def write(pairs, ranked) -> None:
+        _write_result(pairs, out_dir, as_tsv)
+        if ranked is not None:
+            write_ranked_tsv(ranked, {pair.id: pair for pair in pairs}, out_dir / "scores.tsv")
+
+    return write
+
+
 def _parse(from_string, value: str):
     """from_string(value), with a ValueError raised as a ConfigError."""
     try:
@@ -150,16 +163,14 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     removal_log = [] if args.removal_log else None
     started = time.perf_counter()
-    result = pl.run(config, _ticker(pairs, "read"), removal_log=removal_log)
-    written = _write_result(result.pairs, out_dir, as_tsv)
-    if result.ranked is not None:
-        by_id = {pair.id: pair for pair in result.pairs}
-        write_ranked_tsv(result.ranked, by_id, out_dir / "scores.tsv")
-    report_text = result.report.to_text()
+    sink = _writer(out_dir, as_tsv)
+    report = pl.run(config, _ticker(pairs, "read"), removal_log=removal_log, sink=sink).report
+    written = report.total.retained_count if report.ranking is None else report.ranking.emitted
+    report_text = report.to_text()
     with atomic_write(out_dir / "report.txt") as out:
         out.write(report_text)
     with atomic_write(out_dir / "report.tsv") as out:
-        out.write(result.report.to_tsv())
+        out.write(report.to_tsv())
     if config.report:
         with atomic_write(config.report) as out:
             out.write(report_text)
@@ -230,15 +241,14 @@ def cmd_filter(args) -> int:
     )
     pairs, as_tsv = _open_corpus(args)
     removal_log = [] if args.log else None
-    result = pl.run(config, _ticker(pairs, "read"), removal_log=removal_log)
-    out_dir = Path(args.out_dir)
-    written = _write_result(result.pairs, out_dir, as_tsv)
+    sink = _writer(Path(args.out_dir), as_tsv)
+    report = pl.run(config, _ticker(pairs, "read"), removal_log=removal_log, sink=sink).report
     if removal_log is not None:
         _write_removal_log(removal_log, args.log)
-    removed = result.report.total.pair_count - written
-    print(f"kept {written}, removed {removed} ({args.kind}@{args.side})")
-    if result.report.lid_failures:
-        print(f"lid failures (failed closed): {result.report.lid_failures}")
+    written = report.total.retained_count
+    print(f"kept {written}, removed {report.total.pair_count - written} ({args.kind}@{args.side})")
+    if report.lid_failures:
+        print(f"lid failures (failed closed): {report.lid_failures}")
     return EXIT_OK
 
 

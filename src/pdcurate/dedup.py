@@ -44,8 +44,10 @@ merged geometrically (a new run is merged into the one before while it
 is at least as large), so it has about log2(n) runs.  numpy is imported
 only when a first block arrives.
 
-Stages are chained by ``pipeline.run``, which feeds the survivors of one
-stage to the next.
+``pipeline.run`` chains the stages a block at a time: a dedup stage
+iterates over the kept pairs of the stage before it, so its index grows
+while the corpus is still being read, and only its current block of
+pairs is held.
 """
 
 from __future__ import annotations

@@ -30,11 +30,13 @@ import os
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
+from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import yaml
 
+from . import dedup
 from .corpus import CorpusStats, LanguagePair, SentencePair, Side, compute_stats
 from .dedup import DedupSpec, DedupStream
 from .errors import ConfigError, DataError
@@ -51,12 +53,16 @@ from .filters import (
 )
 from .lid import SCRIPT_LANGS, LidPredictor, ScriptPredictor, TablePredictor
 from .lid import load_prediction_table, load_predictions
-from .ranking import RankedCorpus, load_embeddings, rank_corpus, ranked_pairs, top_k
+from .ranking import EmbeddingStore, RankedCorpus, load_embeddings, merge_rankings
+from .ranking import rank_corpus, ranked_pairs, top_k
 from .textnorm import NormMode
 
 StageSpec = DedupSpec | LengthSpec | LidSpec | RatioSpec
+Block = list[SentencePair]
 
 PRESET_NGRAM_RANGE = (4, 7)
+
+_RANK_BATCH = 8192  # survivors scored per rank_corpus call when top_k is smaller
 
 
 # Converters from one YAML value to a config value; each raises
@@ -186,15 +192,17 @@ class _StageKind:
     params maps each spec field a stage's params may set to its
     converter, and defaults(kind, language_pair) gives the fields they
     leave out.  kind(spec) is the kind the row writes and describe(spec)
-    names the stage in reports.  apply(spec, pairs, name, ctx) runs the
-    stage over all pairs that reach it and returns the kept ones in order.
+    names the stage in reports.  apply(spec, blocks, name, ctx) takes the
+    pairs that reach the stage as an iterator of id-ordered lists and
+    returns the kept pairs, in order, as another such iterator; it pulls
+    only as many blocks as its output needs.
     """
 
     names: tuple[str, ...]
     spec: type
     params: dict[str, Callable[[Any], Any]]
     kind: Callable[[Any], str]
-    apply: Callable[[Any, list[SentencePair], str, "_StageContext"], list[SentencePair]]
+    apply: Callable[[Any, Iterator[Block], str, "_StageContext"], Iterator[Block]]
     defaults: Callable[[str, LanguagePair | None], dict] = lambda kind, language_pair: {}
     describe: Callable[[Any], str] = _kind_at_side
     uses_predictor: bool = False
@@ -266,15 +274,19 @@ def _lid_defaults(kind: str, language_pair: LanguagePair | None) -> dict:
 
 @dataclass
 class _StageContext:
-    """What stage functions share within one run besides their pairs."""
+    """What stage functions share within one run besides their pairs.
+
+    removals holds each stage's removal rows under its name, so that the
+    log can be joined stage-major although the stages interleave.
+    """
 
     report: RunReport
-    removal_log: RemovalLog | None
+    removals: dict[str, RemovalLog] | None
     predictor: LidPredictor | None
 
     def remove(self, pair: SentencePair, stage: str, reason: str) -> None:
-        if self.removal_log is not None:
-            self.removal_log.append((pair.id, stage, reason))
+        if self.removals is not None:
+            self.removals[stage].append((pair.id, stage, reason))
 
     def lid_failed(self, *_) -> None:
         self.report.lid_failures += 1  # the pair fails closed and is removed as "lid"
@@ -291,21 +303,25 @@ def _filter_stage(passes):
     Removed pairs are logged with the stage kind as their reason.
     """
 
-    def apply(spec, pairs, name, ctx):
+    def apply(spec, blocks, name, ctx):
         reason = stage_kind(spec)
-        kept = []
-        for pair in pairs:
-            if passes(spec, pair, ctx):
-                kept.append(pair)
-            else:
-                ctx.remove(pair, name, reason)
-        return kept
+        for block in blocks:
+            kept = []
+            for pair in block:
+                if passes(spec, pair, ctx):
+                    kept.append(pair)
+                else:
+                    ctx.remove(pair, name, reason)
+            yield kept
 
     return apply
 
 
-def _dedup_stage(spec, pairs, name, ctx):
-    return list(DedupStream(pairs, spec, on_removed=ctx.remove, stage_name=name))
+def _dedup_stage(spec, blocks, name, ctx):
+    # DedupStream blocks its input itself, so all of its index work runs
+    # inside its own iterator, which the benchmark's tracer charges to it
+    stream = DedupStream(chain.from_iterable(blocks), spec, on_removed=ctx.remove, stage_name=name)
+    return _blocks(stream)
 
 
 _STAGE_KINDS = (
@@ -482,13 +498,17 @@ class RunReport:
 
 @dataclass
 class RunResult:
-    """Curated pairs (rank order when ranking ran, id order otherwise)."""
+    """Curated pairs (rank order when ranking ran, id order otherwise).
+
+    pairs is empty when the run was given a sink, which consumed them.
+    """
 
     pairs: list[SentencePair]
     report: RunReport
     ranked: RankedCorpus | None = None
 
 
+Sink = Callable[[Iterable[SentencePair], RankedCorpus | None], None]
 RemovalLog = list[tuple[int, str, str]]
 
 
@@ -534,20 +554,88 @@ def validate_config(config: PipelineConfig) -> None:
             )
 
 
+def _blocks(pairs: Iterable[SentencePair]) -> Iterator[Block]:
+    """pairs as consecutive lists of up to ``dedup._BLOCK_PAIRS`` each."""
+    pairs = iter(pairs)
+    size = dedup._BLOCK_PAIRS
+    return iter(lambda: list(islice(pairs, size)), [])
+
+
+@dataclass(slots=True)
+class _Meter:
+    """The pairs in one stream of blocks and the time spent pulling them."""
+
+    pairs: int = 0
+    seconds: float = 0.0
+
+    def pull(self, blocks: Iterator[Block]) -> Iterator[Block]:
+        while True:
+            started = time.perf_counter()
+            block = next(blocks, None)
+            self.seconds += time.perf_counter() - started
+            if block is None:
+                return
+            self.pairs += len(block)
+            yield block
+
+
+def _rank_top_k(
+    survivors: Iterator[SentencePair], k: int, src_emb: EmbeddingStore, tgt_emb: EmbeddingStore
+) -> tuple[list[SentencePair], RankedCorpus, int]:
+    """The top k survivors in rank order, their ranking and the survivor count.
+
+    Survivors are scored ``max(k, _RANK_BATCH)`` at a time, and after
+    each batch only the top k of the pool and the batch are kept, so no
+    more than the pool and one batch are held at once.  The ranking's
+    zero_norm_count counts the zero-norm vectors of every survivor.
+    """
+    import numpy as np
+
+    size = max(k, _RANK_BATCH)
+    pool = RankedCorpus(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
+    pool_pairs: list[SentencePair] = []
+    count = 0
+    while True:
+        batch = list(islice(survivors, size))
+        # no entry below the batch's own top k can enter the pool
+        ranked = top_k(rank_corpus(batch, src_emb, tgt_emb), k)
+        count += len(batch)
+        merged, origin = merge_rankings(pool, ranked)
+        pool = top_k(merged, k)
+        candidates = pool_pairs + ranked_pairs(ranked, batch)
+        pool_pairs = [candidates[at] for at in origin[:k].tolist()]
+        if len(batch) < size:
+            return pool_pairs, pool, count
+        del batch, candidates  # frees the pairs left out of the pool before the next batch is read
+
+
 def run(
     config: PipelineConfig,
     pairs: Iterable[SentencePair],
     *,
     removal_log: RemovalLog | None = None,
     predictor: LidPredictor | None = None,
+    sink: Sink | None = None,
 ) -> RunResult:
     """Run stages in order, then rank survivors and slice top-k.
 
-    Each stage runs over all pairs that reach it before the next stage
-    starts, in this process and thread.  Pair ids always index the original
-    corpus, so embedding stores built for the unfiltered corpus keep
-    working after filtering.  Identical input and config give
-    byte-identical output.
+    The pairs stream through the stages in config order, in blocks of
+    ``dedup._BLOCK_PAIRS``, in this process and thread: no stage holds
+    the corpus or its full survivor list.  The output, the removal log
+    (joined stage-major) and the report counts are the same as if each
+    stage ran over all pairs that reach it before the next one started.
+    A stage's wall time is the time spent pulling its output blocks,
+    less the time its input took.  With ranking, both embedding stores
+    are loaded before the first pair is read, and only the top-k
+    candidates so far are kept between batches of survivors.
+
+    sink(pairs, ranked), if given, is called once with the output.
+    Without ranking, pairs is an iterator over the survivors in id
+    order, which the sink must exhaust, and ranked is None; with
+    ranking, pairs is the list of top-k pairs in rank order and ranked
+    is their ranking.  Pair ids always index the original corpus, so
+    embedding stores built for the unfiltered corpus keep working after
+    filtering.  Identical input and config give byte-identical output.
     """
     validate_config(config)
     report = RunReport()
@@ -563,46 +651,48 @@ def run(
                 f"script LID cannot predict {sorted(unsupported)}; "
                 "load prediction files for these languages"
             )
-    ctx = _StageContext(report, removal_log, predictor)
+    ranking = config.ranking
+    if ranking is not None:
+        src_emb = load_embeddings(ranking.source_embeddings)
+        tgt_emb = load_embeddings(ranking.target_embeddings)
+    names = [stage_name(index, stage) for index, stage in enumerate(config.stages)]
+    removals = None if removal_log is None else {name: [] for name in names}
+    ctx = _StageContext(report, removals, predictor)
 
-    current = list(pairs)
-    input_count = len(current)
+    meters = [_Meter()]
+    blocks = meters[0].pull(_blocks(pairs))
+    for name, stage in zip(names, config.stages):
+        meters.append(_Meter())
+        blocks = meters[-1].pull(_row(stage).apply(stage, blocks, name, ctx))
+    survivors = chain.from_iterable(blocks)
 
-    for index, stage in enumerate(config.stages):
-        name = stage_name(index, stage)
-        started = time.perf_counter()
-        before = len(current)
-        current = _row(stage).apply(stage, current, name, ctx)
-        report.stages.append(
-            StageReport(
-                name=name,
-                stats=compute_stats(before, len(current)),
-                wall_time_s=time.perf_counter() - started,
-            )
-        )
-
-    report.total = compute_stats(input_count, len(current))
-
+    kept: list[SentencePair] = []
+    if sink is None:
+        sink = lambda pairs, ranked: kept.extend(pairs)
     ranked = None
-    if config.ranking is not None:
-        src_emb = load_embeddings(config.ranking.source_embeddings)
-        tgt_emb = load_embeddings(config.ranking.target_embeddings)
-        full_ranking = rank_corpus(current, src_emb, tgt_emb)
-        if config.ranking.top_k > len(full_ranking):
+    if ranking is None:
+        sink(survivors, None)
+    else:
+        top, ranked, count = _rank_top_k(survivors, ranking.top_k, src_emb, tgt_emb)
+        if ranking.top_k > count:
             report.warnings.append(
-                f"top_k {config.ranking.top_k} exceeds ranked corpus size {len(full_ranking)}; "
-                "emitting everything"
+                f"top_k {ranking.top_k} exceeds ranked corpus size {count}; emitting everything"
             )
-        ranked = top_k(full_ranking, config.ranking.top_k)
-        current = ranked_pairs(ranked, current)
         report.ranking = RankingReport(
-            requested_k=config.ranking.top_k,
+            requested_k=ranking.top_k,
             emitted=len(ranked),
             dim=src_emb.dim,
             zero_norm_count=ranked.zero_norm_count,
         )
+        sink(top, ranked)
 
-    return RunResult(pairs=current, report=report, ranked=ranked)
+    for name, upstream, meter in zip(names, meters, meters[1:]):
+        stats = compute_stats(upstream.pairs, meter.pairs)
+        report.stages.append(StageReport(name, stats, meter.seconds - upstream.seconds))
+    report.total = compute_stats(meters[0].pairs, meters[-1].pairs)
+    if removals is not None:
+        removal_log.extend(chain.from_iterable(removals.values()))
+    return RunResult(pairs=kept, report=report, ranked=ranked)
 
 
 def recommended_preset(

@@ -25,10 +25,11 @@ Each score depends only on its own row, so scores do not depend on the
 block size.
 
 A ``RankedCorpus`` keeps the ranked ids and scores as two arrays, 16
-bytes per pair.  ``top_k`` slices them, and ``RankEntry`` objects are
-built only for the entries that are read, so a run that emits k of n
-survivors builds k entries and maps k ids back to pairs
-(``ranked_pairs``), not n.
+bytes per pair.  ``top_k`` slices them and ``merge_rankings`` joins two,
+so a run can score its survivors in batches and keep only the best k
+between them.  ``RankEntry`` objects are built only for the entries
+that are read, so a run that emits k of n survivors builds k entries,
+not n.
 """
 
 from __future__ import annotations
@@ -296,6 +297,21 @@ def top_k(ranked: RankedCorpus, k: int) -> RankedCorpus:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return RankedCorpus(ranked._ids[:k], ranked._scores[:k], ranked.zero_norm_count)
+
+
+def merge_rankings(first: RankedCorpus, second: RankedCorpus) -> tuple[RankedCorpus, np.ndarray]:
+    """The entries of both rankings as one ranking, and the origin of each entry.
+
+    An entry's origin is its position in first's entries followed by
+    second's.  Ties break by ascending id, and the zero-norm counts add.
+    """
+    import numpy as np
+
+    ids = np.concatenate((first._ids, second._ids))
+    scores = np.concatenate((first._scores, second._scores))
+    order = np.lexsort((ids, -scores))
+    zero_norm_count = first.zero_norm_count + second.zero_norm_count
+    return RankedCorpus(ids[order], scores[order], zero_norm_count), order
 
 
 def ranked_pairs(ranked: RankedCorpus, pairs: Iterable[SentencePair]) -> list[SentencePair]:

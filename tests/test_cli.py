@@ -1,4 +1,5 @@
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -10,8 +11,10 @@ import pytest
 
 import pdcurate
 from pdcurate.cli import main
-from pdcurate.corpus import SentencePair, read_corpus, write_corpus
+from pdcurate.corpus import LanguagePair, SentencePair, read_corpus, write_corpus
+from pdcurate.pipeline import dump_config, recommended_preset
 from pdcurate.ranking import cosine, write_embeddings
+from pdcurate.synthnoise import builtin_vocabulary
 
 
 @pytest.fixture()
@@ -603,3 +606,124 @@ def test_dedup_bad_norm_from_environment_exits_2(corpus, capsys, monkeypatch):
     )
     assert code == 2
     assert "normalization mode" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- streaming writes
+
+# run and filter write their output while they read, so the corpora below
+# span several blocks of pairs (2,048 each) before the last line is read
+_STREAM_CONFIG = "language_pair: en-si\nstages:\n- {kind: dedup}\n- {kind: length}\n"
+
+
+def _stream_pairs(distinct: int, n: int = 5000) -> list[SentencePair]:
+    return [
+        SentencePair(i, f"w{i % distinct} alpha beta gamma delta", f"t{i % distinct} මම ගෙදර යමි හොඳයි")
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        ("run", "invalid UTF-8"),
+        ("run", "three TSV fields"),
+        ("run", "uncovered embedding id"),
+        ("filter", "invalid UTF-8"),
+        ("filter", "three TSV fields"),
+    ],
+)
+def test_failure_on_the_last_line_leaves_the_out_dir_as_it_was(tmp_path, capsys, command, case):
+    pairs = _stream_pairs(distinct=5000)
+    config_text = _STREAM_CONFIG
+    if case == "three TSV fields":
+        write_corpus(pairs, tsv_path=tmp_path / "c.tsv")
+        with open(tmp_path / "c.tsv", "a", encoding="utf-8") as out:
+            out.write("one\ttwo\tthree\n")
+        corpus = ["--tsv", str(tmp_path / "c.tsv")]
+    else:
+        write_corpus(pairs, tmp_path / "s.txt", tmp_path / "t.txt")
+        corpus = ["--source", str(tmp_path / "s.txt"), "--target", str(tmp_path / "t.txt")]
+    if case == "invalid UTF-8":
+        with open(tmp_path / "s.txt", "ab") as src, open(tmp_path / "t.txt", "ab") as tgt:
+            src.write(b"last alpha beta gamma delta\n")
+            tgt.write(b"last \xff\n")
+    if case == "uncovered embedding id":  # the last pair survives, and its id has no row
+        write_embeddings(np.ones((len(pairs) - 1, 4), dtype=np.float32), tmp_path / "e.bin")
+        emb = tmp_path / "e.bin"
+        config_text += f"ranking: {{source_embeddings: '{emb}', target_embeddings: '{emb}', top_k: 10}}\n"
+    (tmp_path / "cfg.yaml").write_text(config_text)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "source.txt").write_bytes(b"an earlier run\n")
+    if command == "run":
+        argv = ["run", "--config", str(tmp_path / "cfg.yaml"), "--removal-log"]
+    else:
+        argv = ["filter", "--kind", "length", "--log", str(out / "removals.tsv")]
+    assert run_cli(*argv, *corpus, "--out-dir", str(out)) == 3
+    assert "data error" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["source.txt"]
+    assert (out / "source.txt").read_bytes() == b"an earlier run\n"
+
+
+@pytest.mark.parametrize("names", [("source.txt", "target.txt"), ("corpus.tsv",)], ids=["two-file", "tsv"])
+def test_in_place_run_matches_a_run_into_a_fresh_directory(tmp_path, capsys, names):
+    data = tmp_path / "data"
+    paths = [data / name for name in names]
+    if len(paths) == 1:
+        write_corpus(_stream_pairs(distinct=4000), tsv_path=paths[0])
+        corpus = ["--tsv", str(paths[0])]
+    else:
+        write_corpus(_stream_pairs(distinct=4000), *paths)
+        corpus = ["--source", str(paths[0]), "--target", str(paths[1])]
+    (tmp_path / "cfg.yaml").write_text(_STREAM_CONFIG)
+    for out in (tmp_path / "fresh", data):
+        argv = ["run", "--config", str(tmp_path / "cfg.yaml"), *corpus, "--out-dir", str(out), "--removal-log"]
+        assert run_cli(*argv) == 0
+    for name in (*names, "removals.tsv"):
+        assert (data / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert len((data / names[0]).read_text(encoding="utf-8").splitlines()) == 4000
+
+
+_RSS_RUN = """
+import resource, sys
+from pdcurate.cli import main
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs ru_maxrss in KiB")
+def test_run_peak_memory_does_not_grow_with_the_corpus(tmp_path):
+    rng = random.Random(11)
+    en, si = builtin_vocabulary("en"), builtin_vocabulary("si")
+    (tmp_path / "cfg.yaml").write_text(dump_config(recommended_preset(LanguagePair("en", "si"))))
+    env = {key: value for key, value in os.environ.items() if not key.startswith("CURATE_")}
+    env["PYTHONPATH"] = str(Path(pdcurate.__file__).parents[1])
+    # a child starts with the ru_maxrss of the process that started it,
+    # so each measured interpreter is started from a small one, not from pytest
+    launcher = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    peaks = []
+    for n in (5_000, 50_000):
+        folder = tmp_path / str(n)
+        folder.mkdir()
+        with open(folder / "s.txt", "w", encoding="utf-8") as src, open(
+            folder / "t.txt", "w", encoding="utf-8"
+        ) as tgt:
+            for _ in range(n):
+                k = rng.randint(6, 14)
+                src.write(" ".join(rng.choices(en, k=k)) + "\n")
+                tgt.write(" ".join(rng.choices(si, k=k)) + "\n")
+        child = [
+            sys.executable, "-c", _RSS_RUN, "run", "--config", str(tmp_path / "cfg.yaml"),
+            "--source", str(folder / "s.txt"), "--target", str(folder / "t.txt"),
+            "--out-dir", str(folder / "out"),
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, *child], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
+        assert code == 0
+        peaks.append(peak_kib)
+    grown_mib = (peaks[1] - peaks[0]) / 1024
+    assert grown_mib < 10, f"peak RSS grew by {grown_mib:.1f} MiB from 5k to 50k pairs"

@@ -1,4 +1,6 @@
 import itertools
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdcurate import dedup, pipeline
 from pdcurate.corpus import LanguagePair, SentencePair, Side
 from pdcurate.dedup import DedupSpec
 from pdcurate.errors import ConfigError, DataError
@@ -32,7 +35,7 @@ from pdcurate.pipeline import (
     stage_kind,
     stage_name,
 )
-from pdcurate.ranking import write_embeddings
+from pdcurate.ranking import cosine, write_embeddings
 from pdcurate.synthnoise import NoiseRecipe, generate, recipe_from_dict
 from pdcurate.taxonomy import NoiseLabel
 from pdcurate.textnorm import NormMode, normalize
@@ -461,6 +464,70 @@ def test_run_matches_naive_stage_major_reference(texts, stages, table_ids):
     assert [stage.name for stage in result.report.stages] == [
         stage_name(i, stage) for i, stage in enumerate(stages)
     ]
+
+
+# small integer rows score exactly alike in rank_corpus and cosine; the
+# repeated rows tie and the zero row scores 0 as a zero-norm vector
+_PALETTE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 1), (1, 1, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(st.tuples(_sentences, _sentences), max_size=14),
+    stages=st.lists(_stage_specs, max_size=5),
+    rows=st.lists(st.tuples(st.sampled_from(_PALETTE), st.sampled_from(_PALETTE)), min_size=14, max_size=14),
+    k=st.one_of(st.none(), st.integers(1, 16)),
+    block_pairs=st.sampled_from([1, 7, dedup._BLOCK_PAIRS, 10_000]),
+    rank_batch=st.sampled_from([1, 2, 3, 5, 10_000]),
+)
+def test_block_and_batch_sizes_change_no_output(
+    tmp_path_factory, texts, stages, rows, k, block_pairs, rank_batch
+):
+    """Any block size and ranking batch (max(k, rank_batch) survivors) give the stage-major output."""
+    pairs = [SentencePair(i, s, t) for i, (s, t) in enumerate(texts)]
+    ranking = None
+    if k is not None:
+        folder = tmp_path_factory.mktemp("emb")
+        for side, path in enumerate((folder / "s.bin", folder / "t.bin")):
+            write_embeddings(np.array([row[side] for row in rows], dtype=np.float32), path)
+        ranking = RankingSpec(str(folder / "s.bin"), str(folder / "t.bin"), k)
+    config = PipelineConfig(language_pair=EN_SI, stages=tuple(stages), ranking=ranking)
+    predictor = ScriptPredictor()
+    removal_log = []
+    with mock.patch.object(dedup, "_BLOCK_PAIRS", block_pairs), mock.patch.object(
+        pipeline, "_RANK_BATCH", rank_batch
+    ):
+        result = run(config, pairs, removal_log=removal_log, predictor=predictor)
+
+    survivors, expected_rows, expected_failures = _naive_run(stages, pairs, predictor)
+    assert removal_log == expected_rows
+    report = result.report
+    assert report.lid_failures == expected_failures
+    removed = Counter(stage for _, stage, _ in expected_rows)
+    counts = [len(pairs)]
+    for index, stage in enumerate(stages):
+        counts.append(counts[-1] - removed[stage_name(index, stage)])
+    assert [(s.stats.pair_count, s.stats.retained_count) for s in report.stages] == list(
+        zip(counts, counts[1:])
+    )
+    assert (report.total.pair_count, report.total.retained_count) == (len(pairs), counts[-1])
+    if k is None:
+        assert result.pairs == [pairs[i] for i in survivors]
+        assert result.ranked is None and report.ranking is None and report.warnings == []
+        return
+    scores = {i: cosine(*rows[i]) for i in survivors}
+    order = sorted(survivors, key=lambda i: (-scores[i], i))[:k]
+    zero_norm = sum(1 for i in survivors if not any(rows[i][0]) or not any(rows[i][1]))
+    assert result.pairs == [pairs[i] for i in order]
+    assert [(e.pair_id, e.score) for e in result.ranked.entries] == [(i, scores[i]) for i in order]
+    assert result.ranked.zero_norm_count == report.ranking.zero_norm_count == zero_norm
+    assert report.ranking.emitted == len(order)
+    expected_warnings = []
+    if k > len(survivors):
+        expected_warnings.append(
+            f"top_k {k} exceeds ranked corpus size {len(survivors)}; emitting everything"
+        )
+    assert report.warnings == expected_warnings
 
 
 # ---------------------------------------------------------------- config checks
