@@ -142,9 +142,14 @@ class SeenIndex:
         runs.append(fresh)
         self._size += fresh.size
         while len(runs) > 1 and runs[-2].size <= runs[-1].size:
-            merged = np.concatenate(runs[-2:])
+            # grow the older run in place, so the two are never held twice
+            newer, merged = runs.pop(), runs.pop()
+            size = merged.size
+            merged.resize(size + newer.size)
+            merged[size:] = newer
+            del newer
             merged.sort()
-            runs[-2:] = [merged]
+            runs.append(merged)
 
 
 def _mix(keys: np.ndarray) -> None:

@@ -1,4 +1,4 @@
-"""Stateless per-pair filters: length, language-ID and ratio heuristics.
+"""Stateless filters: length, language-ID and ratio heuristics.
 
 All predicates are pure (same pair and spec always give the same
 verdict) and side-aware: S or T inspects one side, ST requires every
@@ -17,18 +17,34 @@ The word/character alpha-ratio filters use 0.6 as the usual lower bound,
 requires the prediction probability to clear a threshold (0.7 in the
 recommended setup); a predictor failure fails the pair closed and is
 counted separately in run reports via the on_error hook.
+
+Each filter kind has a per-pair predicate (``length_pass``, ``lid_pass``,
+``ratio_pass``), which is the reference, and a block function
+(``length_keep``, ``lid_keep`` for the built-in script detector,
+``ratio_keep``) that gives the same verdicts for a list of pairs at
+once.  A block function joins one checked side's texts into one array of
+code points, at most ``_CHUNK_CODEPOINTS`` at a time (but at least one
+text), looks up a class per code point (whitespace, L*/M* alpha,
+``str.isalpha`` letter, Latin, Sinhala, Tamil) and sums the classes per
+text with ``np.add.reduceat``.  The class of a code point below U+10000
+is computed once per process, on first sight; one above is computed
+again on each pass it occurs in.  numpy is imported on the first call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from functools import cache
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .corpus import SentencePair, Side
 from .errors import ConfigError, PredictorError
-from .lid import LidPredictor
-from .textnorm import char_ratios
+from .lid import _MARK_LATIN, _MARK_SINHALA, _MARK_TAMIL, TIE_ORDER, LidPredictor, _script_mark
+from .textnorm import char_ratios, is_alpha_word
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STRATIO_BOUNDS = {
     ("en", "si"): (0.79, 1.39),
@@ -40,6 +56,8 @@ LID_PROB_THRESHOLD = 0.7
 SENT_RATIO_THRESHOLD = 0.6
 SENT_RATIO_STRICT = 0.8
 MIN_WORDS_DEFAULT = 5
+
+_CHUNK_CODEPOINTS = 1 << 16  # code points classified per pass of a block function
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,6 +166,181 @@ def ratio_pass(pair: SentencePair, spec: RatioSpec) -> bool:
         return spec.lo <= ratio <= spec.hi
     index = 0 if spec.kind is RatioKind.SENT_C_RATIO else 1
     return all(char_ratios(text)[index] >= spec.lo for text in pair.side_text(spec.side))
+
+
+# bits of a code point's class; _KNOWN marks a class table entry as filled
+_SPACE, _ALPHA, _LETTER, _LATIN, _SINHALA, _TAMIL, _KNOWN = 1, 2, 4, 8, 16, 32, 128
+_SCRIPT_BITS = {_MARK_LATIN: _LATIN, _MARK_SINHALA: _SINHALA, _MARK_TAMIL: _TAMIL}
+_SCRIPT_CODES = {**{lang: code for code, lang in enumerate(TIE_ORDER)}, "und": -1}
+
+
+def _classify(codepoint: int) -> int:
+    char = chr(codepoint)
+    bits = _KNOWN | _SCRIPT_BITS.get(_script_mark(codepoint), 0)
+    if char.isspace():
+        bits |= _SPACE
+    if is_alpha_word(char):  # L* or M*
+        bits |= _ALPHA
+    if char.isalpha():
+        bits |= _LETTER
+    return bits
+
+
+@cache
+def _bmp_classes() -> np.ndarray:
+    """The class of each code point below U+10000, or 0 while not yet computed."""
+    import numpy as np
+
+    return np.zeros(0x10000, dtype=np.uint8)
+
+
+def _classes(codepoints: np.ndarray) -> np.ndarray:
+    """The class of each uint32 code point, as a uint8 array."""
+    import numpy as np
+
+    table = _bmp_classes()
+    classes = table.take(codepoints, mode="clip")
+    astral = np.flatnonzero(codepoints > 0xFFFF)
+    if astral.size:
+        distinct, where = np.unique(codepoints[astral], return_inverse=True)
+        found = np.array([_classify(cp) for cp in distinct.tolist()], dtype=np.uint8)
+        classes[astral] = found[where]
+    new = np.flatnonzero(classes == 0)
+    if new.size:
+        distinct = np.unique(codepoints[new])
+        table[distinct] = [_classify(cp) for cp in distinct.tolist()]
+        classes[new] = table[codepoints[new]]
+    return classes
+
+
+# A kernel takes the classes of a chunk's code points and the offsets
+# at which its non-empty texts start, and returns rows of counts, one
+# column per such text.
+
+
+def _per_text(texts: list[str], kernel: Callable, rows: int) -> np.ndarray:
+    """kernel's rows of counts for each text, shape (rows, len(texts)); an empty text counts 0."""
+    import numpy as np
+
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    ends = np.cumsum(lengths)
+    counts = np.zeros((rows, len(texts)), dtype=np.intp)
+    begin = 0
+    while begin < len(texts):
+        limit = ends[begin] - lengths[begin] + _CHUNK_CODEPOINTS
+        end = max(int(ends.searchsorted(limit, "right")), begin + 1)
+        sizes = lengths[begin:end]
+        nonempty = np.flatnonzero(sizes)
+        if nonempty.size:
+            joined = "".join(texts[begin:end]).encode("utf-32-le", "surrogatepass")
+            classes = _classes(np.frombuffer(joined, dtype="<u4"))
+            del joined  # frees the code points before the kernel runs
+            starts = (np.cumsum(sizes) - sizes)[nonempty]
+            counts[:, begin + nonempty] = kernel(classes, starts)
+        begin = end
+    return counts
+
+
+def _sums(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    return np.add.reduceat(flags, starts, dtype=np.intp)
+
+
+def _token_starts(classes: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where a token begins (a non-space after a space or at a text start), and the spaces."""
+    import numpy as np
+
+    space = (classes & _SPACE).astype(bool)
+    after_space = np.empty_like(space)
+    after_space[0] = True
+    after_space[1:] = space[:-1]
+    after_space[starts] = True
+    return after_space & ~space, space
+
+
+def _count_tokens(classes, starts):
+    return [_sums(_token_starts(classes, starts)[0], starts)]
+
+
+def _count_alpha_words(classes, starts):
+    """Tokens with only L*/M* code points, and all tokens."""
+    import numpy as np
+
+    begins, space = _token_starts(classes, starts)
+    tokens = _sums(begins, starts)
+    at = np.flatnonzero(begins)
+    if not at.size:
+        return [tokens, tokens]
+    # a token runs up to the next token's start; the spaces in between are not "other"
+    other = ~space & ((classes & _ALPHA) == 0)
+    begins[at] = np.logical_or.reduceat(other, at)  # now: where a token with an other code point starts
+    return [tokens - _sums(begins, starts), tokens]
+
+
+def _count_alpha_chars(classes, starts):
+    """L*/M* code points, and non-space code points."""
+    return [_sums((classes & _ALPHA).astype(bool), starts), _sums((classes & _SPACE) == 0, starts)]
+
+
+def _count_letters(classes, starts):
+    """str.isalpha code points, then those of each TIE_ORDER script."""
+    return [_sums((classes & bit).astype(bool), starts) for bit in (_LETTER, _LATIN, _SINHALA, _TAMIL)]
+
+
+def _checked(pairs: Sequence[SentencePair], side: Side) -> Iterator[tuple[list[str], bool]]:
+    """The texts of each side that side checks, with True for the source side."""
+    if side.checks_source:
+        yield [pair.source for pair in pairs], True
+    if side.checks_target:
+        yield [pair.target for pair in pairs], False
+
+
+def length_keep(pairs: Sequence[SentencePair], spec: LengthSpec) -> np.ndarray:
+    """length_pass of each pair, as a boolean array."""
+    import numpy as np
+
+    keep = np.ones(len(pairs), dtype=bool)
+    for texts, _ in _checked(pairs, spec.side):
+        keep &= _per_text(texts, _count_tokens, 1)[0] >= spec.min_words
+    return keep
+
+
+def lid_keep(pairs: Sequence[SentencePair], spec: LidSpec) -> np.ndarray:
+    """lid_pass of each pair with the script detector (``ScriptPredictor``), as a boolean array."""
+    import numpy as np
+
+    keep = np.ones(len(pairs), dtype=bool)
+    for texts, is_source in _checked(pairs, spec.side):
+        letters, *scripts = _per_text(texts, _count_letters, 4)
+        best = np.max(scripts, axis=0)
+        label = np.argmax(scripts, axis=0)  # the first of tied scripts, as in TIE_ORDER
+        label[best == 0] = _SCRIPT_CODES["und"]
+        expected = spec.expected_source if is_source else spec.expected_target
+        keep &= label == _SCRIPT_CODES.get(expected, -2)  # -2: a label the detector never gives
+        if spec.min_prob is not None:
+            prob = np.divide(best, letters, out=np.zeros(len(texts)), where=best > 0)
+            keep &= prob >= spec.min_prob
+    return keep
+
+
+def ratio_keep(pairs: Sequence[SentencePair], spec: RatioSpec) -> np.ndarray:
+    """ratio_pass of each pair, as a boolean array."""
+    import numpy as np
+
+    if spec.kind is RatioKind.ST_RATIO:
+        source, target = (
+            _per_text(texts, _count_tokens, 1)[0] for texts, _ in _checked(pairs, Side.BOTH)
+        )
+        ratio = np.divide(source, target, out=np.zeros(len(pairs)), where=target > 0)
+        return (target > 0) & (spec.lo <= ratio) & (ratio <= spec.hi)
+    kernel = _count_alpha_chars if spec.kind is RatioKind.SENT_C_RATIO else _count_alpha_words
+    keep = np.ones(len(pairs), dtype=bool)
+    for texts, _ in _checked(pairs, spec.side):
+        part, whole = _per_text(texts, kernel, 2)
+        # a text with no tokens scores a vacuous 1.0
+        keep &= np.divide(part, whole, out=np.ones(len(texts)), where=whole > 0) >= spec.lo
+    return keep
 
 
 def stratio_bounds_from_reference(

@@ -30,7 +30,7 @@ import os
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -47,8 +47,11 @@ from .filters import (
     LidSpec,
     RatioKind,
     RatioSpec,
+    length_keep,
     length_pass,
+    lid_keep,
     lid_pass,
+    ratio_keep,
     ratio_pass,
 )
 from .lid import SCRIPT_LANGS, LidPredictor, ScriptPredictor, TablePredictor
@@ -292,29 +295,36 @@ class _StageContext:
         self.report.lid_failures += 1  # the pair fails closed and is removed as "lid"
 
 
-# Stage functions reach length_pass, ratio_pass, lid_pass and DedupStream
-# through this module's globals at call time, so patching those names
-# here (as an instrumented run does) reaches every stage.
+# Stage functions reach lid_pass (for a predictor other than the script
+# detector) and DedupStream through this module's globals at call time,
+# so patching those names here (as an instrumented run does) reaches
+# every stage.  length_pass and ratio_pass are imported only because the
+# benchmark's tracer wraps them here.
 
 
-def _filter_stage(passes):
-    """The stage function of a per-pair test passes(spec, pair, ctx) -> bool.
+def _filter_stage(keep):
+    """The stage function of a block test keep(spec, block, ctx) -> one bool per pair.
 
-    Removed pairs are logged with the stage kind as their reason.
+    Removed pairs are logged in id order with the stage kind as their reason.
     """
 
     def apply(spec, blocks, name, ctx):
         reason = stage_kind(spec)
         for block in blocks:
-            kept = []
-            for pair in block:
-                if passes(spec, pair, ctx):
-                    kept.append(pair)
-                else:
-                    ctx.remove(pair, name, reason)
-            yield kept
+            flags = keep(spec, block, ctx)
+            if ctx.removals is not None:
+                for pair, ok in zip(block, flags):
+                    if not ok:
+                        ctx.remove(pair, name, reason)
+            yield list(compress(block, flags))
 
     return apply
+
+
+def _lid_keep(spec: LidSpec, block: Block, ctx: _StageContext) -> list[bool]:
+    if type(ctx.predictor) is ScriptPredictor:
+        return lid_keep(block, spec).tolist()
+    return [lid_pass(pair, spec, ctx.predictor, on_error=ctx.lid_failed) for pair in block]
 
 
 def _dedup_stage(spec, blocks, name, ctx):
@@ -338,16 +348,14 @@ _STAGE_KINDS = (
         spec=LengthSpec,
         params={"min_words": _integer},
         kind=lambda spec: "length",
-        apply=_filter_stage(lambda spec, pair, ctx: length_pass(pair, spec)),
+        apply=_filter_stage(lambda spec, block, ctx: length_keep(block, spec).tolist()),
     ),
     _StageKind(
         names=("lid", "lidthresh"),
         spec=LidSpec,
         params={"expected_source": _text, "expected_target": _text, "min_prob": _number},
         kind=lambda spec: "lid",
-        apply=_filter_stage(
-            lambda spec, pair, ctx: lid_pass(pair, spec, ctx.predictor, on_error=ctx.lid_failed)
-        ),
+        apply=_filter_stage(_lid_keep),
         defaults=_lid_defaults,
         uses_predictor=True,
     ),
@@ -356,7 +364,7 @@ _STAGE_KINDS = (
         spec=RatioSpec,
         params={"lo": _number, "hi": _number},
         kind=lambda spec: spec.kind.value,
-        apply=_filter_stage(lambda spec, pair, ctx: ratio_pass(pair, spec)),
+        apply=_filter_stage(lambda spec, block, ctx: ratio_keep(block, spec).tolist()),
         defaults=lambda kind, language_pair: {"kind": RatioKind(kind)},
     ),
 )

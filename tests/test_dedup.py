@@ -269,6 +269,31 @@ def test_seen_index_costs_at_most_16_bytes_per_fingerprint():
     assert held <= 16 * len(index)
 
 
+def test_merging_two_runs_holds_no_second_copy_of_them():
+    # runs of 2^16, 2^15, ..., 1 keys; one more key merges them all into one
+    # run of 2^17, the last merge joining two runs of 2^16 keys
+    rng = np.random.default_rng(1)
+    keys = np.unique(np.frombuffer(rng.bytes(8 * 140_000), dtype=np.uint64))[: 1 << 17]
+    rng.shuffle(keys)
+    index = SeenIndex()
+    tracemalloc.start()
+    try:
+        at = 0
+        for k in range(16, -1, -1):
+            index.add(keys[at : at + (1 << k)])
+            at += 1 << k
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        index.add(keys[at:])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index) == 1 << 17
+    # growing the older run in place costs 8 B per key of the newer one,
+    # 0.5 MiB here; a merged copy of both cost 1.0 MiB
+    assert peak - before <= 0.6 * 8 * len(index)
+
+
 def test_fingerprint_collisions_are_accepted(monkeypatch):
     # a constant fingerprint makes every key collide with the first kept one
     monkeypatch.setattr(dedup, "_blake_fingerprint", lambda key: 42)

@@ -1,8 +1,13 @@
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdcurate import filters
 from pdcurate.corpus import SentencePair, Side
 from pdcurate.errors import ConfigError, PredictorError
 from pdcurate.filters import (
@@ -11,8 +16,11 @@ from pdcurate.filters import (
     LidSpec,
     RatioKind,
     RatioSpec,
+    length_keep,
     length_pass,
+    lid_keep,
     lid_pass,
+    ratio_keep,
     ratio_pass,
     stratio_bounds_from_reference,
 )
@@ -215,3 +223,81 @@ def test_bounds_contract_violations():
         stratio_bounds_from_reference([1, 2], [3])
     with pytest.raises(ValueError):
         stratio_bounds_from_reference([1, 2], [3, 0])
+
+
+# ------------------------------------------------- block functions
+
+
+# every str.isspace kind; combining marks (acute, Sinhala and Tamil
+# vowel signs and virama); astral letters; Greek; Latin from each
+# tracked block; Sinhala and Tamil letters; digits (an Arabic-Indic
+# one too), punctuation and a symbol
+_CHARS = (
+    list("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0       　")
+    + list("්́ි்ி")
+    + ["\U0001d400", "\U00010400"]
+    + list("αβΩ")
+    + list("abz\xc0\xffĀɏḀỿ")
+    + list("අගදමර")
+    + list("அமய")
+    + list("09٣.,!-_$")
+)
+_texts = st.lists(st.sampled_from(_CHARS), max_size=12).map("".join)
+_block_pairs = st.lists(st.tuples(_texts, _texts), max_size=20).map(
+    lambda texts: [SentencePair(i, s, t) for i, (s, t) in enumerate(texts)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=_block_pairs,
+    side=st.sampled_from(list(Side)),
+    chunk=st.sampled_from([1, 7, filters._CHUNK_CODEPOINTS]),
+    min_words=st.integers(1, 4),
+    lid=st.tuples(st.sampled_from(["en", "si", "ta", "und"]), st.sampled_from(["en", "si", "ta"])),
+    min_prob=st.sampled_from([None, 0.5, 0.7]),
+    kind=st.sampled_from(list(RatioKind)),
+    lo=st.sampled_from([0.0, 0.5, 0.6, 0.8, 1.0]),
+)
+def test_block_functions_match_the_per_pair_filters(
+    pairs, side, chunk, min_words, lid, min_prob, kind, lo
+):
+    with mock.patch.object(filters, "_CHUNK_CODEPOINTS", chunk):
+        spec = LengthSpec(min_words, side)
+        assert length_keep(pairs, spec).tolist() == [length_pass(p, spec) for p in pairs]
+        spec = LidSpec(*lid, min_prob=min_prob, side=side)
+        predictor = ScriptPredictor()
+        assert lid_keep(pairs, spec).tolist() == [lid_pass(p, spec, predictor) for p in pairs]
+        spec = RatioSpec(kind, lo, lo + 0.5 if kind is RatioKind.ST_RATIO else None, side)
+        assert ratio_keep(pairs, spec).tolist() == [ratio_pass(p, spec) for p in pairs]
+
+
+def test_block_functions_take_an_empty_block():
+    assert length_keep([], LengthSpec()).tolist() == []
+    assert lid_keep([], EN_SI).tolist() == []
+    assert ratio_keep([], RatioSpec(RatioKind.ST_RATIO, 0.5, 2.0)).tolist() == []
+
+
+@pytest.mark.parametrize(
+    "keep, spec",
+    [
+        (length_keep, LengthSpec()),
+        (lid_keep, LidSpec("en", "si", min_prob=0.7)),
+        (ratio_keep, RatioSpec(RatioKind.SENT_W_RATIO, 0.6)),
+        (ratio_keep, RatioSpec(RatioKind.SENT_C_RATIO, 0.6)),
+    ],
+    ids=["length", "lid", "sentwratio", "sentcratio"],
+)
+def test_a_filter_block_holds_a_chunk_of_code_points_not_the_block(keep, spec):
+    # 2,048 texts of 5,000 code points each, 39 MiB as one uint32 array;
+    # about 1.0 MiB was measured for each of these four kinds
+    texts = ["abc de" * 833 + "xy" for _ in range(2_048)]
+    pairs = [SentencePair(i, text, text) for i, text in enumerate(texts)]
+    keep(pairs[:2], spec)  # numpy loads the code behind reduceat on first use
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        keep(pairs, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024

@@ -21,7 +21,7 @@ from pdcurate.filters import (
     lid_pass,
     ratio_pass,
 )
-from pdcurate.lid import ScriptPredictor, TablePredictor, script_predict
+from pdcurate.lid import LidPrediction, ScriptPredictor, TablePredictor, script_predict
 from pdcurate.pipeline import (
     PipelineConfig,
     RankingSpec,
@@ -205,6 +205,18 @@ def test_script_lid_rejects_unsupported_language():
     )
     with pytest.raises(ConfigError, match="fr"):
         run(config, [SentencePair(0, "hello", "bonjour")])
+
+
+def test_a_script_predictor_subclass_is_asked_pair_by_pair():
+    # only the built-in detector itself is decided a block at a time
+    class AlwaysSinhala(ScriptPredictor):
+        def predict(self, text, pair_id=None, side=None):
+            return LidPrediction("si", 1.0)
+
+    pairs = [SentencePair(0, "hello there friend", "මම ගෙදර යමි")]
+    config = PipelineConfig(language_pair=EN_SI, stages=(LidSpec("si", "si"),))
+    assert run(config, pairs, predictor=AlwaysSinhala()).pairs == pairs
+    assert run(config, pairs, predictor=ScriptPredictor()).pairs == []
 
 
 def test_table_predictor_allows_any_language(tmp_path):
