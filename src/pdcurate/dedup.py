@@ -27,22 +27,27 @@ distinct keys that share a fingerprint count as duplicates; at about
 2^-64 per comparison, that risk is accepted.
 
 Pairs are deduplicated ``_BLOCK_PAIRS`` at a time, one checked side
-after the other.  A side's keys for the block are computed as one uint64
-array, and one ``np.unique`` of that array gives both the distinct keys
-to probe in the index (one binary search each) and the keys that the
-block side counts twice.  A pair with a source key in the index is
-removed whatever its target holds, so its target is not normalized or
-probed.  Only pairs with a key that hits the index or is counted twice
-take a short sequential pass, in id order, which decides them exactly
-as a pair-at-a-time pass would: a pair's source keys are probed before
-its target keys, each side's in positional order, and the first hit is
-the removal reason.  The kept pairs' keys then enter the index as one
-sorted run.  So the result does not depend on the block size.
+after the other.  A side's texts are normalized together by
+``filters.normalize_texts``, from arrays of code points a chunk at a
+time, which gives exactly ``normalize(text, mode)`` for each text.  The
+side's keys for the block are computed as one uint64 array, and one
+``np.unique`` of that array gives both the distinct keys to probe in the
+index (one binary search each) and the keys that the block side counts
+twice.  A pair with a source key in the index is removed whatever its
+target holds, so its target is not normalized or probed, and a side
+with no pair left open is not probed at all.  Only pairs with a key
+that hits the index or is counted twice take a short sequential pass,
+in id order, which decides them exactly as a pair-at-a-time pass would:
+a pair's source keys are probed before its target keys, each side's in
+positional order, and the first hit is the removal reason.  The kept
+pairs' keys, which that probe showed absent, then enter the index as
+one sorted run without being probed again.  So the result does not
+depend on the block size, and the index is probed once per block side.
 
 The index holds its fingerprints as sorted uint64 runs, 8 bytes each,
 merged geometrically (a new run is merged into the one before while it
-is at least as large), so it has about log2(n) runs.  numpy is imported
-only when a first block arrives.
+is at least as large), so it has about log2(n) runs.  A merge grows the
+older run in place.  numpy is imported only when a first block arrives.
 
 ``pipeline.run`` chains the stages a block at a time: a dedup stage
 iterates over the kept pairs of the stage before it, so its index grows
@@ -60,7 +65,11 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .corpus import SentencePair, Side
 from .errors import ConfigError
-from .textnorm import LazyTranslateTable, NormMode, normalize, tokenize, word_ngrams
+from .filters import normalize_texts
+
+# normalize is the per-text reference that normalize_texts matches;
+# perfbench/tracer.py wraps dedup.normalize, so the name stays here
+from .textnorm import LazyTranslateTable, NormMode, normalize, word_ngrams
 
 if TYPE_CHECKING:
     import numpy as np
@@ -135,7 +144,10 @@ class SeenIndex:
         import numpy as np
 
         fresh = np.unique(np.asarray(fingerprints, dtype=np.uint64))
-        fresh = fresh[~self.hits(fresh)]
+        self._insert(fresh[~self.hits(fresh)])
+
+    def _insert(self, fresh: np.ndarray) -> None:
+        """Insert sorted, distinct uint64 fingerprints known to be absent, taking the array over."""
         if not fresh.size:
             return
         runs = self._runs
@@ -145,7 +157,10 @@ class SeenIndex:
             # grow the older run in place, so the two are never held twice
             newer, merged = runs.pop(), runs.pop()
             size = merged.size
-            merged.resize(size + newer.size)
+            # No run, and no view of one, leaves the index, so nothing can point
+            # into the memory that resize moves.  numpy's reference check would
+            # also count the references a profile or trace hook holds, and fail.
+            merged.resize(size + newer.size, refcheck=False)
             merged[size:] = newer
             del newer
             merged.sort()
@@ -232,10 +247,10 @@ class DedupStream:
 
         n, mode = self.spec.ngram, self.spec.norm
         if n is None:
-            texts = [normalize(text, mode) for text in texts]
+            texts = normalize_texts(texts, mode)
             keys = np.fromiter(map(_blake_fingerprint, texts), dtype=np.uint64, count=len(texts))
             return _SideKeys(keys, np.arange(len(texts)), texts)
-        tokens = [tokenize(text, mode) for text in texts]
+        tokens = [text.split() for text in normalize_texts(texts, mode)]
         lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
         total = int(lengths.sum())
         lookup = self._token_fingerprints.__getitem__
@@ -275,10 +290,10 @@ class DedupStream:
             ("source", spec.side.checks_source, 0),
             ("target", spec.side.checks_target, _TARGET_SALT),
         ):
-            if not checks:
-                continue
             # a pair with a key in the index goes whatever its other side holds
             open_pairs = np.flatnonzero(~in_index)
+            if not checks or not open_pairs.size:
+                continue
             side = self._keys([getattr(block[i], name) for i in open_pairs.tolist()])
             side.keys ^= np.uint64(salt)
             owner = open_pairs[side.text_of_key]
@@ -304,9 +319,8 @@ class DedupStream:
 
         kept = np.ones(len(block), dtype=bool)
         kept[list(first_hit)] = False
-        kept_keys = keys[kept[owner]]
-        if kept_keys.size:
-            self._index.add(kept_keys)
+        # the probe showed every key of a kept pair to be absent from the index
+        self._index._insert(np.unique(keys[kept[owner]]))
 
         for pair_index, pair in enumerate(block):
             at = first_hit.get(pair_index)

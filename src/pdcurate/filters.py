@@ -25,14 +25,19 @@ Each filter kind has a per-pair predicate (``length_pass``, ``lid_pass``,
 once.  A block function joins one checked side's texts into one array of
 code points, at most ``_CHUNK_CODEPOINTS`` at a time (but at least one
 text), looks up a class per code point (whitespace, L*/M* alpha,
-``str.isalpha`` letter, Latin, Sinhala, Tamil) and sums the classes per
-text with ``np.add.reduceat``.  The class of a code point below U+10000
-is computed once per process, on first sight; one above is computed
-again on each pass it occurs in.  numpy is imported on the first call.
+``str.isalpha`` letter, Latin, Sinhala, Tamil, Nd digit, P*/S*) and sums
+the classes per text with ``np.add.reduceat``.  ``normalize_texts``, the
+block form of ``textnorm.normalize`` that dedup uses, runs over the same
+chunks: it drops the code points of the mode's strip classes by a mask,
+keeps one space before each token but the first, and decodes the chunk
+once.  The class of a code point below U+10000 is computed once per
+process, on first sight; one above is computed again on each pass it
+occurs in.  numpy is imported on the first call.
 """
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -41,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 from .corpus import SentencePair, Side
 from .errors import ConfigError, PredictorError
 from .lid import _MARK_LATIN, _MARK_SINHALA, _MARK_TAMIL, TIE_ORDER, LidPredictor, _script_mark
-from .textnorm import char_ratios, is_alpha_word
+from .textnorm import NormMode, char_ratios, is_alpha_word
 
 if TYPE_CHECKING:
     import numpy as np
@@ -169,9 +174,11 @@ def ratio_pass(pair: SentencePair, spec: RatioSpec) -> bool:
 
 
 # bits of a code point's class; _KNOWN marks a class table entry as filled
-_SPACE, _ALPHA, _LETTER, _LATIN, _SINHALA, _TAMIL, _KNOWN = 1, 2, 4, 8, 16, 32, 128
+_SPACE, _ALPHA, _LETTER, _LATIN, _SINHALA, _TAMIL = 1, 2, 4, 8, 16, 32
+_DIGIT, _PUNCT, _KNOWN = 64, 128, 256  # Nd; P* or S*
 _SCRIPT_BITS = {_MARK_LATIN: _LATIN, _MARK_SINHALA: _SINHALA, _MARK_TAMIL: _TAMIL}
 _SCRIPT_CODES = {**{lang: code for code, lang in enumerate(TIE_ORDER)}, "und": -1}
+_STRIP_BITS = {NormMode.STRIP_NUMS: _DIGIT, NormMode.STRIP_PUNCT_NUMS: _DIGIT | _PUNCT}
 
 
 def _classify(codepoint: int) -> int:
@@ -183,6 +190,11 @@ def _classify(codepoint: int) -> int:
         bits |= _ALPHA
     if char.isalpha():
         bits |= _LETTER
+    category = unicodedata.category(char)
+    if category == "Nd":
+        bits |= _DIGIT
+    elif category[0] in "PS":
+        bits |= _PUNCT
     return bits
 
 
@@ -191,11 +203,11 @@ def _bmp_classes() -> np.ndarray:
     """The class of each code point below U+10000, or 0 while not yet computed."""
     import numpy as np
 
-    return np.zeros(0x10000, dtype=np.uint8)
+    return np.zeros(0x10000, dtype=np.uint16)
 
 
 def _classes(codepoints: np.ndarray) -> np.ndarray:
-    """The class of each uint32 code point, as a uint8 array."""
+    """The class of each uint32 code point, as a uint16 array."""
     import numpy as np
 
     table = _bmp_classes()
@@ -203,7 +215,7 @@ def _classes(codepoints: np.ndarray) -> np.ndarray:
     astral = np.flatnonzero(codepoints > 0xFFFF)
     if astral.size:
         distinct, where = np.unique(codepoints[astral], return_inverse=True)
-        found = np.array([_classify(cp) for cp in distinct.tolist()], dtype=np.uint8)
+        found = np.array([_classify(cp) for cp in distinct.tolist()], dtype=np.uint16)
         classes[astral] = found[where]
     new = np.flatnonzero(classes == 0)
     if new.size:
@@ -218,13 +230,18 @@ def _classes(codepoints: np.ndarray) -> np.ndarray:
 # column per such text.
 
 
-def _per_text(texts: list[str], kernel: Callable, rows: int) -> np.ndarray:
-    """kernel's rows of counts for each text, shape (rows, len(texts)); an empty text counts 0."""
+def _chunks(texts: list[str]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The texts' code points, at most _CHUNK_CODEPOINTS at a time but at least one text.
+
+    For each run of texts with a non-empty one, yields the indices of
+    its non-empty texts, their code points as one uint32 array and the
+    offset at which each of them starts in it.  The generator keeps no
+    reference to the code points, so a caller can free them.
+    """
     import numpy as np
 
     lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
     ends = np.cumsum(lengths)
-    counts = np.zeros((rows, len(texts)), dtype=np.intp)
     begin = 0
     while begin < len(texts):
         limit = ends[begin] - lengths[begin] + _CHUNK_CODEPOINTS
@@ -232,12 +249,23 @@ def _per_text(texts: list[str], kernel: Callable, rows: int) -> np.ndarray:
         sizes = lengths[begin:end]
         nonempty = np.flatnonzero(sizes)
         if nonempty.size:
-            joined = "".join(texts[begin:end]).encode("utf-32-le", "surrogatepass")
-            classes = _classes(np.frombuffer(joined, dtype="<u4"))
-            del joined  # frees the code points before the kernel runs
-            starts = (np.cumsum(sizes) - sizes)[nonempty]
-            counts[:, begin + nonempty] = kernel(classes, starts)
+            yield (
+                begin + nonempty,
+                np.frombuffer("".join(texts[begin:end]).encode("utf-32-le", "surrogatepass"), dtype="<u4"),
+                (np.cumsum(sizes) - sizes)[nonempty],
+            )
         begin = end
+
+
+def _per_text(texts: list[str], kernel: Callable, rows: int) -> np.ndarray:
+    """kernel's rows of counts for each text, shape (rows, len(texts)); an empty text counts 0."""
+    import numpy as np
+
+    counts = np.zeros((rows, len(texts)), dtype=np.intp)
+    for at, codepoints, starts in _chunks(texts):
+        classes = _classes(codepoints)
+        del codepoints  # frees the code points before the kernel runs
+        counts[:, at] = kernel(classes, starts)
     return counts
 
 
@@ -286,6 +314,45 @@ def _count_alpha_chars(classes, starts):
 def _count_letters(classes, starts):
     """str.isalpha code points, then those of each TIE_ORDER script."""
     return [_sums((classes & bit).astype(bool), starts) for bit in (_LETTER, _LATIN, _SINHALA, _TAMIL)]
+
+
+def normalize_texts(texts: list[str], mode: NormMode) -> list[str]:
+    """``textnorm.normalize(text, mode)`` of each text."""
+    import numpy as np
+
+    if mode is NormMode.IDENTITY:
+        return list(texts)
+    strip = _STRIP_BITS[mode]
+    normalized = [""] * len(texts)
+    for at, codepoints, starts in _chunks(texts):
+        classes = _classes(codepoints)
+        keep = (classes & strip) == 0
+        left = _sums(keep, starts)  # code points of each text that are not stripped
+        codepoints, classes = codepoints[keep], classes[keep]
+        del keep
+        if not codepoints.size:
+            continue
+        at, left = at[left > 0], left[left > 0]
+        starts = np.cumsum(left) - left
+        begins, space = _token_starts(classes, starts)
+        del classes
+        # one space goes out before each token that does not start its text;
+        # leading whitespace gives one too, which the slice below skips
+        out = np.zeros_like(space)
+        out[:-1] = begins[1:]
+        out[starts[1:] - 1] = False
+        del begins
+        codepoints[out] = 0x20
+        lead = space[starts]
+        out |= ~space
+        del space
+        sizes = _sums(out, starts)
+        ends = np.cumsum(sizes)
+        text = str(codepoints[out], "utf-32-le", "surrogatepass")
+        del codepoints, out
+        for i, start, end in zip(at.tolist(), (ends - sizes + lead).tolist(), ends.tolist()):
+            normalized[i] = text[start:end]
+    return normalized
 
 
 def _checked(pairs: Sequence[SentencePair], side: Side) -> Iterator[tuple[list[str], bool]]:

@@ -9,10 +9,12 @@ Normalization variants strip decimal digits (category Nd) or digits
 plus punctuation and symbols (Nd + P* + S*), which makes the underscore
 count as punctuation and also removes currency/math symbols.
 
-All operations are pure functions.  The per-character classification is
-routed through lazily-populated ``str.translate`` tables so that corpus
-scale passes stay at C speed after the first few thousand distinct
-code points.
+All operations are pure functions of one text.  The per-character
+classification is routed through lazily-populated ``str.translate``
+tables, filled once per distinct code point.  Corpus-scale passes run a
+block of texts at a time in ``filters`` instead (``normalize_texts`` for
+dedup, the ``*_keep`` block functions for the filters), and these
+functions are the per-text reference they must match.
 """
 
 from __future__ import annotations

@@ -20,11 +20,13 @@ from pdcurate.filters import (
     length_pass,
     lid_keep,
     lid_pass,
+    normalize_texts,
     ratio_keep,
     ratio_pass,
     stratio_bounds_from_reference,
 )
 from pdcurate.lid import LidPredictor, ScriptPredictor
+from pdcurate.textnorm import NormMode, normalize
 
 
 def pair(source, target="target words here right now", pair_id=0):
@@ -297,6 +299,46 @@ def test_a_filter_block_holds_a_chunk_of_code_points_not_the_block(keep, spec):
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
         keep(pairs, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+
+
+# every str.isspace code point (all lie below U+3001); Nd digits of
+# several scripts, astral too; P* and S*, with the underscore, currency
+# and an astral emoji; combining marks; letters; a lone surrogate
+_NORM_CHARS = (
+    [chr(cp) for cp in range(0x3001) if chr(cp).isspace()]
+    + list("09٣෦\U0001d7ce")
+    + list(".,!-_«$€+\U0001f600")
+    + list("්́ி")
+    + list("abΩමத\U00010400")
+    + ["\ud800"]
+)
+_norm_texts = st.lists(st.sampled_from(_NORM_CHARS), max_size=12).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(_norm_texts, max_size=20),
+    mode=st.sampled_from(list(NormMode)),
+    chunk=st.sampled_from([1, 7, filters._CHUNK_CODEPOINTS]),
+)
+def test_normalize_texts_matches_normalize(texts, mode, chunk):
+    with mock.patch.object(filters, "_CHUNK_CODEPOINTS", chunk):
+        assert normalize_texts(texts, mode) == [normalize(text, mode) for text in texts]
+
+
+@pytest.mark.parametrize("mode", [NormMode.STRIP_NUMS, NormMode.STRIP_PUNCT_NUMS])
+def test_normalizing_a_block_holds_a_chunk_of_code_points_not_the_block(mode):
+    # 2,048 texts of 5,000 code points each, 39 MiB as one uint32 array;
+    # each normalizes to one word, so the peak is the normalizer's own
+    texts = ["3 \t٣7" * 999 + "words" for _ in range(2_048)]
+    normalize_texts(texts[:2], mode)  # numpy loads the code behind reduceat on first use
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        assert normalize_texts(texts, mode) == ["words"] * len(texts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
