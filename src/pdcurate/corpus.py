@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -268,22 +268,26 @@ def _writable(pair: SentencePair) -> SentencePair:
 def atomic_write(path: str | Path, mode: str = "w"):
     """Write to a temp file in the target directory, then rename over.
 
-    The destination never exists in a partially-written state.
+    The destination never exists in a partially-written state.  An
+    OSError while the file is made, written or renamed into place is
+    raised as a DataError that names the path.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     encoding = None if "b" in mode else "utf-8"
     newline = None if "b" in mode else "\n"
+    tmp_name = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, mode, encoding=encoding, newline=newline) as handle:
             yield handle
         os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp_name is not None:
+            with suppress(OSError):
+                os.unlink(tmp_name)
+        if isinstance(exc, OSError):
+            raise DataError(f"failed writing {path}: {exc}") from exc
         raise
 
 
@@ -303,18 +307,15 @@ def write_corpus(
     paths = _corpus_paths(source_path, target_path, tsv_path)
     pairs = map(_writable, pairs)
     count = 0
-    try:
-        if len(paths) == 1:
-            with atomic_write(paths[0]) as out:
-                for pair in pairs:
-                    out.write(f"{pair.source}\t{pair.target}\n")
-                    count += 1
-        else:
-            with atomic_write(paths[0]) as src_out, atomic_write(paths[1]) as tgt_out:
-                for pair in pairs:
-                    src_out.write(pair.source + "\n")
-                    tgt_out.write(pair.target + "\n")
-                    count += 1
-    except OSError as exc:
-        raise DataError(f"failed writing corpus: {exc}") from exc
+    if len(paths) == 1:
+        with atomic_write(paths[0]) as out:
+            for pair in pairs:
+                out.write(f"{pair.source}\t{pair.target}\n")
+                count += 1
+    else:
+        with atomic_write(paths[0]) as src_out, atomic_write(paths[1]) as tgt_out:
+            for pair in pairs:
+                src_out.write(pair.source + "\n")
+                tgt_out.write(pair.target + "\n")
+                count += 1
     return compute_stats(count, count)

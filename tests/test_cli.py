@@ -90,8 +90,8 @@ def test_dedup_removes_exact_duplicate(corpus, capsys):
     assert code == 0
     kept = list(read_corpus(out / "source.txt", out / "target.txt"))
     assert len(kept) == 3  # pair 2 was an exact copy of pair 0
-    log = (corpus / "removals.tsv").read_text().splitlines()
-    assert len(log) == 1 and log[0].startswith("2\t")
+    # the stage column has no "0:" position prefix, unlike the logs of run and filter
+    assert (corpus / "removals.tsv").read_text() == "2\tdedup[identity]@st\tone two three four five\n"
 
 
 def test_filter_length_matches_brute_force(corpus, capsys):
@@ -140,6 +140,40 @@ def test_rank_top_1_selects_highest_cosine(corpus):
     scores = (out / "scores.tsv").read_text().splitlines()
     assert len(scores) == 1
     assert scores[0].split("\t")[1] == str(best_id)
+
+
+def test_rank_keeps_every_pair_without_top_k_and_matches_a_stage_free_run(tmp_path, capsys):
+    # 20,000 pairs are three of the pipeline's ranking batches (8,192 pairs) when k is 3
+    pairs = _stream_pairs(distinct=5000, n=20_000)
+    write_corpus(pairs, tmp_path / "s.txt", tmp_path / "t.txt")
+    # each pair takes one of seven vector pairs, so every score is tied and ids break the ties
+    rng = np.random.default_rng(1)
+    src_rows, tgt_rows = rng.normal(size=(2, 7, 4)).astype(np.float32)
+    src_rows[0] = 0  # a zero-norm vector scores 0
+    combo = rng.integers(0, 7, size=len(pairs))
+    src, tgt = src_rows[combo], tgt_rows[combo]
+    write_embeddings(src, tmp_path / "s.bin")
+    write_embeddings(tgt, tmp_path / "t.bin")
+    corpus = ["--source", str(tmp_path / "s.txt"), "--target", str(tmp_path / "t.txt")]
+    emb = ["--src-emb", str(tmp_path / "s.bin"), "--tgt-emb", str(tmp_path / "t.bin")]
+
+    assert run_cli("rank", *corpus, *emb, "--out-dir", str(tmp_path / "all")) == 0
+    order = sorted(range(len(pairs)), key=lambda i: (-cosine(src[i], tgt[i]), i))
+    kept = list(read_corpus(tmp_path / "all" / "source.txt", tmp_path / "all" / "target.txt"))
+    assert [(p.source, p.target) for p in kept] == [(pairs[i].source, pairs[i].target) for i in order]
+    scores = (tmp_path / "all" / "scores.tsv").read_text().splitlines()
+    assert [int(row.split("\t")[1]) for row in scores] == order
+
+    (tmp_path / "cfg.yaml").write_text(
+        f"language_pair: en-si\nstages: []\nranking: {{source_embeddings: '{tmp_path / 's.bin'}', "
+        f"target_embeddings: '{tmp_path / 't.bin'}', top_k: 3}}\n"
+    )
+    assert run_cli("rank", *corpus, *emb, "--top-k", "3", "--out-dir", str(tmp_path / "rank")) == 0
+    assert run_cli("run", "--config", str(tmp_path / "cfg.yaml"), *corpus, "--out-dir", str(tmp_path / "run")) == 0
+    for name in ("source.txt", "target.txt", "scores.tsv"):
+        assert (tmp_path / "rank" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+    assert len((tmp_path / "rank" / "scores.tsv").read_text().splitlines()) == 3
+    assert "ranked 20000 pairs, wrote top 3 (dim 4)" in capsys.readouterr().out
 
 
 def test_stats_against_reference(corpus, capsys):
@@ -510,6 +544,9 @@ _HOSTILE_CASES = {
         2,
     ),
     "preset --top-k without embeddings": ({}, ("preset", "--pair", "en-si", "--top-k", "5"), 2),
+    "lid --out a directory": ({}, ("lid", "--tsv", "c.tsv", "--side", "t", "--out", "."), 3),
+    "synth --out a directory": ({}, ("synth", "--pairs", "10", "--out", "."), 3),
+    "dedup --log a directory": ({}, ("dedup", "--tsv", "c.tsv", "--out-dir", "out", "--log", "."), 3),
     "non-finite score": (
         {"s.tsv": "c\tp\tm\tbaseline\tnan\n"}, ("report", "--scores", "s.tsv", "--reference", "m"), 3
     ),
@@ -693,7 +730,8 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs ru_maxrss in KiB")
-def test_run_peak_memory_does_not_grow_with_the_corpus(tmp_path):
+@pytest.mark.parametrize("command", ["run", "rank", "dedup"])
+def test_run_peak_memory_does_not_grow_with_the_corpus(tmp_path, command):
     rng = random.Random(11)
     en, si = builtin_vocabulary("en"), builtin_vocabulary("si")
     (tmp_path / "cfg.yaml").write_text(dump_config(recommended_preset(LanguagePair("en", "si"))))
@@ -713,8 +751,15 @@ def test_run_peak_memory_does_not_grow_with_the_corpus(tmp_path):
                 k = rng.randint(6, 14)
                 src.write(" ".join(rng.choices(en, k=k)) + "\n")
                 tgt.write(" ".join(rng.choices(si, k=k)) + "\n")
+        args = {
+            "run": ["--config", str(tmp_path / "cfg.yaml")],
+            "rank": ["--src-emb", str(folder / "e.bin"), "--tgt-emb", str(folder / "e.bin"), "--top-k", "100"],
+            "dedup": ["--norm", "punctnums"],
+        }[command]
+        if command == "rank":
+            write_embeddings(np.random.default_rng(n).normal(size=(n, 8)).astype(np.float32), folder / "e.bin")
         child = [
-            sys.executable, "-c", _RSS_RUN, "run", "--config", str(tmp_path / "cfg.yaml"),
+            sys.executable, "-c", _RSS_RUN, command, *args,
             "--source", str(folder / "s.txt"), "--target", str(folder / "t.txt"),
             "--out-dir", str(folder / "out"),
         ]
