@@ -31,9 +31,9 @@ block of pairs at a time, in order, in one thread.
 input.  ``rank --top-k k`` holds at most about 2 * max(k, 8192) pairs at
 once; without ``--top-k`` it ranks every pair in one batch, so its
 memory grows with the corpus.  All output files are written atomically
-(temp file then rename, after the last input line has been read), so an
-interrupted or failed run never leaves a partial file at the target
-path.
+and published together: each goes to a temp file, and the temp files
+are renamed into place only when the command succeeds.  An interrupted
+or failed command unlinks them, so it leaves no output file at all.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import time
 from pathlib import Path
 
 from . import pipeline as pl
-from .corpus import LanguagePair, Side, atomic_write, compute_stats, read_corpus, write_corpus
+from .corpus import LanguagePair, Side, atomic_write, compute_stats, deferred_renames, read_corpus, write_corpus
 from .dedup import DedupStream
 from .errors import ConfigError, CurateError, DataError
 from .lid import export_predictions
@@ -469,7 +469,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with deferred_renames():
+            try:
+                return args.func(args)
+            except BrokenPipeError:  # only stdout's reader has gone; the files are whole
+                return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import tempfile
 from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -264,11 +265,16 @@ def _writable(pair: SentencePair) -> SentencePair:
     return pair
 
 
+# (temp file, destination) of each atomic_write inside deferred_renames
+_pending_renames: ContextVar[list | None] = ContextVar("_pending_renames", default=None)
+
+
 @contextmanager
 def atomic_write(path: str | Path, mode: str = "w"):
     """Write to a temp file in the target directory, then rename over.
 
-    The destination never exists in a partially-written state.  An
+    The destination never exists in a partially-written state.  Inside
+    ``deferred_renames`` the rename waits until that context ends.  An
     OSError while the file is made, written or renamed into place is
     raised as a DataError that names the path.
     """
@@ -277,11 +283,17 @@ def atomic_write(path: str | Path, mode: str = "w"):
     newline = None if "b" in mode else "\n"
     tmp_name = None
     try:
+        if path.is_dir():  # found now, not when a deferred rename would fail
+            raise DataError(f"failed writing {path}: it is a directory")
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, mode, encoding=encoding, newline=newline) as handle:
             yield handle
-        os.replace(tmp_name, path)
+        pending = _pending_renames.get()
+        if pending is None:
+            os.replace(tmp_name, path)
+        else:
+            pending.append((tmp_name, path))
     except BaseException as exc:
         if tmp_name is not None:
             with suppress(OSError):
@@ -289,6 +301,31 @@ def atomic_write(path: str | Path, mode: str = "w"):
         if isinstance(exc, OSError):
             raise DataError(f"failed writing {path}: {exc}") from exc
         raise
+
+
+@contextmanager
+def deferred_renames():
+    """Publish the files that atomic_write writes inside the context together.
+
+    They are renamed into place in the order they were written when the
+    body returns, and all unlinked if it raises, so a command that fails
+    after writing some of its outputs leaves none of them.
+    """
+    pending: list[tuple[str, Path]] = []
+    token = _pending_renames.set(pending)
+    try:
+        yield
+        for tmp_name, path in pending:
+            try:
+                os.replace(tmp_name, path)
+            except OSError as exc:
+                raise DataError(f"failed writing {path}: {exc}") from exc
+        pending.clear()
+    finally:
+        _pending_renames.reset(token)
+        for tmp_name, _ in pending:
+            with suppress(OSError):
+                os.unlink(tmp_name)
 
 
 def write_corpus(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
@@ -599,7 +600,7 @@ def _rank_top_k(
     """
     import numpy as np
 
-    size = max(k, _RANK_BATCH)
+    size = min(max(k, _RANK_BATCH), sys.maxsize)  # islice takes no larger count
     pool = RankedCorpus(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
     pool_pairs: list[SentencePair] = []
     count = 0

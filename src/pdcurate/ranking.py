@@ -14,15 +14,11 @@ flagged rather than failing the run, since web-scale embedding dumps do
 contain degenerate rows.  Ranking sorts by score descending with ties
 broken by ascending pair id, which makes output deterministic.
 
-A binary store is mapped read-only, not read: its pages come in from the
-file as rows are used.  Validation and scoring walk the rows in fixed
-blocks of about ``_BLOCK_ELEMENTS`` values and release each block's
-pages once it has been used, so ranking holds about one block per
-store in memory, never a whole store or a float64 copy of every
-survivor's vectors.  A released page that is read again is faulted back
-in from the file, so the file must not change while a run uses it.
-Each score depends only on its own row, so scores do not depend on the
-block size.
+A binary store keeps its file open and reads rows by offset when used.
+Validation and scoring read at most ``_BLOCK_ELEMENTS`` values at a time,
+so ranking holds about one block per store, never a whole store or a
+float64 copy of every survivor's vectors.  A file that shrinks during a
+run raises DataError.  Scores do not depend on the block size.
 
 A ``RankedCorpus`` keeps the ranked ids and scores as two arrays, 16
 bytes per pair.  ``top_k`` slices them and ``merge_rankings`` joins two,
@@ -34,8 +30,9 @@ not n.
 
 from __future__ import annotations
 
-import mmap
+import os
 import struct
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -58,99 +55,96 @@ def _row_blocks(rows: int, dim: int) -> Iterator[slice]:
 
 
 class EmbeddingStore:
-    """Dense float vectors indexed by pair id (row = id).
+    """Dense float32 vectors indexed by pair id (row = id), held in memory."""
 
-    A store loaded from a binary file keeps the file's read-only mapping,
-    so that the pages of rows already used can be released.
-    """
-
-    def __init__(self, vectors: np.ndarray, *, mapping: mmap.mmap | None = None):
+    def __init__(self, vectors: np.ndarray):
         import numpy as np
 
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {vectors.shape}")
         self.vectors = vectors
-        self._mapping = mapping
+        self.count, self.dim = vectors.shape
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop-1 as a float32 matrix."""
+        return self.vectors[start:stop]
+
+
+class _FileStore(EmbeddingStore):
+    """A binary embedding file, kept open; rows are read by offset when used."""
+
+    def __init__(self, path: Path):
+        self._path = path
+        self._handle = open(path, "rb")
+        weakref.finalize(self, self._handle.close)
+        size = os.fstat(self._handle.fileno()).st_size
+        if size < _HEADER.size:
+            raise DataError(f"{path}: truncated header ({size} bytes)")
+        magic, self.count, self.dim = _HEADER.unpack(self._handle.read(_HEADER.size))
+        if magic != MAGIC:
+            raise DataError(f"{path}: bad magic {magic!r}")
+        expected = _HEADER.size + 4 * self.count * self.dim
+        if size != expected:
+            raise DataError(
+                f"{path}: file size {size} does not match header "
+                f"(count={self.count}, dim={self.dim} needs {expected} bytes)"
+            )
+        if self.dim == 0:
+            raise DataError(f"{path}: zero embedding dimension")
+        if self.count == 0:
+            raise DataError(f"{path}: no embedding rows")
 
     @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
+    def vectors(self) -> np.ndarray:
+        """The whole store, read from the file on each access."""
+        return self._rows(0, self.count)
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        import numpy as np
 
-    def _release(self, stop: int) -> None:
-        """Drop the mapped pages of rows 0..stop-1; a later read faults them back in.
-
-        All rows before stop, not only the last block's, because a page
-        fault can map back neighbouring pages of rows released earlier.
-        """
-        if self._mapping is None or not hasattr(mmap, "MADV_DONTNEED"):
-            return
-        self._mapping.madvise(mmap.MADV_DONTNEED, 0, _HEADER.size + 4 * self.dim * min(stop, self.count))
+        rows = np.empty((min(stop, self.count) - start, self.dim), dtype="<f4")
+        self._handle.seek(_HEADER.size + 4 * self.dim * start)
+        got = self._handle.readinto(rows)
+        if got < rows.nbytes:
+            row = start + got // (4 * self.dim)
+            raise DataError(f"{self._path}: file ends before row {row}; it shrank after loading")
+        return rows
 
 
 def _validate_finite(store: EmbeddingStore, path: Path) -> None:
     import numpy as np
 
     for block in _row_blocks(store.count, store.dim):
-        bad = np.flatnonzero(~np.isfinite(store.vectors[block]).all(axis=1))
-        store._release(block.stop)
+        bad = np.flatnonzero(~np.isfinite(store._rows(block.start, block.stop)).all(axis=1))
         if bad.size:
             row = block.start + int(bad[0])
             raise DataError(f"{path}: non-finite embedding component at row {row}")
 
 
 def _float64_rows(store: EmbeddingStore, rows: np.ndarray) -> np.ndarray:
-    """A float64 copy of the given rows; mapped pages up to the last of them are released."""
+    """A float64 copy of the given ascending rows, read as one range and gathered if it has gaps."""
     import numpy as np
 
-    copy = store.vectors[rows]
-    store._release(int(rows.max()) + 1)
-    return copy.astype(np.float64)
+    picked = rows - rows[0]
+    span = store._rows(int(rows[0]), int(rows[-1]) + 1)
+    return (span if (np.diff(picked) == 1).all() else span[picked]).astype(np.float64)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Load a binary or TSV embedding file, validating shape and values.
 
-    A binary file is mapped read-only rather than read, and must not
-    change while the returned store is in use.
+    A TSV file is read into memory.  A binary file stays open and its rows
+    are read when used; a read past a shrunken file's end raises DataError.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"embedding file not found: {path}")
     with open(path, "rb") as handle:
         head = handle.read(_HEADER.size)
-    store = _load_binary(path) if head[: len(MAGIC)] == MAGIC else _load_tsv(path)
+    store = _FileStore(path) if head[: len(MAGIC)] == MAGIC else _load_tsv(path)
     _validate_finite(store, path)
     return store
-
-
-def _load_binary(path: Path) -> EmbeddingStore:
-    import numpy as np
-
-    size = path.stat().st_size
-    if size < _HEADER.size:
-        raise DataError(f"{path}: truncated header ({size} bytes)")
-    with open(path, "rb") as handle:
-        magic, count, dim = _HEADER.unpack(handle.read(_HEADER.size))
-        if magic != MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}")
-        expected = _HEADER.size + 4 * count * dim
-        if size != expected:
-            raise DataError(
-                f"{path}: file size {size} does not match header "
-                f"(count={count}, dim={dim} needs {expected} bytes)"
-            )
-        if dim == 0:
-            raise DataError(f"{path}: zero embedding dimension")
-        if count == 0:
-            raise DataError(f"{path}: no embedding rows")
-        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    matrix = np.frombuffer(mapping, dtype="<f4", count=count * dim, offset=_HEADER.size)
-    return EmbeddingStore(matrix.reshape(count, dim), mapping=mapping)
 
 
 def _load_tsv(path: Path) -> EmbeddingStore:
@@ -258,8 +252,8 @@ def rank_corpus(
     """Score every pair by cosine of its two embeddings and rank descending.
 
     Pair ids index into the stores, so filtered survivors keep using the
-    stores built for the original corpus.  Ties break by ascending id.
-    Each block's rows are released from mapped stores once copied.
+    stores built for the original corpus.  Ties break by ascending id, so the
+    order of pairs is free: they are scored by id, reading each row once.
     """
     import numpy as np
 
@@ -277,9 +271,14 @@ def rank_corpus(
         raise DataError(
             f"embedding stores cover ids 0..{limit - 1}; first missing id {int(out_of_range[0])}"
         )
+    ids.sort()
     dots = np.empty(len(ids), dtype=np.float64)
     norms = np.empty(len(ids), dtype=np.float64)
-    for block in _row_blocks(len(ids), src_emb.dim):
+    step = max(1, _BLOCK_ELEMENTS // src_emb.dim)
+    block = slice(0, 0)
+    while block.stop < len(ids):
+        # the ids in the next step rows of the stores
+        block = slice(block.stop, int(np.searchsorted(ids, ids[block.stop] + step)))
         src = _float64_rows(src_emb, ids[block])
         tgt = _float64_rows(tgt_emb, ids[block])
         dots[block] = np.einsum("ij,ij->i", src, tgt)
