@@ -30,7 +30,10 @@ block of pairs at a time, in order, in one thread.
 ``dedup`` and ``filter`` write the output corpus while they read the
 input.  ``rank --top-k k`` holds at most about 2 * max(k, 8192) pairs at
 once; without ``--top-k`` it ranks every pair in one batch, so its
-memory grows with the corpus.  All output files are written atomically
+memory grows with the corpus.  ``run --removal-log``, ``dedup --log``
+and ``filter --log`` stream the removal rows from the run's per-stage
+spills in the temp dir (TMPDIR) into the log, so the log costs about
+its own size on disk, not in memory.  All output files are written atomically
 and published together: each goes to a temp file, and the temp files
 are renamed into place only when the command succeeds.  An interrupted
 or failed command unlinks them, so it leaves no output file at all.
@@ -144,11 +147,29 @@ def _writer(out_dir: Path, as_tsv: bool) -> pl.Sink:
     return write
 
 
-def _run(config: pl.PipelineConfig, args, removal_log: pl.RemovalLog | None = None) -> pl.RunReport:
-    """Run config over the command's corpus and write the output into --out-dir."""
+class _HeldRows:
+    """A removal_log for pl.run that keeps the rows it is given instead of copying them."""
+
+    def extend(self, rows) -> None:
+        self.rows = rows
+
+
+def _run(config: pl.PipelineConfig, args, log_path=None, stage: str | None = None) -> pl.RunReport:
+    """Run config over the command's corpus and write the output into --out-dir.
+
+    With log_path, the removal rows go there, streamed from the run's
+    spills; stage, if given, replaces each row's stage name.
+    """
     pairs, as_tsv = _open_corpus(args)
     sink = _writer(Path(args.out_dir), as_tsv)
-    return pl.run(config, _ticker(pairs, "read"), removal_log=removal_log, sink=sink).report
+    held = None if log_path is None else _HeldRows()
+    report = pl.run(config, _ticker(pairs, "read"), removal_log=held, sink=sink).report
+    if held is not None:
+        try:
+            _write_removal_log(held.rows, log_path, stage)
+        finally:
+            held.rows.close()
+    return report
 
 
 def _parse(from_string, value: str):
@@ -159,10 +180,11 @@ def _parse(from_string, value: str):
         raise ConfigError(str(exc)) from exc
 
 
-def _write_removal_log(log, path) -> None:
+def _write_removal_log(rows, path, stage: str | None = None) -> None:
+    """Write (id, stage, reason) rows as TSV lines; stage, if given, names every row's stage."""
     with atomic_write(path) as out:
-        for pair_id, stage, reason in log:
-            out.write(f"{pair_id}\t{stage}\t{reason}\n")
+        for pair_id, row_stage, reason in rows:
+            out.write(f"{pair_id}\t{stage or row_stage}\t{reason}\n")
 
 
 # ---------------------------------------------------------------- run
@@ -171,9 +193,8 @@ def _write_removal_log(log, path) -> None:
 def cmd_run(args) -> int:
     config = pl.load_config(args.config)
     out_dir = Path(args.out_dir)
-    removal_log = [] if args.removal_log else None
     started = time.perf_counter()
-    report = _run(config, args, removal_log)
+    report = _run(config, args, out_dir / "removals.tsv" if args.removal_log else None)
     written = report.total.retained_count if report.ranking is None else report.ranking.emitted
     report_text = report.to_text()
     with atomic_write(out_dir / "report.txt") as out:
@@ -183,8 +204,6 @@ def cmd_run(args) -> int:
     if config.report:
         with atomic_write(config.report) as out:
             out.write(report_text)
-    if removal_log is not None:
-        _write_removal_log(removal_log, out_dir / "removals.tsv")
     print(report_text, end="")
     print(f"wrote {written} pairs to {out_dir} in {time.perf_counter() - started:.1f}s")
     return EXIT_OK
@@ -213,11 +232,8 @@ def cmd_preset(args) -> int:
 def cmd_dedup(args) -> int:
     entry = {"kind": "dedup", "side": args.side, "params": {"norm": args.norm, "ngram": args.ngram}}
     spec = pl.stage_from_dict(entry, None)
-    log = [] if args.log else None
-    report = _run(pl.PipelineConfig(LanguagePair("en", "si"), stages=(spec,)), args, log)
-    if log is not None:
-        # the only stage is named without run's "0:" position prefix
-        _write_removal_log([(pair_id, spec.describe(), reason) for pair_id, _, reason in log], args.log)
+    # the log names the only stage without run's "0:" position prefix
+    report = _run(pl.PipelineConfig(LanguagePair("en", "si"), stages=(spec,)), args, args.log, spec.describe())
     written = report.total.retained_count
     print(f"kept {written}, removed {report.total.pair_count - written} ({spec.describe()})")
     return EXIT_OK
@@ -244,10 +260,7 @@ def cmd_filter(args) -> int:
         stages=(pl.stage_from_dict(entry, language_pair),),
         lid_predictions=lid_predictions,
     )
-    removal_log = [] if args.log else None
-    report = _run(config, args, removal_log)
-    if removal_log is not None:
-        _write_removal_log(removal_log, args.log)
+    report = _run(config, args, args.log)
     written = report.total.retained_count
     print(f"kept {written}, removed {report.total.pair_count - written} ({args.kind}@{args.side})")
     if report.lid_failures:

@@ -25,9 +25,11 @@ and LID on both sides, and the ratio filter on the source side for the
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
@@ -67,6 +69,11 @@ Block = list[SentencePair]
 PRESET_NGRAM_RANGE = (4, 7)
 
 _RANK_BATCH = 8192  # survivors scored per rank_corpus call when top_k is smaller
+# Removal rows a stage holds before it writes them to its spill.  A block
+# of boilerplate-like rows marshals to 48-101 KiB, under glibc's 128 KiB mmap
+# threshold; freeing larger blocks raises that threshold, and with it the
+# peak RSS (4,096-row blocks cost about 4 MiB more at 300k pairs).
+_SPILL_ROWS = 1024
 
 
 # Converters from one YAML value to a config value; each raises
@@ -276,21 +283,76 @@ def _lid_defaults(kind: str, language_pair: LanguagePair | None) -> dict:
     }
 
 
-@dataclass
-class _StageContext:
-    """What stage functions share within one run besides their pairs.
+class _Removals:
+    """A run's removal rows by stage, so that they read back stage-major
+    although the stages interleave.
 
-    removals holds each stage's removal rows under its name, so that the
-    log can be joined stage-major although the stages interleave.
+    Every ``_SPILL_ROWS`` rows of a stage go as one marshal block to the
+    stage's spill: an anonymous temp file (so it honours TMPDIR and
+    leaves nothing on disk), made on the stage's first full block.  The
+    object is sized; iterating it yields every row once, closing each
+    spill once read, and close() closes the spills not read.  An
+    OSError from a spill is raised as a DataError.
     """
 
+    def __init__(self, names: list[str]):
+        self._rows: dict[str, RemovalLog] = {name: [] for name in names}
+        self._spills: dict[str, tuple[Any, list[int]]] = {}  # name -> (file, block sizes)
+        self._spilled = 0
+
+    def add(self, row: tuple[int, str, str]) -> None:
+        rows = self._rows[row[1]]
+        rows.append(row)
+        if len(rows) == _SPILL_ROWS:
+            self._spill(row[1], rows)
+
+    def _spill(self, name: str, rows: RemovalLog) -> None:
+        block = marshal.dumps(rows)
+        try:
+            if name not in self._spills:
+                self._spills[name] = (tempfile.TemporaryFile(), [])
+            file, sizes = self._spills[name]
+            file.write(block)
+        except OSError as exc:
+            raise DataError(f"cannot spill removal rows to the temp dir: {exc}") from exc
+        sizes.append(len(block))
+        self._spilled += len(rows)
+        rows.clear()
+
+    def __len__(self) -> int:
+        return self._spilled + sum(map(len, self._rows.values()))
+
+    def __iter__(self) -> Iterator[tuple[int, str, str]]:
+        try:
+            for name, rows in self._rows.items():
+                if name in self._spills:
+                    file, sizes = self._spills.pop(name)
+                    with file:
+                        file.seek(0)
+                        for size in sizes:
+                            yield from marshal.loads(file.read(size))
+                yield from rows
+        except OSError as exc:
+            raise DataError(f"cannot read removal rows back from the temp dir: {exc}") from exc
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        while self._spills:
+            self._spills.popitem()[1][0].close()
+
+
+@dataclass
+class _StageContext:
+    """What stage functions share within one run besides their pairs."""
+
     report: RunReport
-    removals: dict[str, RemovalLog] | None
+    removals: _Removals | None
     predictor: LidPredictor | None
 
     def remove(self, pair: SentencePair, stage: str, reason: str) -> None:
         if self.removals is not None:
-            self.removals[stage].append((pair.id, stage, reason))
+            self.removals.add((pair.id, stage, reason))
 
     def lid_failed(self, *_) -> None:
         self.report.lid_failures += 1  # the pair fails closed and is removed as "lid"
@@ -622,7 +684,7 @@ def run(
     config: PipelineConfig,
     pairs: Iterable[SentencePair],
     *,
-    removal_log: RemovalLog | None = None,
+    removal_log: Any = None,
     predictor: LidPredictor | None = None,
     sink: Sink | None = None,
 ) -> RunResult:
@@ -645,6 +707,16 @@ def run(
     is their ranking.  Pair ids always index the original corpus, so
     embedding stores built for the unfiltered corpus keep working after
     filtering.  Identical input and config give byte-identical output.
+
+    removal_log, if given, is any object with an ``extend`` method; run
+    calls ``removal_log.extend(rows)`` once, at the end.  rows is a
+    sized iterable over the (pair id, stage name, reason) rows,
+    stage-major with ids ascending within a stage, that can be read
+    once.  Until it is read, the rows wait in one spill per stage in the
+    temp dir (TMPDIR), taking about the size of the log on disk and
+    about one block of rows per stage in memory.  A list receives every
+    row; an object that keeps rows instead must read it to the end or
+    call ``rows.close()``.
     """
     validate_config(config)
     report = RunReport()
@@ -665,7 +737,7 @@ def run(
         src_emb = load_embeddings(ranking.source_embeddings)
         tgt_emb = load_embeddings(ranking.target_embeddings)
     names = [stage_name(index, stage) for index, stage in enumerate(config.stages)]
-    removals = None if removal_log is None else {name: [] for name in names}
+    removals = None if removal_log is None else _Removals(names)
     ctx = _StageContext(report, removals, predictor)
 
     meters = [_Meter()]
@@ -679,28 +751,33 @@ def run(
     if sink is None:
         sink = lambda pairs, ranked: kept.extend(pairs)
     ranked = None
-    if ranking is None:
-        sink(survivors, None)
-    else:
-        top, ranked, count = _rank_top_k(survivors, ranking.top_k, src_emb, tgt_emb)
-        if ranking.top_k > count:
-            report.warnings.append(
-                f"top_k {ranking.top_k} exceeds ranked corpus size {count}; emitting everything"
+    try:
+        if ranking is None:
+            sink(survivors, None)
+        else:
+            top, ranked, count = _rank_top_k(survivors, ranking.top_k, src_emb, tgt_emb)
+            if ranking.top_k > count:
+                report.warnings.append(
+                    f"top_k {ranking.top_k} exceeds ranked corpus size {count}; emitting everything"
+                )
+            report.ranking = RankingReport(
+                requested_k=ranking.top_k,
+                emitted=len(ranked),
+                dim=src_emb.dim,
+                zero_norm_count=ranked.zero_norm_count,
             )
-        report.ranking = RankingReport(
-            requested_k=ranking.top_k,
-            emitted=len(ranked),
-            dim=src_emb.dim,
-            zero_norm_count=ranked.zero_norm_count,
-        )
-        sink(top, ranked)
+            sink(top, ranked)
+    except BaseException:
+        if removals is not None:
+            removals.close()  # the run stopped early, so no one reads the spills
+        raise
 
     for name, upstream, meter in zip(names, meters, meters[1:]):
         stats = compute_stats(upstream.pairs, meter.pairs)
         report.stages.append(StageReport(name, stats, meter.seconds - upstream.seconds))
     report.total = compute_stats(meters[0].pairs, meters[-1].pairs)
     if removals is not None:
-        removal_log.extend(chain.from_iterable(removals.values()))
+        removal_log.extend(removals)
     return RunResult(pairs=kept, report=report, ranked=ranked)
 
 

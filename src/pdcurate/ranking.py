@@ -272,6 +272,9 @@ def rank_corpus(
             f"embedding stores cover ids 0..{limit - 1}; first missing id {int(out_of_range[0])}"
         )
     ids.sort()
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if repeated.size:
+        raise DataError(f"pair id {int(repeated[0])} appears more than once; each id indexes one embedding row")
     dots = np.empty(len(ids), dtype=np.float64)
     norms = np.empty(len(ids), dtype=np.float64)
     step = max(1, _BLOCK_ELEMENTS // src_emb.dim)

@@ -1,9 +1,14 @@
+import errno
+import gc
+import io
 import os
 import random
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -796,17 +801,29 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
+def _peak_rss_kib(*argv: str) -> int:
+    """The peak RSS of ``curate *argv`` run in a fresh interpreter, which must exit 0."""
+    env = {key: value for key, value in os.environ.items() if not key.startswith("CURATE_")}
+    env["PYTHONPATH"] = str(Path(pdcurate.__file__).parents[1])
+    # a child starts with the ru_maxrss of the process that started it,
+    # so each measured interpreter is started from a small one, not from pytest
+    launcher = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    child = [sys.executable, "-c", _RSS_RUN, *argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, *child], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    return peak_kib
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="needs ru_maxrss in KiB")
 @pytest.mark.parametrize("command", ["run", "rank", "dedup"])
 def test_run_peak_memory_does_not_grow_with_the_corpus(tmp_path, command):
     rng = random.Random(11)
     en, si = builtin_vocabulary("en"), builtin_vocabulary("si")
     (tmp_path / "cfg.yaml").write_text(dump_config(recommended_preset(LanguagePair("en", "si"))))
-    env = {key: value for key, value in os.environ.items() if not key.startswith("CURATE_")}
-    env["PYTHONPATH"] = str(Path(pdcurate.__file__).parents[1])
-    # a child starts with the ru_maxrss of the process that started it,
-    # so each measured interpreter is started from a small one, not from pytest
-    launcher = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
     peaks = []
     for n in (5_000, 50_000):
         folder = tmp_path / str(n)
@@ -825,17 +842,102 @@ def test_run_peak_memory_does_not_grow_with_the_corpus(tmp_path, command):
         }[command]
         if command == "rank":
             write_embeddings(np.random.default_rng(n).normal(size=(n, 8)).astype(np.float32), folder / "e.bin")
-        child = [
-            sys.executable, "-c", _RSS_RUN, command, *args,
+        peaks.append(_peak_rss_kib(
+            command, *args,
             "--source", str(folder / "s.txt"), "--target", str(folder / "t.txt"),
             "--out-dir", str(folder / "out"),
-        ]
-        proc = subprocess.run(
-            [sys.executable, "-c", launcher, *child], capture_output=True, text=True, env=env, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
-        assert code == 0
-        peaks.append(peak_kib)
+        ))
     grown_mib = (peaks[1] - peaks[0]) / 1024
     assert grown_mib < 10, f"peak RSS grew by {grown_mib:.1f} MiB from 5k to 50k pairs"
+
+
+# the benchmark's boilerplate_tsv config: both dedup stages strip numbers
+_BOILERPLATE_CONFIG = (
+    "language_pair: en-si\nstages:\n"
+    "- {kind: dedup, side: st, params: {norm: nums, ngram: null}}\n"
+    "- {kind: dedup, side: st, params: {norm: nums, ngram: 4}}\n"
+)
+
+
+def _write_boilerplate_tsv(path: Path, n: int, seed: int) -> None:
+    """40% fresh pairs, 60% copies of an earlier fresh pair with a number
+    appended and, five times in six, one word swapped on each side."""
+    rng = random.Random(seed)
+    en, si = builtin_vocabulary("en"), builtin_vocabulary("si")
+    templates = []
+    with open(path, "w", encoding="utf-8") as out:
+        for _ in range(n):
+            if templates and rng.random() < 0.6:
+                src, tgt = (list(words) for words in rng.choice(templates))
+                if rng.random() < 5 / 6:
+                    src[rng.randrange(len(src))] = rng.choice(en)
+                    tgt[rng.randrange(len(tgt))] = rng.choice(si)
+                number = str(rng.randrange(1, 100_000))
+                src, tgt = src + [number], tgt + [number]
+            else:
+                k = rng.randint(6, 14)
+                src, tgt = rng.choices(en, k=k), rng.choices(si, k=k)
+                templates.append((src, tgt))
+            out.write(f"{' '.join(src)}\t{' '.join(tgt)}\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs ru_maxrss in KiB")
+def test_removal_log_peak_memory_does_not_grow_with_the_removals(tmp_path):
+    _write_boilerplate_tsv(tmp_path / "c.tsv", 60_000, seed=5)
+    (tmp_path / "cfg.yaml").write_text(_BOILERPLATE_CONFIG)
+    argv = ["run", "--config", str(tmp_path / "cfg.yaml"), "--tsv", str(tmp_path / "c.tsv")]
+    without = _peak_rss_kib(*argv, "--out-dir", str(tmp_path / "plain"))
+    with_log = _peak_rss_kib(*argv, "--out-dir", str(tmp_path / "logged"), "--removal-log")
+    removed = len((tmp_path / "logged" / "removals.tsv").read_bytes().splitlines())
+    assert removed > 30_000
+    gap_mib = (with_log - without) / 1024
+    assert gap_mib < 2.5, f"--removal-log raised the peak RSS by {gap_mib:.1f} MiB for {removed} removals"
+
+
+def _spilling_run(tmp_path) -> list[str]:
+    """run argv over a corpus whose first stage removes enough pairs to spill."""
+    write_corpus(_stream_pairs(distinct=10, n=3 * pipeline._SPILL_ROWS), tmp_path / "s.txt", tmp_path / "t.txt")
+    (tmp_path / "cfg.yaml").write_text(_STREAM_CONFIG)
+    return [
+        "run", "--config", str(tmp_path / "cfg.yaml"), "--out-dir", str(tmp_path / "out"),
+        "--source", str(tmp_path / "s.txt"), "--target", str(tmp_path / "t.txt"), "--removal-log",
+    ]
+
+
+@pytest.mark.parametrize("case", ["success", "invalid UTF-8 on the last line", "removals.tsv is a directory"])
+def test_removal_spills_leave_the_temp_dir_empty(tmp_path, monkeypatch, capsys, case):
+    spill_dir = tmp_path / "spill"
+    spill_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
+    argv = _spilling_run(tmp_path)
+    if case == "invalid UTF-8 on the last line":
+        with open(tmp_path / "s.txt", "ab") as src, open(tmp_path / "t.txt", "ab") as tgt:
+            src.write(b"last alpha beta gamma delta\n")
+            tgt.write(b"last \xff\n")
+    if case == "removals.tsv is a directory":  # the spills are full, but no one reads them
+        (tmp_path / "out" / "removals.tsv").mkdir(parents=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*argv) == (0 if case == "success" else 3)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert list(spill_dir.iterdir()) == []
+    if case == "success":
+        rows = (tmp_path / "out" / "removals.tsv").read_text(encoding="utf-8").splitlines()
+        assert [row.split("\t")[0] for row in rows] == [str(i) for i in range(10, 3 * pipeline._SPILL_ROWS)]
+    else:
+        assert [path.name for path in tmp_path.glob("out/*")] == (["removals.tsv"] if "directory" in case else [])
+
+
+def test_a_spill_that_cannot_be_written_exits_3(tmp_path, monkeypatch, capsys):
+    spills = []
+
+    class FullDisk(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: spills.append(FullDisk()) or spills[-1])
+    assert run_cli(*_spilling_run(tmp_path)) == 3
+    assert "data error: cannot spill removal rows" in capsys.readouterr().err
+    assert spills and all(spill.closed for spill in spills)
+    assert list(tmp_path.glob("out/*")) == []

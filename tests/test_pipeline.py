@@ -279,6 +279,17 @@ def test_top_k_overshoot_warns_and_returns_all(tmp_path):
     assert any("top_k" in warning for warning in result.report.warnings)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_ranking_rejects_a_repeated_pair_id(tmp_path, k):
+    # ids index embedding rows, so two pairs with id 2 would share one row
+    pairs = [SentencePair(i, f"src {i}", f"tgt {i}") for i in (2, 1, 2, 0)]
+    write_embeddings(np.eye(3, dtype=np.float32), tmp_path / "e.bin")
+    emb = str(tmp_path / "e.bin")
+    config = PipelineConfig(language_pair=EN_SI, ranking=RankingSpec(emb, emb, k))
+    with pytest.raises(DataError, match="pair id 2 appears more than once"):
+        run(config, pairs)
+
+
 def test_removal_log_and_lid_failures(tmp_path):
     # a prediction table that only covers pair 0 makes pair 1 fail closed
     preds = tmp_path / "preds.tsv"
@@ -298,6 +309,19 @@ def test_removal_log_and_lid_failures(tmp_path):
     assert [pair.id for pair in result.pairs] == [0]
     assert result.report.lid_failures == 1
     assert removal_log == [(1, "0:lid@s", "lid")]
+
+
+def test_spilled_removal_rows_round_trip_any_text():
+    texts = ["tab\there", "line\nfeed", "nul \x00 and \u2028 separator", "plain"]
+    pairs = [SentencePair(i, texts[i % 4], texts[i % 4]) for i in range(14)]
+    config = PipelineConfig(language_pair=EN_SI, stages=(DedupSpec(NormMode.IDENTITY, None, Side.SOURCE),))
+    held, spilled = [], []
+    run(config, pairs, removal_log=held)
+    with mock.patch.object(pipeline, "_SPILL_ROWS", 3):
+        run(config, pairs, removal_log=spilled)
+    assert spilled == held
+    assert [pair_id for pair_id, _, _ in held] == list(range(4, 14))
+    assert {reason for _, _, reason in held} >= {"tab\there", "nul \x00 and \u2028 separator"}
 
 
 def test_report_renders_both_formats():
@@ -491,11 +515,13 @@ _PALETTE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 1), (1, 1, 1)]
     k=st.one_of(st.none(), st.integers(1, 16)),
     block_pairs=st.sampled_from([1, 7, dedup._BLOCK_PAIRS, 10_000]),
     rank_batch=st.sampled_from([1, 2, 3, 5, 10_000]),
+    spill_rows=st.sampled_from([1, 2, 5, pipeline._SPILL_ROWS]),
 )
 def test_block_and_batch_sizes_change_no_output(
-    tmp_path_factory, texts, stages, rows, k, block_pairs, rank_batch
+    tmp_path_factory, texts, stages, rows, k, block_pairs, rank_batch, spill_rows
 ):
-    """Any block size and ranking batch (max(k, rank_batch) survivors) give the stage-major output."""
+    """Any block size, ranking batch (max(k, rank_batch) survivors) and
+    removal spill block give the stage-major output."""
     pairs = [SentencePair(i, s, t) for i, (s, t) in enumerate(texts)]
     ranking = None
     if k is not None:
@@ -508,7 +534,7 @@ def test_block_and_batch_sizes_change_no_output(
     removal_log = []
     with mock.patch.object(dedup, "_BLOCK_PAIRS", block_pairs), mock.patch.object(
         pipeline, "_RANK_BATCH", rank_batch
-    ):
+    ), mock.patch.object(pipeline, "_SPILL_ROWS", spill_rows):
         result = run(config, pairs, removal_log=removal_log, predictor=predictor)
 
     survivors, expected_rows, expected_failures = _naive_run(stages, pairs, predictor)
