@@ -17,20 +17,20 @@ Sentences shorter than n tokens contribute no n-grams and are never
 removed by the n-gram variant.
 
 Keys are 64-bit fingerprints, which keeps the index small and makes
-output independent of Python's per-process hash seed.  A full-sentence
-key is the blake2b fingerprint of the normalized text.  An n-gram key
-combines the blake2b fingerprints of its tokens (each distinct token is
-hashed once per stage, up to a bounded cache) as a polynomial mod 2^64,
-followed by a 64-bit mixer.  Target keys are salted, so one index holds
-both sides without a source key ever matching a target key.  Two
-distinct keys that share a fingerprint count as duplicates; at about
-2^-64 per comparison, that risk is accepted.
+output independent of Python's per-process hash seed.  ``_fingerprints``
+keys a normalized text, or a token, from its code points; an n-gram key
+mixes a polynomial mod 2^64 of its tokens' fingerprints.  Target keys
+are salted, so one index holds both sides without a source key ever
+matching a target key.  Two distinct keys that share a fingerprint
+count as duplicates, a risk of about 2^-64 per comparison for text not
+crafted to collide.  A fingerprint sums independent per-position terms,
+so colliding texts can be built on purpose (a k-sum problem); dedup
+would remove the later pair of such a couple as a duplicate.
 
 Pairs are deduplicated ``_BLOCK_PAIRS`` at a time, one checked side
-after the other.  A side's texts are normalized together by
-``filters.normalize_texts``, from arrays of code points a chunk at a
-time, which gives exactly ``normalize(text, mode)`` for each text.  The
-side's keys for the block are computed as one uint64 array, and one
+after the other.  A side's texts are fingerprinted from the code points
+that ``filters.normalize_texts`` gives a chunk at a time, with no string
+built per text or token, into one uint64 array of keys.  One
 ``np.unique`` of that array gives both the distinct keys to probe in the
 index (one binary search each) and the keys that the block side counts
 twice.  A pair with a source key in the index is removed whatever its
@@ -39,10 +39,11 @@ with no pair left open is not probed at all.  Only pairs with a key
 that hits the index or is counted twice take a short sequential pass,
 in id order, which decides them exactly as a pair-at-a-time pass would:
 a pair's source keys are probed before its target keys, each side's in
-positional order, and the first hit is the removal reason.  The kept
-pairs' keys, which that probe showed absent, then enter the index as
-one sorted run without being probed again.  So the result does not
-depend on the block size, and the index is probed once per block side.
+positional order, and the first hit is the removal reason, rebuilt from
+the pair's text.  The kept pairs' keys, which that probe showed absent,
+then enter the index as one sorted run without being probed again.  So
+the result does not depend on the block size, and the index is probed
+once per block side.
 
 The index holds its fingerprints as sorted uint64 runs, 8 bytes each,
 merged geometrically (a new run is merged into the one before while it
@@ -57,19 +58,15 @@ pairs is held.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import groupby, islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .corpus import SentencePair, Side
 from .errors import ConfigError
-from .filters import normalize_texts
-
-# normalize is the per-text reference that normalize_texts matches;
-# perfbench/tracer.py wraps dedup.normalize, so the name stays here
-from .textnorm import LazyTranslateTable, NormMode, normalize, word_ngrams
+from .filters import _chunks, normalize_texts
+from .textnorm import NormMode, normalize, word_ngrams
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,14 +74,9 @@ if TYPE_CHECKING:
 NGRAM_RANGE = (2, 10)
 
 _BLOCK_PAIRS = 2048
-_TOKEN_CACHE_LIMIT = 1 << 16  # distinct tokens kept per stage before the cache is cleared
 _POLY = 0x9E3779B97F4A7C15  # odd multiplier of the n-gram polynomial
 _MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)  # splitmix64 finalizer constants
 _TARGET_SALT = 0x5851F42D4C957F2D
-
-
-def _blake_fingerprint(key: str) -> int:
-    return int.from_bytes(hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "little")
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,28 +169,33 @@ def _mix(keys: np.ndarray) -> None:
     keys ^= keys >> np.uint64(31)
 
 
-@dataclass(slots=True)
-class _SideKeys:
-    """One side's keys for a block, and where each key came from."""
+def _fingerprints(codepoints: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The uint64 fingerprint of each segment of the uint32 code points.
 
-    keys: np.ndarray
-    text_of_key: np.ndarray
-    texts: list[str]
-    tokens: list[list[str]] | None = None
-    position: np.ndarray | None = None  # of an n-gram key's first token in its text
+    Segment i runs from ``starts[i]`` (``starts[0]`` is 0) up to the next
+    start.  Each code point becomes ``_mix((position << 21) | code point)``,
+    with its position in its segment; the segment's fingerprint is the
+    ``_mix`` of their sum mod 2^64 XOR the segment's length.  The empty
+    segment's would be ``_mix(0)``, which is 0.  Unlike a polynomial
+    over the characters, this has no algebraic structure for long
+    strings (Thue-Morse words, say) to collide on.
+    """
+    import numpy as np
 
-
-def _reason(sides: list[_SideKeys], at: int, n: int | None) -> str:
-    """Key number ``at`` of the sides, counted across them, as its text or n-token window."""
-    for side in sides:
-        if at < len(side.keys):
-            break
-        at -= len(side.keys)
-    text = int(side.text_of_key[at])
-    if n is None:
-        return side.texts[text]
-    start = int(side.position[at])
-    return next(iter(word_ngrams(side.tokens[text][start : start + n], n)))
+    spans = np.diff(starts, append=codepoints.size).astype(np.uint64)
+    # each code point's position in its segment, as a cumulative sum that
+    # drops back to 0 at every segment start (mod 2^64)
+    mixed = np.ones(codepoints.size, dtype=np.uint64)
+    mixed[0] = 0
+    mixed[starts[1:]] = np.uint64(1) - spans[:-1]
+    np.cumsum(mixed, out=mixed)
+    mixed <<= np.uint64(21)  # above every code point, which takes 21 bits
+    mixed |= codepoints
+    _mix(mixed)
+    sums = np.add.reduceat(mixed, starts, dtype=np.uint64)
+    sums ^= spans
+    _mix(sums)
+    return sums
 
 
 RemovalCallback = Callable[[SentencePair, str, str], None]
@@ -227,7 +224,6 @@ class DedupStream:
         self._stage_name = stage_name or spec.describe()
         # one index for both sides: target keys are salted, so comparison stays same-side
         self._index = SeenIndex()
-        self._token_fingerprints = LazyTranslateTable(_blake_fingerprint)
 
     def __iter__(self) -> Iterator[SentencePair]:
         pairs = iter(self._pairs)
@@ -241,35 +237,48 @@ class DedupStream:
                 last_id = pair.id
             yield from self._dedup_block(block)
 
-    def _keys(self, texts: list[str]) -> _SideKeys:
-        """The keys of one side's raw texts, each text's in positional order."""
+    def _keys(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The keys of one side's raw texts, each text's in positional order, and how many each has."""
         import numpy as np
 
         n, mode = self.spec.ngram, self.spec.norm
         if n is None:
-            texts = normalize_texts(texts, mode)
-            keys = np.fromiter(map(_blake_fingerprint, texts), dtype=np.uint64, count=len(texts))
-            return _SideKeys(keys, np.arange(len(texts)), texts)
-        tokens = [text.split() for text in normalize_texts(texts, mode)]
-        lengths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
-        total = int(lengths.sum())
-        lookup = self._token_fingerprints.__getitem__
-        prints = np.fromiter(map(lookup, chain.from_iterable(tokens)), dtype=np.uint64, count=total)
-        if len(self._token_fingerprints) > _TOKEN_CACHE_LIMIT:
-            self._token_fingerprints.clear()
-        windows = max(total - n + 1, 0)
-        keys = prints[:windows].copy()
+            keys = np.zeros(len(texts), dtype=np.uint64)  # a text that normalizes to "" keeps _mix(0)
+            # IDENTITY keys the raw text, whitespace and all
+            chunks = _chunks(texts) if mode is NormMode.IDENTITY else normalize_texts(texts, mode)
+            for at, codepoints, starts in chunks:
+                keys[at] = _fingerprints(codepoints, starts)
+            return keys, np.ones(len(texts), dtype=np.intp)
+        counts = np.zeros(len(texts), dtype=np.intp)
+        keys = np.zeros(0, dtype=np.uint64)
         poly = np.uint64(_POLY)
-        for offset in range(1, n):
-            keys *= poly
-            keys += prints[offset : offset + windows]
-        _mix(keys)
-        # keep the windows that lie inside one text
-        counts = np.maximum(lengths - n + 1, 0)
-        text_of_key = np.repeat(np.arange(len(texts)), counts)
-        position = np.arange(len(text_of_key)) - np.repeat(np.cumsum(counts) - counts, counts)
-        starts = np.cumsum(lengths) - lengths
-        return _SideKeys(keys[starts[text_of_key] + position], text_of_key, texts, tokens, position)
+        for at, codepoints, starts in normalize_texts(texts, mode):
+            # a token starts at each text start and after each space (one U+0020)
+            space = codepoints == 0x20
+            tokens = np.add.reduceat(space, starts, dtype=np.intp) + 1
+            begins = np.zeros_like(space)
+            begins[starts] = True
+            begins[1:] |= space[:-1]
+            token = ~space
+            prints = _fingerprints(codepoints[token], np.flatnonzero(begins[token]))
+            del codepoints, space, token, begins
+            # the windows of n tokens over the chunk, then those inside one text
+            windows = max(prints.size - n + 1, 0)
+            chunk_keys = prints[:windows].copy()
+            for offset in range(1, n):
+                chunk_keys *= poly
+                chunk_keys += prints[offset : offset + windows]
+            del prints
+            _mix(chunk_keys)
+            inside = np.maximum(tokens - n + 1, 0)
+            skipped = np.cumsum(tokens - inside) - (tokens - inside)  # crossing windows before each text
+            chunk_keys = chunk_keys[np.repeat(skipped, inside) + np.arange(inside.sum())]
+            # grown in place, as SeenIndex grows a run: no view of keys exists
+            size = keys.size
+            keys.resize(size + chunk_keys.size, refcheck=False)
+            keys[size:] = chunk_keys
+            counts[at] = inside
+        return keys, counts
 
     def _probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which keys are in the index, and which may decide a pair: in the index or counted twice."""
@@ -283,7 +292,7 @@ class DedupStream:
         import numpy as np
 
         spec = self.spec
-        sides: list[_SideKeys] = []
+        sides = []  # (name, owner) per checked side, for the removal reasons
         parts = []  # (keys, owner, hit, maybe) per checked side
         in_index = np.zeros(len(block), dtype=bool)  # pairs with a key found in the index
         for name, checks, salt in (
@@ -294,13 +303,13 @@ class DedupStream:
             open_pairs = np.flatnonzero(~in_index)
             if not checks or not open_pairs.size:
                 continue
-            side = self._keys([getattr(block[i], name) for i in open_pairs.tolist()])
-            side.keys ^= np.uint64(salt)
-            owner = open_pairs[side.text_of_key]
-            hit, maybe = self._probe(side.keys)
+            keys, counts = self._keys([getattr(block[i], name) for i in open_pairs.tolist()])
+            keys ^= np.uint64(salt)
+            owner = np.repeat(open_pairs, counts)
+            hit, maybe = self._probe(keys)
             in_index[owner[hit]] = True
-            sides.append(side)
-            parts.append((side.keys, owner, hit, maybe))
+            sides.append((name, owner))
+            parts.append((keys, owner, hit, maybe))
         keys, owner, hit, maybe = (np.concatenate(arrays) for arrays in zip(*parts))
 
         # the sequential pass, over the candidate keys of each such pair in probe order
@@ -329,7 +338,20 @@ class DedupStream:
                 continue
             self.removed_count += 1
             if self._on_removed is not None:
-                self._on_removed(pair, self._stage_name, _reason(sides, at, spec.ngram))
+                self._on_removed(pair, self._stage_name, self._reason(pair, sides, at))
+
+    def _reason(self, pair: SentencePair, sides: list[tuple[str, np.ndarray]], at: int) -> str:
+        """Key number ``at`` of the block's sides, counted across them, as its text or n-token window."""
+        for name, owner in sides:
+            if at < len(owner):
+                break
+            at -= len(owner)
+        text = normalize(getattr(pair, name), self.spec.norm)
+        n = self.spec.ngram
+        if n is None:
+            return text
+        start = at - int(owner.searchsorted(owner[at]))  # a text's keys are adjacent, in positional order
+        return next(iter(word_ngrams(text.split()[start : start + n], n)))
 
 
 dedup_stream = DedupStream  # function-style name for the same constructor

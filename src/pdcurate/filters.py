@@ -27,12 +27,12 @@ code points, at most ``_CHUNK_CODEPOINTS`` at a time (but at least one
 text), looks up a class per code point (whitespace, L*/M* alpha,
 ``str.isalpha`` letter, Latin, Sinhala, Tamil, Nd digit, P*/S*) and sums
 the classes per text with ``np.add.reduceat``.  ``normalize_texts``, the
-block form of ``textnorm.normalize`` that dedup uses, runs over the same
-chunks: it drops the code points of the mode's strip classes by a mask,
-keeps one space before each token but the first, and decodes the chunk
-once.  The class of a code point below U+10000 is computed once per
-process, on first sight; one above is computed again on each pass it
-occurs in.  numpy is imported on the first call.
+block form of ``textnorm.normalize`` that dedup fingerprints, runs over
+the same chunks: it drops the code points of the mode's strip classes by
+a mask, keeps one space before each token but the first, and yields the
+chunk's code points undecoded.  The class of a code point below U+10000
+is computed once per process, on first sight; one above is computed
+again on each pass it occurs in.  numpy is imported on the first call.
 """
 
 from __future__ import annotations
@@ -316,43 +316,51 @@ def _count_letters(classes, starts):
     return [_sums((classes & bit).astype(bool), starts) for bit in (_LETTER, _LATIN, _SINHALA, _TAMIL)]
 
 
-def normalize_texts(texts: list[str], mode: NormMode) -> list[str]:
-    """``textnorm.normalize(text, mode)`` of each text."""
+def normalize_texts(texts: list[str], mode: NormMode) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``" ".join(textnorm.normalize(text, mode).split())`` of the texts, a chunk at a time.
+
+    Yields, as ``_chunks`` does, the indices of a chunk's texts that do
+    not normalize to "", their normalized code points as one uint32
+    array and the offset at which each starts in it.  Only in IDENTITY,
+    which keeps whitespace, does this differ from ``normalize``.
+    """
     import numpy as np
 
-    if mode is NormMode.IDENTITY:
-        return list(texts)
-    strip = _STRIP_BITS[mode]
-    normalized = [""] * len(texts)
+    strip = _STRIP_BITS.get(mode, 0)
     for at, codepoints, starts in _chunks(texts):
         classes = _classes(codepoints)
-        keep = (classes & strip) == 0
-        left = _sums(keep, starts)  # code points of each text that are not stripped
-        codepoints, classes = codepoints[keep], classes[keep]
-        del keep
-        if not codepoints.size:
-            continue
-        at, left = at[left > 0], left[left > 0]
-        starts = np.cumsum(left) - left
+        if strip:
+            keep = (classes & strip) == 0
+            left = _sums(keep, starts)  # code points of each text that are not stripped
+            codepoints, classes = codepoints[keep], classes[keep]
+            del keep
+            if not codepoints.size:
+                continue
+            at, left = at[left > 0], left[left > 0]
+            starts = np.cumsum(left) - left
         begins, space = _token_starts(classes, starts)
         del classes
         # one space goes out before each token that does not start its text;
-        # leading whitespace gives one too, which the slice below skips
+        # leading whitespace gives one too, which is dropped below
         out = np.zeros_like(space)
         out[:-1] = begins[1:]
         out[starts[1:] - 1] = False
         del begins
-        codepoints[out] = 0x20
         lead = space[starts]
         out |= ~space
-        del space
         sizes = _sums(out, starts)
-        ends = np.cumsum(sizes)
-        text = str(codepoints[out], "utf-32-le", "surrogatepass")
-        del codepoints, out
-        for i, start, end in zip(at.tolist(), (ends - sizes + lead).tolist(), ends.tolist()):
-            normalized[i] = text[start:end]
-    return normalized
+        codepoints = codepoints[out]
+        codepoints[space[out]] = 0x20
+        del out, space
+        lead &= sizes > 0  # a text of whitespace alone gives nothing
+        if lead.any():
+            keep = np.ones(codepoints.size, dtype=bool)
+            keep[(np.cumsum(sizes) - sizes)[lead]] = False
+            codepoints = codepoints[keep]
+            sizes -= lead
+        nonempty = sizes > 0
+        if nonempty.any():
+            yield at[nonempty], codepoints, (np.cumsum(sizes) - sizes)[nonempty]
 
 
 def _checked(pairs: Sequence[SentencePair], side: Side) -> Iterator[tuple[list[str], bool]]:

@@ -60,7 +60,7 @@ from .filters import (
 from .lid import SCRIPT_LANGS, LidPredictor, ScriptPredictor, TablePredictor
 from .lid import load_prediction_table, load_predictions
 from .ranking import EmbeddingStore, RankedCorpus, load_embeddings, merge_rankings
-from .ranking import rank_corpus, ranked_pairs, top_k
+from .ranking import rank_corpus, ranked_pairs, repeated_id_error, top_k
 from .textnorm import NormMode
 
 StageSpec = DedupSpec | LengthSpec | LidSpec | RatioSpec
@@ -658,18 +658,25 @@ def _rank_top_k(
     Survivors are scored ``max(k, _RANK_BATCH)`` at a time, and after
     each batch only the top k of the pool and the batch are kept, so no
     more than the pool and one batch are held at once.  The ranking's
-    zero_norm_count counts the zero-norm vectors of every survivor.
+    zero_norm_count counts the zero-norm vectors of every survivor.  One
+    flag per embedding row makes an id seen in an earlier batch a DataError.
     """
     import numpy as np
 
     size = min(max(k, _RANK_BATCH), sys.maxsize)  # islice takes no larger count
     pool = RankedCorpus(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
     pool_pairs: list[SentencePair] = []
+    ranked_ids = np.zeros(min(src_emb.count, tgt_emb.count), dtype=bool)
     count = 0
     while True:
         batch = list(islice(survivors, size))
+        ranked = rank_corpus(batch, src_emb, tgt_emb)  # every id is a row of both stores
+        ids = np.fromiter((pair.id for pair in batch), dtype=np.int64, count=len(batch))
+        if ranked_ids[ids].any():
+            raise repeated_id_error(int(ids[ranked_ids[ids]][0]))
+        ranked_ids[ids] = True
         # no entry below the batch's own top k can enter the pool
-        ranked = top_k(rank_corpus(batch, src_emb, tgt_emb), k)
+        ranked = top_k(ranked, k)
         count += len(batch)
         merged, origin = merge_rankings(pool, ranked)
         pool = top_k(merged, k)

@@ -244,6 +244,10 @@ class RankedCorpus:
         return self._ids.tolist()
 
 
+def repeated_id_error(pair_id: int) -> DataError:
+    return DataError(f"pair id {pair_id} appears more than once; each id indexes one embedding row")
+
+
 def rank_corpus(
     pairs: Iterable[SentencePair],
     src_emb: EmbeddingStore,
@@ -274,7 +278,7 @@ def rank_corpus(
     ids.sort()
     repeated = ids[1:][ids[1:] == ids[:-1]]
     if repeated.size:
-        raise DataError(f"pair id {int(repeated[0])} appears more than once; each id indexes one embedding row")
+        raise repeated_id_error(int(repeated[0]))
     dots = np.empty(len(ids), dtype=np.float64)
     norms = np.empty(len(ids), dtype=np.float64)
     step = max(1, _BLOCK_ELEMENTS // src_emb.dim)

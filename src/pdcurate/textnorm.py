@@ -46,8 +46,7 @@ class LazyTranslateTable(dict):
     """A dict filled on demand by a function of the key, each key computed once.
 
     As a str.translate() table, keyed by code point, repeated translate()
-    calls cost a plain dict lookup per char.  Dedup also keeps one per
-    stage, from token to blake2b fingerprint.
+    calls cost a plain dict lookup per char.
     """
 
     def __init__(self, classify: Callable[[Any], Any]):

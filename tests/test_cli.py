@@ -480,6 +480,43 @@ def test_removal_log_is_independent_of_hash_seed(tmp_path):
     assert logs[0] == logs[1]
 
 
+def test_a_run_loads_no_openssl(tmp_path, capsys):
+    # importing hashlib starts OpenSSL (_hashlib), about 3.6 MiB of RSS;
+    # nothing in a run, dedup keys included, needs it.  numpy 1.x loads it
+    # anyway on import, through numpy.random, so there the run is checked
+    # only for loading nothing more, and the source for importing no hashlib
+    source = Path(pdcurate.__file__).parent
+    assert [path.name for path in source.glob("*.py") if "hashlib" in path.read_text(encoding="utf-8")] == []
+    assert run_cli(
+        "synth", "--pairs", "300", "--seed", "1", "--duplicates", "0.4",
+        "--out", str(tmp_path / "labeled.tsv"),
+        "--source-out", str(tmp_path / "s.txt"), "--target-out", str(tmp_path / "t.txt"),
+    ) == 0
+    vectors = np.random.default_rng(0).normal(size=(300, 4)).astype(np.float32)
+    write_embeddings(vectors, tmp_path / "e.bin")
+    capsys.readouterr()
+    emb = str(tmp_path / "e.bin")
+    assert run_cli("preset", "--pair", "en-si", "--src-emb", emb, "--tgt-emb", emb, "--top-k", "30") == 0
+    (tmp_path / "cfg.yaml").write_text(capsys.readouterr().out)
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "preloaded = '_hashlib' in sys.modules\n"
+        "from pdcurate.cli import main\n"
+        "code = main(['run', '--config', 'cfg.yaml', '--source', 's.txt', '--target', 't.txt',"
+        " '--out-dir', 'out', '--removal-log'])\n"
+        "print(code, preloaded, '_hashlib' in sys.modules)\n"
+    )
+    env = {key: value for key, value in os.environ.items() if not key.startswith("CURATE_")}
+    env["PYTHONPATH"] = str(source.parent)  # the package under test
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=env, check=True
+    )
+    code, preloaded, loaded = proc.stdout.splitlines()[-1].split()
+    assert (code, loaded) == ("0", preloaded), proc.stderr
+    assert (tmp_path / "out" / "removals.tsv").stat().st_size > 0
+
+
 _PAIRS_TSV = "one two three four five\tsix seven eight nine ten\nhello world\tමම ගෙදර\n"
 _CONFIG = "language_pair: en-si\n"
 _RUN = ("run", "--config", "cfg.yaml", "--tsv", "c.tsv", "--out-dir", "out")

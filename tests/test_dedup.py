@@ -2,13 +2,16 @@ import itertools
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdcurate import dedup
 from pdcurate.corpus import LanguagePair, SentencePair, Side
-from pdcurate.dedup import DedupSpec, SeenIndex, dedup_stream
+from pdcurate.dedup import DedupSpec, DedupStream, SeenIndex, dedup_stream
 from pdcurate.errors import ConfigError
 from pdcurate.pipeline import PipelineConfig, run
 from pdcurate.textnorm import NormMode, normalize, word_ngrams
@@ -332,7 +335,7 @@ def test_the_index_is_probed_once_per_block_side_with_open_pairs(monkeypatch, no
 
 def test_fingerprint_collisions_are_accepted(monkeypatch):
     # a constant fingerprint makes every key collide with the first kept one
-    monkeypatch.setattr(dedup, "_blake_fingerprint", lambda key: 42)
+    monkeypatch.setattr(dedup, "_fingerprints", lambda codepoints, starts: np.full(len(starts), 42, dtype=np.uint64))
     pairs = pairs_of(("first", "x"), ("second", "y"))
     kept, removed = run_dedup(pairs, DedupSpec(side=Side.SOURCE))
     assert [p.id for p in kept] == [0]  # a false positive, accepted by design
@@ -340,26 +343,120 @@ def test_fingerprint_collisions_are_accepted(monkeypatch):
 
 
 def test_each_key_is_fingerprinted_once(monkeypatch):
-    # n-gram keys: at most one blake2b call per distinct token per stage, across
-    # blocks; full-sentence keys: one per text probed.  A target is not probed
-    # once its source key is found in the index.  One index insert per block,
-    # of keys the block's probe showed absent, so not through add's own probe.
-    hashed, inserts = [], []
-    real_fingerprint, real_insert = dedup._blake_fingerprint, SeenIndex._insert
-    monkeypatch.setattr(dedup, "_blake_fingerprint", lambda key: hashed.append(key) or real_fingerprint(key))
+    # one fingerprint call per chunk of code points (raw for full-sentence
+    # IDENTITY keys, normalized otherwise), over all of its texts
+    # (full-sentence keys) or tokens (n-gram keys).  A target is not
+    # normalized once its source key is found in the index.  One index
+    # insert per block, of keys the block's probe showed absent, so not
+    # through add's own probe.
+    chunks, calls, inserts = [], [], []
+    real_fingerprints, real_insert = dedup._fingerprints, SeenIndex._insert
+
+    def counted(chunker):
+        def chunked(*args):
+            for chunk in chunker(*args):
+                chunks.append(chunk)
+                yield chunk
+
+        return chunked
+
+    monkeypatch.setattr(dedup, "_chunks", counted(dedup._chunks))
+    monkeypatch.setattr(dedup, "normalize_texts", counted(dedup.normalize_texts))
+    monkeypatch.setattr(
+        dedup, "_fingerprints", lambda codepoints, starts: calls.append(len(starts)) or real_fingerprints(codepoints, starts)
+    )
     monkeypatch.setattr(SeenIndex, "_insert", lambda index, keys: inserts.append(keys) or real_insert(index, keys))
     monkeypatch.setattr(SeenIndex, "add", None)
     monkeypatch.setattr(dedup, "_BLOCK_PAIRS", 7)
     pairs = random_corpus(random.Random(5), 100)
-    kept, removed = run_dedup(pairs, DedupSpec(ngram=2, side=Side.BOTH))
-    assert kept and removed
-    assert len(hashed) == len(set(hashed))
-    assert {token for p in pairs for token in p.source.split()} <= set(hashed)
-    assert set(hashed) <= {token for p in pairs for token in (p.source + " " + p.target).split()}
-    assert len(inserts) == -(-len(pairs) // 7)
-    hashed.clear()
-    run_dedup(pairs, DedupSpec(side=Side.BOTH))
-    assert len(pairs) < len(hashed) < 2 * len(pairs)
+    blocks = -(-len(pairs) // 7)
+    for spec in (DedupSpec(ngram=2, side=Side.BOTH), DedupSpec(side=Side.BOTH)):
+        chunks.clear(), calls.clear(), inserts.clear()
+        kept, removed = run_dedup(pairs, spec)
+        assert kept and removed
+        assert blocks < len(calls) == len(chunks) <= 2 * blocks  # a block side is one chunk here
+        segments = [
+            len(at) if spec.ngram is None else int((codepoints == 0x20).sum()) + len(at)
+            for at, codepoints, _ in chunks
+        ]
+        assert calls == segments  # texts or tokens
+        assert len(inserts) == blocks
+    assert len(pairs) < sum(calls) < 2 * len(pairs)  # full-sentence keys: some targets were skipped
+
+
+@pytest.mark.parametrize("norm", list(NormMode))
+@pytest.mark.parametrize("ngram", [None, 2])
+def test_a_lone_surrogate_is_keyed_like_any_code_point(norm, ngram):
+    pairs = [SentencePair(0, "a \ud800 b", "x"), SentencePair(1, "a \ud800 b", "y"), SentencePair(2, "a \udfff b", "z")]
+    spec = DedupSpec(norm=norm, ngram=ngram, side=Side.SOURCE)
+    log = {}
+    stream = dedup_stream(pairs, spec, on_removed=lambda pair, _, reason: log.setdefault(pair.id, reason))
+    assert [p.id for p in stream] == [0, 2]
+    assert log == brute_force_reasons(pairs, spec) == {1: "a \ud800 b" if ngram is None else "a \ud800"}
+
+
+def thue_morse(k):
+    """The Thue-Morse word of length 2^k over "ab", and its complement."""
+    word = "".join("ab"[bin(i).count("1") % 2] for i in range(1 << k))
+    return word, word.translate(str.maketrans("ab", "ba"))
+
+
+@pytest.mark.parametrize("k", [10, 11, 12])
+def test_thue_morse_words_get_distinct_fingerprints(k):
+    word, complement = thue_morse(k)
+    if k >= 11:
+        # what a polynomial mod 2^64 over the characters cannot tell apart,
+        # whatever its base (Pachocki and Radoszewski 2013)
+        polynomial = [0, 0]
+        for a, b in zip(word, complement):
+            polynomial = [(h * dedup._POLY + ord(c)) % 2**64 for h, c in zip(polynomial, (a, b))]
+        assert polynomial[0] == polynomial[1]
+    keys, _ = DedupStream([], DedupSpec(side=Side.SOURCE))._keys([word, complement])
+    assert keys[0] != keys[1]
+    tokens = [dedup._fingerprints(np.array([ord(c) for c in text], dtype=np.uint32), np.array([0])) for text in (word, complement)]
+    assert tokens[0] != tokens[1]
+
+
+# keys of the same texts as an earlier run computed them, so keys that
+# depend on numpy's version or its integer promotion rules fail here
+_PINNED_TEXTS = ["hello world", "මම ගෙදර යමි", "\U0001f600", "a \ud800 b", ""]
+
+
+def test_full_sentence_keys_are_pinned():
+    keys, counts = DedupStream([], DedupSpec(side=Side.SOURCE))._keys(_PINNED_TEXTS)
+    assert counts.tolist() == [1] * 5
+    assert keys.dtype == np.uint64
+    assert [hex(key) for key in keys.tolist()] == [
+        "0x1bab0aa35fad613d", "0xbbbca637c368f0fc", "0x6260cee358ceed8c", "0x41e0d77e34e7bc22", "0x0"
+    ]
+
+
+def test_ngram_keys_are_pinned():
+    keys, counts = DedupStream([], DedupSpec(ngram=2, side=Side.SOURCE))._keys(_PINNED_TEXTS)
+    assert counts.tolist() == [1, 2, 0, 2, 0]
+    assert keys.dtype == np.uint64
+    assert [hex(key) for key in keys.tolist()] == [
+        "0x19ca31398081e375", "0x15480338415e4de2", "0x52f243ce9099d0b8", "0xde5fae8f5929aa5c", "0xb223f940545e823e"
+    ]
+
+
+@pytest.mark.parametrize("norm", list(NormMode))
+@pytest.mark.parametrize("ngram", [None, 5])
+def test_fingerprinting_a_block_holds_a_chunk_of_code_points_not_the_block(norm, ngram):
+    # 2,048 texts of 5,000 code points each, 39 MiB as one uint32 array and
+    # 78 MiB as one uint64 array; about 1.3 MiB (full-sentence) and 1.6 MiB
+    # (5-gram) over the keys was measured
+    texts = ["abc de" * 833 + "xy" for _ in range(2_048)]
+    stream = DedupStream([], DedupSpec(norm=norm, ngram=ngram))
+    stream._keys(texts[:2])  # numpy loads the code behind reduceat on first use
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        keys, _ = stream._keys(texts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == (len(texts) if ngram is None else 830 * len(texts))
+    assert peak < 3 * 1024 * 1024 + 8 * len(keys)
 
 
 def brute_force_reasons(pairs, spec):
@@ -398,6 +495,32 @@ def test_block_size_does_not_change_kept_ids_or_reasons(monkeypatch, block_pairs
         assert kept == [p.id for p in expected_kept], (norm, ngram, side)
         assert stream.removed_count == expected_removed == len(log)
         assert log == brute_force_reasons(pairs, spec), (norm, ngram, side)
+
+
+# whitespace of several kinds, leading, trailing and in runs; digits,
+# punctuation, an astral emoji and a lone surrogate
+_messy_texts = st.lists(st.sampled_from(["a", "b", "ෆ", "7", "!", " ", "\t", "\u00a0", "\U0001f600", "\ud800"]), max_size=8).map(
+    "".join
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_messy_texts, _messy_texts), max_size=30),
+    norm=st.sampled_from(list(NormMode)),
+    ngram=st.sampled_from([None, 2, 3]),
+    side=st.sampled_from(list(Side)),
+    block_pairs=st.sampled_from([1, 4, dedup._BLOCK_PAIRS]),
+)
+def test_messy_whitespace_keeps_the_brute_force_ids_and_reasons(rows, norm, ngram, side, block_pairs):
+    pairs = pairs_of(*rows)
+    spec = DedupSpec(norm=norm, ngram=ngram, side=side)
+    log = {}
+    with mock.patch.object(dedup, "_BLOCK_PAIRS", block_pairs):
+        stream = dedup_stream(pairs, spec, on_removed=lambda pair, _, reason: log.setdefault(pair.id, reason))
+        kept = [p.id for p in stream]
+    assert kept == [p.id for p in brute_force_dedup(pairs, spec)[0]]
+    assert log == brute_force_reasons(pairs, spec)
 
 
 @pytest.mark.parametrize("block_pairs", [1, 7, dedup._BLOCK_PAIRS, 10_000])

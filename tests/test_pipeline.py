@@ -290,6 +290,20 @@ def test_ranking_rejects_a_repeated_pair_id(tmp_path, k):
         run(config, pairs)
 
 
+def test_ranking_rejects_a_pair_id_repeated_in_a_later_batch(tmp_path, monkeypatch):
+    # batches of two survivors: id 2 is in the first batch and again in the
+    # second, where it would score highest and enter the pool twice
+    pairs = [SentencePair(i, f"src {i}", f"tgt {i}") for i in (2, 1, 2, 0)]
+    write_embeddings(np.array([[1, 0], [1, 1], [1, 0]], dtype=np.float32), tmp_path / "s.bin")
+    write_embeddings(np.array([[0, 1], [1, 0], [1, 0]], dtype=np.float32), tmp_path / "t.bin")
+    config = PipelineConfig(
+        language_pair=EN_SI, ranking=RankingSpec(str(tmp_path / "s.bin"), str(tmp_path / "t.bin"), 2)
+    )
+    monkeypatch.setattr(pipeline, "_RANK_BATCH", 2)
+    with pytest.raises(DataError, match="pair id 2 appears more than once"):
+        run(config, pairs)
+
+
 def test_removal_log_and_lid_failures(tmp_path):
     # a prediction table that only covers pair 0 makes pair 1 fail closed
     preds = tmp_path / "preds.tsv"
