@@ -33,6 +33,6 @@ for entry in ranked.entries:
 best = top_k(ranked, 3)
 print(f"\ntop-3 ids: {best.ids()}  (the lightly-noised half ranks first)")
 
-write_ranked_tsv(best, {p.id: p for p in pairs}, workdir / "scores.tsv")
+write_ranked_tsv(best, [pairs[i] for i in best.ids()], workdir / "scores.tsv")  # the pairs in rank order
 print(f"score sidecar written to {workdir / 'scores.tsv'}:")
 print((workdir / "scores.tsv").read_text(), end="")

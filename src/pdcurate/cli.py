@@ -28,9 +28,11 @@ block of pairs at a time, in order, in one thread.
 ``dedup`` and ``filter`` are one-stage runs of the same pipeline as
 ``run``, and ``rank`` is a stage-free run of it with ranking.  ``run``,
 ``dedup`` and ``filter`` write the output corpus while they read the
-input.  ``rank --top-k k`` holds at most about 2 * max(k, 8192) pairs at
-once; without ``--top-k`` it ranks every pair in one batch, so its
-memory grows with the corpus.  ``run --removal-log``, ``dedup --log``
+input.  Ranking holds ids and scores, never texts: at most about
+2 * max(k, 8192) of them with ``--top-k k``, and all of them, 16 bytes
+per pair, without it.  The top-k pairs are then read back from the
+input files by line number, so an input file that changes during the
+run is a data error.  ``run --removal-log``, ``dedup --log``
 and ``filter --log`` stream the removal rows from the run's per-stage
 spills in the temp dir (TMPDIR) into the log, so the log costs about
 its own size on disk, not in memory.  All output files are written atomically
@@ -48,7 +50,8 @@ import time
 from pathlib import Path
 
 from . import pipeline as pl
-from .corpus import LanguagePair, Side, atomic_write, compute_stats, deferred_renames, read_corpus, write_corpus
+from .corpus import LanguagePair, Side, atomic_write, compute_stats, corpus_stamps, deferred_renames
+from .corpus import fetch_pairs, read_corpus, write_corpus
 from .dedup import DedupStream
 from .errors import ConfigError, CurateError, DataError
 from .lid import export_predictions
@@ -118,10 +121,11 @@ def _flag_group(args, source: str, target: str, tsv: str | None = None) -> dict 
 
 
 def _open_corpus(args):
+    """The command's corpus as read_corpus's stream, and its paths as keywords."""
     paths = _flag_group(args, "source", "target", "tsv")
     if paths is None:
         raise ConfigError("need --source and --target (or --tsv)")
-    return read_corpus(**paths), paths["tsv_path"] is not None
+    return read_corpus(**paths), paths
 
 
 def _ticker(pairs, label: str):
@@ -133,16 +137,23 @@ def _ticker(pairs, label: str):
         yield pair
 
 
-def _writer(out_dir: Path, as_tsv: bool) -> pl.Sink:
-    """A pipeline sink that writes the output corpus, and scores.tsv after ranking."""
+def _writer(out_dir: Path, paths: dict) -> pl.Sink:
+    """A pipeline sink that writes the output corpus, and scores.tsv after ranking.
+
+    The ranked pairs are read back from the corpus files at paths, which
+    must not change after this call.
+    """
+    stamps = corpus_stamps(**paths)
 
     def write(pairs, ranked) -> None:
-        if as_tsv:
+        if ranked is not None:
+            pairs = fetch_pairs(ranked.ids(), stamps, **paths)
+        if paths["tsv_path"] is not None:
             write_corpus(pairs, tsv_path=out_dir / "corpus.tsv")
         else:
             write_corpus(pairs, out_dir / "source.txt", out_dir / "target.txt")
         if ranked is not None:
-            write_ranked_tsv(ranked, {pair.id: pair for pair in pairs}, out_dir / "scores.tsv")
+            write_ranked_tsv(ranked, fetch_pairs(ranked.ids(), stamps, **paths), out_dir / "scores.tsv")
 
     return write
 
@@ -160,8 +171,8 @@ def _run(config: pl.PipelineConfig, args, log_path=None, stage: str | None = Non
     With log_path, the removal rows go there, streamed from the run's
     spills; stage, if given, replaces each row's stage name.
     """
-    pairs, as_tsv = _open_corpus(args)
-    sink = _writer(Path(args.out_dir), as_tsv)
+    pairs, paths = _open_corpus(args)
+    sink = _writer(Path(args.out_dir), paths)  # records the corpus stamps before the run
     held = None if log_path is None else _HeldRows()
     report = pl.run(config, _ticker(pairs, "read"), removal_log=held, sink=sink).report
     if held is not None:
@@ -272,7 +283,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    # without --top-k the one batch of survivors holds every pair
+    # without --top-k the one batch of survivors holds every id
     k = sys.maxsize if args.top_k is None else args.top_k
     ranking = pl.RankingSpec(args.src_emb, args.tgt_emb, k)
     report = _run(pl.PipelineConfig(LanguagePair("en", "si"), ranking=ranking), args)

@@ -21,14 +21,21 @@ from __future__ import annotations
 
 import os
 import tempfile
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from .errors import AlignmentError, ConfigError, DataError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+_CHUNK_BYTES = 1 << 20  # bytes read per chunk when scanning a file for line ends
+_INT_BLOCK = 4096  # array values converted to ints at a time
 
 
 class Side(Enum):
@@ -246,14 +253,139 @@ def _read_two_file(source_path: Path, target_path: Path) -> Iterator[SentencePai
         pair_id += 1
 
 
+def _tsv_pair(text: str, path: Path, line_no: int) -> SentencePair:
+    fields = text.split("\t")
+    if len(fields) != 2:
+        raise DataError(f"{path}: line {line_no} has {len(fields)} tab-separated fields, expected 2")
+    return SentencePair(line_no - 1, fields[0], fields[1])
+
+
 def _read_tsv(path: Path) -> Iterator[SentencePair]:
     for line_no, text in _iter_lines(path):
-        fields = text.split("\t")
-        if len(fields) != 2:
-            raise DataError(
-                f"{path}: line {line_no} has {len(fields)} tab-separated fields, expected 2"
-            )
-        yield SentencePair(line_no - 1, fields[0], fields[1])
+        yield _tsv_pair(text, path, line_no)
+
+
+def corpus_stamps(
+    source_path: str | Path | None = None,
+    target_path: str | Path | None = None,
+    *,
+    tsv_path: str | Path | None = None,
+) -> list[tuple[int, int]]:
+    """(st_size, st_mtime_ns) of each corpus file, for ``fetch_pairs`` to check."""
+    stamps = []
+    for path in _corpus_paths(source_path, target_path, tsv_path):
+        try:
+            stat = os.stat(path)
+        except OSError as exc:
+            raise DataError(f"cannot read corpus file {path}: {exc}") from exc
+        stamps.append((stat.st_size, stat.st_mtime_ns))
+    return stamps
+
+
+def _newline_chunks(handle) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(offset, chunk, newlines) for each read of up to ``_CHUNK_BYTES`` bytes from handle.
+
+    offset is the chunk's position in the file, chunk a uint8 array that
+    the next read overwrites, and newlines the positions of its LF bytes.
+    """
+    import numpy as np
+
+    buffer = np.empty(_CHUNK_BYTES, dtype=np.uint8)
+    is_newline = np.empty(_CHUNK_BYTES, dtype=bool)
+    offset = 0
+    while size := handle.readinto(buffer):
+        chunk = buffer[:size]
+        yield offset, chunk, np.flatnonzero(np.equal(chunk, 10, out=is_newline[:size]))
+        offset += size
+
+
+def _line_spans(handle, path: Path, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The byte spans (starts, stops) of the lines numbered by ids, which ascend.
+
+    A span ends before its line's LF; the last line of a file may have none.
+    """
+    import numpy as np
+
+    starts = np.empty(len(ids), dtype=np.int64)
+    stops = np.empty(len(ids), dtype=np.int64)
+    lines = end = size = 0  # the lines ending before the chunk, where they end, and the bytes read
+    for offset, chunk, newlines in _newline_chunks(handle):
+        bounds = np.concatenate(([end], newlines + (offset + 1)))
+        low, high = np.searchsorted(ids, (lines, lines + len(newlines)))
+        at = ids[low:high] - lines
+        starts[low:high] = bounds[at]
+        stops[low:high] = bounds[at + 1] - 1
+        lines += len(newlines)
+        end = int(bounds[-1])
+        size = offset + len(chunk)
+    if size > end:  # a last line with no LF
+        low, high = np.searchsorted(ids, (lines, lines + 1))
+        starts[low:high], stops[low:high] = end, size
+        lines += 1
+    if len(ids) and (ids[0] < 0 or ids[-1] >= lines):
+        missing = int(ids[0] if ids[0] < 0 else ids[-1])
+        raise DataError(f"{path} has {lines} lines, so no line for pair id {missing}")
+    return starts, stops
+
+
+def _ints(array: np.ndarray) -> Iterator[int]:
+    """The values of a 1-D integer array as ints, converted ``_INT_BLOCK`` at a time."""
+    blocks = range(0, len(array), _INT_BLOCK)
+    return chain.from_iterable(array[low : low + _INT_BLOCK].tolist() for low in blocks)
+
+
+def _lines_at(handle, path: Path, starts: np.ndarray, stops: np.ndarray, ids: np.ndarray) -> Iterator[str]:
+    """The lines at the byte spans starts..stops of handle, each read by seek and decoded.
+
+    ids number the lines in errors.
+    """
+    for start, stop, pair_id in zip(_ints(starts), _ints(stops), _ints(ids)):
+        handle.seek(start)
+        raw = handle.read(stop - start)
+        if len(raw) != stop - start:
+            raise DataError(f"{path} changed during the run: it ends before line {pair_id + 1}")
+        yield _decode_line(raw, path, pair_id + 1, start)
+
+
+def fetch_pairs(
+    ids,
+    stamps: list[tuple[int, int]],
+    source_path: str | Path | None = None,
+    target_path: str | Path | None = None,
+    *,
+    tsv_path: str | Path | None = None,
+) -> Iterator[SentencePair]:
+    """The corpus pairs with the given ids (line numbers), in the order of ids.
+
+    Each file is scanned once, in chunks, for the byte spans of the wanted
+    lines; then each pair is read back by seek, so no pair is held.  A
+    pair reads back as ``read_corpus`` gives it.  A file whose size or
+    modification time differs from its stamp (see ``corpus_stamps``), or
+    that has no line for an id, raises DataError.
+    """
+    import numpy as np
+
+    paths = _corpus_paths(source_path, target_path, tsv_path)
+    ids = np.asarray(ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    with ExitStack() as stack:
+        sides = []
+        for path, stamp in zip(paths, stamps, strict=True):
+            try:
+                handle = stack.enter_context(open(path, "rb", buffering=0))
+                stat = os.fstat(handle.fileno())
+            except OSError as exc:
+                raise DataError(f"{path} changed during the run: {exc}") from exc
+            if (stat.st_size, stat.st_mtime_ns) != stamp:
+                raise DataError(f"{path} changed during the run (its size or modification time differs)")
+            starts, stops = np.empty_like(ids), np.empty_like(ids)
+            starts[order], stops[order] = _line_spans(handle, path, ids[order])
+            sides.append(_lines_at(handle, path, starts, stops, ids))
+        if len(paths) == 1:
+            for pair_id, text in zip(_ints(ids), sides[0]):
+                yield _tsv_pair(text, paths[0], pair_id + 1)
+        else:
+            yield from map(SentencePair, _ints(ids), *sides)
 
 
 def _writable(pair: SentencePair) -> SentencePair:

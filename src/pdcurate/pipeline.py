@@ -60,7 +60,7 @@ from .filters import (
 from .lid import SCRIPT_LANGS, LidPredictor, ScriptPredictor, TablePredictor
 from .lid import load_prediction_table, load_predictions
 from .ranking import EmbeddingStore, RankedCorpus, load_embeddings, merge_rankings
-from .ranking import rank_corpus, ranked_pairs, repeated_id_error, top_k
+from .ranking import rank_corpus, repeated_id_error, top_k
 from .textnorm import NormMode
 
 StageSpec = DedupSpec | LengthSpec | LidSpec | RatioSpec
@@ -393,7 +393,9 @@ def _lid_keep(spec: LidSpec, block: Block, ctx: _StageContext) -> list[bool]:
 def _dedup_stage(spec, blocks, name, ctx):
     # DedupStream blocks its input itself, so all of its index work runs
     # inside its own iterator, which the benchmark's tracer charges to it
-    stream = DedupStream(chain.from_iterable(blocks), spec, on_removed=ctx.remove, stage_name=name)
+    # removal reasons are built only for a removal log
+    on_removed = None if ctx.removals is None else ctx.remove
+    stream = DedupStream(chain.from_iterable(blocks), spec, on_removed=on_removed, stage_name=name)
     return _blocks(stream)
 
 
@@ -571,7 +573,7 @@ class RunReport:
 class RunResult:
     """Curated pairs (rank order when ranking ran, id order otherwise).
 
-    pairs is empty when the run was given a sink, which consumed them.
+    pairs is empty when the run was given a sink, which got the output.
     """
 
     pairs: list[SentencePair]
@@ -579,7 +581,7 @@ class RunResult:
     ranked: RankedCorpus | None = None
 
 
-Sink = Callable[[Iterable[SentencePair], RankedCorpus | None], None]
+Sink = Callable[[Iterable[SentencePair] | None, RankedCorpus | None], None]
 RemovalLog = list[tuple[int, str, str]]
 
 
@@ -652,39 +654,47 @@ class _Meter:
 
 def _rank_top_k(
     survivors: Iterator[SentencePair], k: int, src_emb: EmbeddingStore, tgt_emb: EmbeddingStore
-) -> tuple[list[SentencePair], RankedCorpus, int]:
-    """The top k survivors in rank order, their ranking and the survivor count.
+) -> tuple[RankedCorpus, int]:
+    """The ranking of the top k survivors and the survivor count.
 
-    Survivors are scored ``max(k, _RANK_BATCH)`` at a time, and after
-    each batch only the top k of the pool and the batch are kept, so no
-    more than the pool and one batch are held at once.  The ranking's
+    Only the survivors' ids are read.  They are scored ``max(k,
+    _RANK_BATCH)`` at a time, and after each batch only the top k of the
+    pool and the batch are kept, 16 bytes each.  The ranking's
     zero_norm_count counts the zero-norm vectors of every survivor.  One
     flag per embedding row makes an id seen in an earlier batch a DataError.
     """
     import numpy as np
 
     size = min(max(k, _RANK_BATCH), sys.maxsize)  # islice takes no larger count
+    survivor_ids = (pair.id for pair in survivors)
     pool = RankedCorpus(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
-    pool_pairs: list[SentencePair] = []
     ranked_ids = np.zeros(min(src_emb.count, tgt_emb.count), dtype=bool)
     count = 0
     while True:
-        batch = list(islice(survivors, size))
-        ranked = rank_corpus(batch, src_emb, tgt_emb)  # every id is a row of both stores
-        ids = np.fromiter((pair.id for pair in batch), dtype=np.int64, count=len(batch))
+        ids = np.fromiter(islice(survivor_ids, size), dtype=np.int64)
+        ranked = rank_corpus(ids, src_emb, tgt_emb)  # every id is a row of both stores
         if ranked_ids[ids].any():
             raise repeated_id_error(int(ids[ranked_ids[ids]][0]))
         ranked_ids[ids] = True
+        count += len(ids)
         # no entry below the batch's own top k can enter the pool
         ranked = top_k(ranked, k)
-        count += len(batch)
-        merged, origin = merge_rankings(pool, ranked)
-        pool = top_k(merged, k)
-        candidates = pool_pairs + ranked_pairs(ranked, batch)
-        pool_pairs = [candidates[at] for at in origin[:k].tolist()]
-        if len(batch) < size:
-            return pool_pairs, pool, count
-        del batch, candidates  # frees the pairs left out of the pool before the next batch is read
+        pool = top_k(merge_rankings(pool, ranked), k) if len(pool) else ranked
+        if len(ids) < size:
+            return pool, count
+
+
+def _pairs_in_rank_order(pairs: Iterable[SentencePair], ranked: RankedCorpus) -> list[SentencePair]:
+    """The ranked pairs in rank order, picked out of a second pass over a run's input."""
+    slot = dict(zip(ranked.ids(), range(len(ranked))))
+    ordered: list[SentencePair | None] = [None] * len(slot)
+    for pair in pairs:
+        at = slot.get(pair.id)
+        if at is not None:
+            if ordered[at] is not None:
+                raise repeated_id_error(pair.id)
+            ordered[at] = pair
+    return ordered
 
 
 def run(
@@ -704,16 +714,19 @@ def run(
     stage ran over all pairs that reach it before the next one started.
     A stage's wall time is the time spent pulling its output blocks,
     less the time its input took.  With ranking, both embedding stores
-    are loaded before the first pair is read, and only the top-k
-    candidates so far are kept between batches of survivors.
+    are loaded before the first pair is read, and ranking holds the ids
+    and scores of the top k survivors so far, never their texts.
 
     sink(pairs, ranked), if given, is called once with the output.
     Without ranking, pairs is an iterator over the survivors in id
     order, which the sink must exhaust, and ranked is None; with
-    ranking, pairs is the list of top-k pairs in rank order and ranked
-    is their ranking.  Pair ids always index the original corpus, so
-    embedding stores built for the unfiltered corpus keep working after
-    filtering.  Identical input and config give byte-identical output.
+    ranking, pairs is None and ranked is the top-k ranking, whose pairs
+    the sink reads from the input by id.  Without a sink, RunResult.pairs
+    holds the output; with ranking, run then reads its input a second
+    time for the top-k pairs, so an input that is an iterator is held as
+    a list.  Pair ids always index the original corpus, so embedding
+    stores built for the unfiltered corpus keep working after filtering.
+    Identical input and config give byte-identical output.
 
     removal_log, if given, is any object with an ``extend`` method; run
     calls ``removal_log.extend(rows)`` once, at the end.  rows is a
@@ -743,6 +756,13 @@ def run(
     if ranking is not None:
         src_emb = load_embeddings(ranking.source_embeddings)
         tgt_emb = load_embeddings(ranking.target_embeddings)
+    kept: list[SentencePair] = []
+    if sink is None:
+        if ranking is not None and iter(pairs) is pairs:
+            pairs = list(pairs)  # read a second time for the ranked pairs
+        sink = lambda survivors, ranked: kept.extend(
+            survivors if ranked is None else _pairs_in_rank_order(pairs, ranked)
+        )
     names = [stage_name(index, stage) for index, stage in enumerate(config.stages)]
     removals = None if removal_log is None else _Removals(names)
     ctx = _StageContext(report, removals, predictor)
@@ -754,15 +774,12 @@ def run(
         blocks = meters[-1].pull(_row(stage).apply(stage, blocks, name, ctx))
     survivors = chain.from_iterable(blocks)
 
-    kept: list[SentencePair] = []
-    if sink is None:
-        sink = lambda pairs, ranked: kept.extend(pairs)
     ranked = None
     try:
         if ranking is None:
             sink(survivors, None)
         else:
-            top, ranked, count = _rank_top_k(survivors, ranking.top_k, src_emb, tgt_emb)
+            ranked, count = _rank_top_k(survivors, ranking.top_k, src_emb, tgt_emb)
             if ranking.top_k > count:
                 report.warnings.append(
                     f"top_k {ranking.top_k} exceeds ranked corpus size {count}; emitting everything"
@@ -773,7 +790,7 @@ def run(
                 dim=src_emb.dim,
                 zero_norm_count=ranked.zero_norm_count,
             )
-            sink(top, ranked)
+            sink(None, ranked)
     except BaseException:
         if removals is not None:
             removals.close()  # the run stopped early, so no one reads the spills

@@ -22,10 +22,9 @@ run raises DataError.  Scores do not depend on the block size.
 
 A ``RankedCorpus`` keeps the ranked ids and scores as two arrays, 16
 bytes per pair.  ``top_k`` slices them and ``merge_rankings`` joins two,
-so a run can score its survivors in batches and keep only the best k
-between them.  ``RankEntry`` objects are built only for the entries
-that are read, so a run that emits k of n survivors builds k entries,
-not n.
+so a run can score its survivors' ids in batches and keep only the best
+k between them; ranking never needs a pair's text.  ``RankEntry``
+objects are built only when ``entries`` is read.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import struct
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .corpus import SentencePair, atomic_write, read_side_file
 from .errors import DataError
@@ -249,21 +248,25 @@ def repeated_id_error(pair_id: int) -> DataError:
 
 
 def rank_corpus(
-    pairs: Iterable[SentencePair],
+    pairs: Iterable[SentencePair] | np.ndarray,
     src_emb: EmbeddingStore,
     tgt_emb: EmbeddingStore,
 ) -> RankedCorpus:
     """Score every pair by cosine of its two embeddings and rank descending.
 
-    Pair ids index into the stores, so filtered survivors keep using the
-    stores built for the original corpus.  Ties break by ascending id, so the
-    order of pairs is free: they are scored by id, reading each row once.
+    pairs are SentencePairs or an array of their ids.  Pair ids index into
+    the stores, so filtered survivors keep using the stores built for the
+    original corpus.  Ties break by ascending id, so the order of pairs is
+    free: they are scored by id, reading each row once.
     """
     import numpy as np
 
     if src_emb.dim != tgt_emb.dim:
         raise DataError(f"embedding dims differ: source {src_emb.dim} vs target {tgt_emb.dim}")
-    ids = np.fromiter((pair.id for pair in pairs), dtype=np.int64)
+    if isinstance(pairs, np.ndarray):
+        ids = pairs.astype(np.int64)  # a copy, which the sort below may reorder
+    else:
+        ids = np.fromiter((pair.id for pair in pairs), dtype=np.int64)
     if ids.size == 0:
         return RankedCorpus(ids, np.zeros(0, dtype=np.float64))
     for side, store in (("source", src_emb), ("target", tgt_emb)):
@@ -305,41 +308,27 @@ def top_k(ranked: RankedCorpus, k: int) -> RankedCorpus:
     return RankedCorpus(ranked._ids[:k], ranked._scores[:k], ranked.zero_norm_count)
 
 
-def merge_rankings(first: RankedCorpus, second: RankedCorpus) -> tuple[RankedCorpus, np.ndarray]:
-    """The entries of both rankings as one ranking, and the origin of each entry.
+def merge_rankings(first: RankedCorpus, second: RankedCorpus) -> RankedCorpus:
+    """The entries of both rankings as one ranking.
 
-    An entry's origin is its position in first's entries followed by
-    second's.  Ties break by ascending id, and the zero-norm counts add.
+    Ties break by ascending id, and the zero-norm counts add.
     """
     import numpy as np
 
     ids = np.concatenate((first._ids, second._ids))
     scores = np.concatenate((first._scores, second._scores))
     order = np.lexsort((ids, -scores))
-    zero_norm_count = first.zero_norm_count + second.zero_norm_count
-    return RankedCorpus(ids[order], scores[order], zero_norm_count), order
+    return RankedCorpus(ids[order], scores[order], first.zero_norm_count + second.zero_norm_count)
 
 
-def ranked_pairs(ranked: RankedCorpus, pairs: Iterable[SentencePair]) -> list[SentencePair]:
-    """The pairs whose ids ``ranked`` holds, in rank order; other pairs are skipped."""
-    slot = {pair_id: rank for rank, pair_id in enumerate(ranked.ids())}
-    ordered: list[SentencePair] = [None] * len(slot)
-    for pair in pairs:
-        rank = slot.get(pair.id)
-        if rank is not None:
-            ordered[rank] = pair
-    return ordered
+def write_ranked_tsv(ranked: RankedCorpus, pairs: Iterable[SentencePair], path: str | Path) -> None:
+    """Score sidecar: ``rank<TAB>id<TAB>score<TAB>source<TAB>target``.
 
-
-def write_ranked_tsv(
-    ranked: RankedCorpus,
-    pairs_by_id: Mapping[int, SentencePair],
-    path: str | Path,
-) -> None:
-    """Score sidecar: ``rank<TAB>id<TAB>score<TAB>source<TAB>target``."""
+    pairs are the ranked pairs in rank order, one per entry.
+    """
     with atomic_write(path) as out:
-        for entry in ranked.entries:
-            pair = pairs_by_id[entry.pair_id]
-            out.write(
-                f"{entry.rank}\t{entry.pair_id}\t{entry.score:.6f}\t{pair.source}\t{pair.target}\n"
-            )
+        rows = zip(pairs, ranked._ids, ranked._scores, strict=True)
+        for rank, (pair, pair_id, score) in enumerate(rows, start=1):
+            if pair.id != pair_id:
+                raise ValueError(f"pair {pair.id} is given where pair {pair_id} ranks {rank}")
+            out.write(f"{rank}\t{pair.id}\t{score:.6f}\t{pair.source}\t{pair.target}\n")

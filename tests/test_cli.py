@@ -202,6 +202,34 @@ def test_rank_store_truncated_during_the_run_exits_3(tmp_path, capsys, monkeypat
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("tsv", [False, True])
+def test_a_corpus_changed_during_the_run_exits_3(tmp_path, capsys, monkeypatch, tsv):
+    pairs = _stream_pairs(distinct=500, n=400)
+    paths = {"tsv_path": tmp_path / "c.tsv"} if tsv else {"source_path": tmp_path / "s.txt", "target_path": tmp_path / "t.txt"}
+    write_corpus(pairs, **paths)
+    for name in ("s.bin", "t.bin"):
+        write_embeddings(np.ones((len(pairs) + 1, 4), dtype=np.float32), tmp_path / name)
+    load = pipeline.load_embeddings
+
+    def load_then_append(path):
+        # runs inside pl.run, after the corpus stamps were recorded; every
+        # file gets a line, so the reader still finds the files aligned
+        if path.endswith("s.bin"):
+            for changed in paths.values():
+                with open(changed, "a", encoding="utf-8") as out:
+                    out.write("one more\tline\n" if tsv else "one more line\n")
+        return load(path)
+
+    monkeypatch.setattr(pipeline, "load_embeddings", load_then_append)
+    corpus = ["--tsv", str(paths["tsv_path"])] if tsv else ["--source", str(paths["source_path"]), "--target", str(paths["target_path"])]
+    emb = ["--src-emb", str(tmp_path / "s.bin"), "--tgt-emb", str(tmp_path / "t.bin")]
+    out = tmp_path / "out"
+    assert run_cli("rank", *corpus, *emb, "--top-k", "10", "--out-dir", str(out)) == 3
+    first = next(iter(paths.values()))
+    assert capsys.readouterr().err.startswith(f"data error: {first} changed during the run")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_stats_against_reference(corpus, capsys):
     out = corpus / "out"
     run_cli(
@@ -856,8 +884,9 @@ def _peak_rss_kib(*argv: str) -> int:
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs ru_maxrss in KiB")
-@pytest.mark.parametrize("command", ["run", "rank", "dedup"])
+@pytest.mark.parametrize("command", ["run", "rank", "rank-all", "dedup"])
 def test_run_peak_memory_does_not_grow_with_the_corpus(tmp_path, command):
+    # rank-all is rank without --top-k, which ranks every pair
     rng = random.Random(11)
     en, si = builtin_vocabulary("en"), builtin_vocabulary("si")
     (tmp_path / "cfg.yaml").write_text(dump_config(recommended_preset(LanguagePair("en", "si"))))
@@ -872,15 +901,17 @@ def test_run_peak_memory_does_not_grow_with_the_corpus(tmp_path, command):
                 k = rng.randint(6, 14)
                 src.write(" ".join(rng.choices(en, k=k)) + "\n")
                 tgt.write(" ".join(rng.choices(si, k=k)) + "\n")
+        emb = ["--src-emb", str(folder / "e.bin"), "--tgt-emb", str(folder / "e.bin")]
         args = {
             "run": ["--config", str(tmp_path / "cfg.yaml")],
-            "rank": ["--src-emb", str(folder / "e.bin"), "--tgt-emb", str(folder / "e.bin"), "--top-k", "100"],
+            "rank": [*emb, "--top-k", "100"],
+            "rank-all": emb,
             "dedup": ["--norm", "punctnums"],
         }[command]
-        if command == "rank":
+        if command.startswith("rank"):
             write_embeddings(np.random.default_rng(n).normal(size=(n, 8)).astype(np.float32), folder / "e.bin")
         peaks.append(_peak_rss_kib(
-            command, *args,
+            command.removesuffix("-all"), *args,
             "--source", str(folder / "s.txt"), "--target", str(folder / "t.txt"),
             "--out-dir", str(folder / "out"),
         ))

@@ -1,18 +1,22 @@
 import contextlib
 import io
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdcurate.cli import main
+from pdcurate import corpus
 from pdcurate.corpus import (
     AlignmentError,
     LanguagePair,
     SentencePair,
     Side,
     compute_stats,
+    corpus_stamps,
+    fetch_pairs,
     read_corpus,
     write_corpus,
 )
@@ -243,3 +247,64 @@ def test_language_pair_validation():
         LanguagePair("EN", "si")
     with pytest.raises(ValueError):
         LanguagePair.from_string("en")
+
+
+def _write_corpus_bytes(folder, sources, targets, tsv, final_lf):
+    """The corpus keywords of sources/targets written as raw lines; the last line ends in LF only with final_lf."""
+    end = "\n" if final_lf else ""
+    if tsv:
+        path = folder / "c.tsv"
+        path.write_bytes(("\n".join(f"{s}\t{t}" for s, t in zip(sources, targets)) + end).encode("utf-8"))
+        return {"tsv_path": path}
+    (folder / "s.txt").write_bytes(("\n".join(sources) + end).encode("utf-8"))
+    (folder / "t.txt").write_bytes(("\n".join(targets) + "\n").encode("utf-8"))
+    return {"source_path": folder / "s.txt", "target_path": folder / "t.txt"}
+
+
+@pytest.mark.parametrize("tsv", [False, True])
+def test_fetch_pairs_reads_lines_back_as_read_corpus_does(tmp_path, tsv):
+    # the first 1 MiB chunk ends two bytes into the four-byte emoji
+    big = "x" * ((1 << 20) - 2) + "\U0001F600 across a chunk boundary"
+    assert big.encode("utf-8")[(1 << 20) - 2 : (1 << 20) + 2] == "\U0001F600".encode("utf-8")
+    sources = [big, "crlf line\r", "", "astral \U0001D11E \U0001F600", "plain", "last line, no LF"]
+    targets = ["t0", "", "t2\r", "\U0001D49C target", "t4 \u00e9", "t5"]
+    paths = _write_corpus_bytes(tmp_path, sources, targets, tsv, final_lf=False)
+    pairs = list(read_corpus(**paths))
+    assert len(pairs) == 6 and pairs[1].source == "crlf line\r" and pairs[2].source == ""
+    ids = [3, 0, 5, 2, 1, 4]
+    stamps = corpus_stamps(**paths)
+    assert list(fetch_pairs(ids, stamps, **paths)) == [pairs[i] for i in ids]
+    assert list(fetch_pairs([], stamps, **paths)) == []
+    with pytest.raises(DataError, match="has 6 lines, so no line for pair id 6"):
+        list(fetch_pairs([2, 6], stamps, **paths))
+
+
+line_text = st.text(st.characters(blacklist_characters="\t\n", blacklist_categories=("Cs",)), max_size=6)
+
+
+@given(
+    rows=st.lists(st.tuples(line_text, line_text), min_size=1, max_size=12),
+    tsv=st.booleans(),
+    final_lf=st.booleans(),
+    chunk=st.integers(1, 9),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_fetch_pairs_matches_read_corpus_at_any_chunk_size(tmp_path_factory, rows, tsv, final_lf, chunk, data):
+    if not final_lf and not tsv and rows[-1][0] == "":
+        rows = rows + [("end", "end")]  # an empty last line with no LF is no line at all
+    folder = tmp_path_factory.mktemp("fetch")
+    paths = _write_corpus_bytes(folder, *zip(*rows), tsv, final_lf)
+    pairs = list(read_corpus(**paths))
+    ids = data.draw(st.lists(st.integers(0, len(pairs) - 1), unique=True))
+    with mock.patch.object(corpus, "_CHUNK_BYTES", chunk):
+        assert list(fetch_pairs(ids, corpus_stamps(**paths), **paths)) == [pairs[i] for i in ids]
+
+
+def test_fetch_pairs_rejects_a_file_that_changed(tmp_path):
+    paths = _write_corpus_bytes(tmp_path, ["a", "b"], ["c", "d"], tsv=False, final_lf=True)
+    stamps = corpus_stamps(**paths)
+    with open(paths["target_path"], "a", encoding="utf-8") as out:
+        out.write("e\n")
+    with pytest.raises(DataError, match=f"{paths['target_path']} changed during the run"):
+        list(fetch_pairs([0], stamps, **paths))

@@ -304,6 +304,48 @@ def test_ranking_rejects_a_pair_id_repeated_in_a_later_batch(tmp_path, monkeypat
         run(config, pairs)
 
 
+def test_dedup_builds_removal_reasons_only_for_a_removal_log(monkeypatch):
+    texts = ["a b c d e f", "a b c d e g", "x y z w v u", "a b c d e f"]
+    pairs = [SentencePair(i, texts[i % 4], texts[i % 4] + f" {i // 4}") for i in range(40)]
+    spec = DedupSpec(norm=NormMode.IDENTITY, ngram=5, side=Side.SOURCE)
+    config = PipelineConfig(language_pair=EN_SI, stages=(spec,))
+    expected = []
+    log = lambda pair, stage, reason: expected.append((pair.id, stage, reason))
+    kept_ids = [pair.id for pair in dedup.DedupStream(pairs, spec, on_removed=log, stage_name="0:" + spec.describe())]
+    assert kept_ids == [0, 2] and len(expected) == 38
+
+    logged = []
+    assert [pair.id for pair in run(config, pairs, removal_log=logged).pairs] == kept_ids
+    assert logged == expected
+
+    def no_reason(*args):
+        raise AssertionError("a removal reason was built for no removal log")
+
+    monkeypatch.setattr(dedup.DedupStream, "_reason", no_reason)
+    assert [pair.id for pair in run(config, pairs).pairs] == kept_ids
+
+
+@pytest.mark.parametrize("one_shot", [False, True])
+def test_a_ranked_run_without_a_sink_reads_its_input_again(tmp_path, one_shot):
+    rng = np.random.default_rng(3)
+    n = 300
+    for name in ("s.bin", "t.bin"):
+        write_embeddings(rng.normal(size=(n, 4)).astype(np.float32), tmp_path / name)
+    pairs = [SentencePair(i, f"s{i} " * (i % 7), f"t{i}") for i in range(n)]
+    config = PipelineConfig(
+        language_pair=EN_SI,
+        stages=(DedupSpec(norm=NormMode.IDENTITY, ngram=None, side=Side.SOURCE),),
+        ranking=RankingSpec(str(tmp_path / "s.bin"), str(tmp_path / "t.bin"), 25),
+    )
+    result = run(config, iter(pairs) if one_shot else pairs)
+    assert [pair.id for pair in result.pairs] == result.ranked.ids()
+    assert result.pairs == [pairs[i] for i in result.ranked.ids()]
+
+    sunk = []
+    assert run(config, iter(pairs), sink=lambda *output: sunk.append(output)).pairs == []
+    assert sunk == [(None, result.ranked)]
+
+
 def test_removal_log_and_lid_failures(tmp_path):
     # a prediction table that only covers pair 0 makes pair 1 fail closed
     preds = tmp_path / "preds.tsv"

@@ -19,7 +19,6 @@ from pdcurate.ranking import (
     cosine,
     load_embeddings,
     rank_corpus,
-    ranked_pairs,
     top_k,
     write_embeddings,
     write_ranked_tsv,
@@ -444,7 +443,6 @@ def test_top_k_prefix_property():
         assert top_k(ranked, k).ids() == top_k(ranked, k + 1).ids()[:k]
         assert top_k(ranked, k).entries == ranked.entries[:k]
         assert top_k(ranked, k) != top_k(ranked, k + 1)
-        assert ranked_pairs(top_k(ranked, k), reversed(pairs)) == [pairs[i] for i in ranked.ids()[:k]]
     assert top_k(ranked, n) == ranked == rank_corpus(pairs, src, tgt)
 
 
@@ -460,7 +458,7 @@ def test_ranked_tsv_format(tmp_path):
     src, tgt = stores_from([[1, 0], [1, 0]], [[1, 0], [0, 1]])
     pairs = make_pairs(2)
     ranked = rank_corpus(pairs, src, tgt)
-    write_ranked_tsv(ranked, {p.id: p for p in pairs}, tmp_path / "scores.tsv")
+    write_ranked_tsv(ranked, [pairs[i] for i in ranked.ids()], tmp_path / "scores.tsv")
     lines = (tmp_path / "scores.tsv").read_text().splitlines()
     assert lines[0] == "1\t0\t1.000000\ts0\tt0"
     assert lines[1] == "2\t1\t0.000000\ts1\tt1"
