@@ -39,6 +39,10 @@ its own size on disk, not in memory.  All output files are written atomically
 and published together: each goes to a temp file, and the temp files
 are renamed into place only when the command succeeds.  An interrupted
 or failed command unlinks them, so it leaves no output file at all.
+
+``main`` sets ``OPENBLAS_NUM_THREADS=1`` unless it is already set, before
+numpy is first imported: no kernel here makes a multithreaded BLAS call,
+and OpenBLAS would otherwise start an idle worker thread per extra core.
 """
 
 from __future__ import annotations
@@ -147,13 +151,13 @@ def _writer(out_dir: Path, paths: dict) -> pl.Sink:
 
     def write(pairs, ranked) -> None:
         if ranked is not None:
-            pairs = fetch_pairs(ranked.ids(), stamps, **paths)
+            pairs = fetch_pairs(ranked.id_array, stamps, **paths)
         if paths["tsv_path"] is not None:
             write_corpus(pairs, tsv_path=out_dir / "corpus.tsv")
         else:
             write_corpus(pairs, out_dir / "source.txt", out_dir / "target.txt")
         if ranked is not None:
-            write_ranked_tsv(ranked, fetch_pairs(ranked.ids(), stamps, **paths), out_dir / "scores.tsv")
+            write_ranked_tsv(ranked, fetch_pairs(ranked.id_array, stamps, **paths), out_dir / "scores.tsv")
 
     return write
 
@@ -490,6 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # importing this module loads no numpy
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -335,13 +335,13 @@ def _ints(array: np.ndarray) -> Iterator[int]:
 
 
 def _lines_at(handle, path: Path, starts: np.ndarray, stops: np.ndarray, ids: np.ndarray) -> Iterator[str]:
-    """The lines at the byte spans starts..stops of handle, each read by seek and decoded.
+    """The lines at the byte spans starts..stops of handle, each read by one pread and decoded.
 
     ids number the lines in errors.
     """
+    fd = handle.fileno()
     for start, stop, pair_id in zip(_ints(starts), _ints(stops), _ints(ids)):
-        handle.seek(start)
-        raw = handle.read(stop - start)
+        raw = os.pread(fd, stop - start, start)
         if len(raw) != stop - start:
             raise DataError(f"{path} changed during the run: it ends before line {pair_id + 1}")
         yield _decode_line(raw, path, pair_id + 1, start)
@@ -358,7 +358,7 @@ def fetch_pairs(
     """The corpus pairs with the given ids (line numbers), in the order of ids.
 
     Each file is scanned once, in chunks, for the byte spans of the wanted
-    lines; then each pair is read back by seek, so no pair is held.  A
+    lines; then each pair is read back by pread, so no pair is held.  A
     pair reads back as ``read_corpus`` gives it.  A file whose size or
     modification time differs from its stamp (see ``corpus_stamps``), or
     that has no line for an id, raises DataError.

@@ -15,10 +15,15 @@ contain degenerate rows.  Ranking sorts by score descending with ties
 broken by ascending pair id, which makes output deterministic.
 
 A binary store keeps its file open and reads rows by offset when used.
-Validation and scoring read at most ``_BLOCK_ELEMENTS`` values at a time,
-so ranking holds about one block per store, never a whole store or a
+Validation and scoring read at most ``_BLOCK_ELEMENTS`` values at a time.
+``rank_corpus`` copies each block's source and target rows into one
+float64 workspace of two planes, allocated once per call and reused for
+every block, takes the dots from it and then squares it in place for the
+norms.  So ranking holds the workspace and one float32 block being read
+(and its wanted rows, when the ids have gaps), never a whole store or a
 float64 copy of every survivor's vectors.  A file that shrinks during a
-run raises DataError.  Scores do not depend on the block size.
+run raises DataError.  Scores do not depend on the block size, and equal
+what ``np.linalg.norm`` gives.
 
 A ``RankedCorpus`` keeps the ranked ids and scores as two arrays, 16
 bytes per pair.  ``top_k`` slices them and ``merge_rankings`` joins two,
@@ -44,7 +49,7 @@ if TYPE_CHECKING:
 
 MAGIC = b"PDCEMB01"
 _HEADER = struct.Struct("<8sII")
-_BLOCK_ELEMENTS = 1 << 18
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _row_blocks(rows: int, dim: int) -> Iterator[slice]:
@@ -121,13 +126,10 @@ def _validate_finite(store: EmbeddingStore, path: Path) -> None:
             raise DataError(f"{path}: non-finite embedding component at row {row}")
 
 
-def _float64_rows(store: EmbeddingStore, rows: np.ndarray) -> np.ndarray:
-    """A float64 copy of the given ascending rows, read as one range and gathered if it has gaps."""
-    import numpy as np
-
-    picked = rows - rows[0]
+def _read_rows(store: EmbeddingStore, rows: np.ndarray, out: np.ndarray) -> None:
+    """Copy the given ascending rows into out, reading them as one range and gathering if it has gaps."""
     span = store._rows(int(rows[0]), int(rows[-1]) + 1)
-    return (span if (np.diff(picked) == 1).all() else span[picked]).astype(np.float64)
+    out[...] = span if len(span) == len(out) else span[rows - rows[0]]
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
@@ -242,6 +244,13 @@ class RankedCorpus:
     def ids(self) -> list[int]:
         return self._ids.tolist()
 
+    @property
+    def id_array(self) -> np.ndarray:
+        """The ids in rank order as a read-only int64 array, 8 bytes per pair."""
+        view = self._ids.view()
+        view.flags.writeable = False
+        return view
+
 
 def repeated_id_error(pair_id: int) -> DataError:
     return DataError(f"pair id {pair_id} appears more than once; each id indexes one embedding row")
@@ -285,14 +294,19 @@ def rank_corpus(
     dots = np.empty(len(ids), dtype=np.float64)
     norms = np.empty(len(ids), dtype=np.float64)
     step = max(1, _BLOCK_ELEMENTS // src_emb.dim)
+    # one block's source and target rows in float64, reused for every block
+    work = np.empty((2, min(step, len(ids)), src_emb.dim), dtype=np.float64)
     block = slice(0, 0)
     while block.stop < len(ids):
         # the ids in the next step rows of the stores
         block = slice(block.stop, int(np.searchsorted(ids, ids[block.stop] + step)))
-        src = _float64_rows(src_emb, ids[block])
-        tgt = _float64_rows(tgt_emb, ids[block])
-        dots[block] = np.einsum("ij,ij->i", src, tgt)
-        norms[block] = np.linalg.norm(src, axis=1) * np.linalg.norm(tgt, axis=1)
+        rows = work[:, : block.stop - block.start]
+        _read_rows(src_emb, ids[block], rows[0])
+        _read_rows(tgt_emb, ids[block], rows[1])
+        dots[block] = np.einsum("ij,ij->i", rows[0], rows[1])
+        # what np.linalg.norm(x, axis=1) computes, squaring in place
+        np.multiply(rows, rows, out=rows)
+        norms[block] = np.sqrt(np.add.reduce(rows[0], axis=1)) * np.sqrt(np.add.reduce(rows[1], axis=1))
     zero = norms == 0.0
     scores = np.zeros(len(ids), dtype=np.float64)
     np.divide(dots, norms, out=scores, where=~zero)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,11 +16,11 @@ import numpy as np
 import pytest
 
 import pdcurate
-from pdcurate import pipeline
+from pdcurate import cli, pipeline
 from pdcurate.cli import main
 from pdcurate.corpus import LanguagePair, SentencePair, read_corpus, write_corpus
 from pdcurate.pipeline import dump_config, recommended_preset
-from pdcurate.ranking import cosine, write_embeddings
+from pdcurate.ranking import RankedCorpus, cosine, write_embeddings
 from pdcurate.synthnoise import builtin_vocabulary
 
 
@@ -200,6 +201,32 @@ def test_rank_store_truncated_during_the_run_exits_3(tmp_path, capsys, monkeypat
     assert run_cli("rank", "--tsv", str(tmp_path / "c.tsv"), *emb, "--out-dir", str(out)) == 3
     assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 's.bin'}: file ends before row 341;")
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_the_writer_hands_the_fetch_its_ids_as_an_array(tmp_path, monkeypatch):
+    n = 50_000
+    write_corpus(_stream_pairs(distinct=n, n=n), tmp_path / "s.txt", tmp_path / "t.txt")
+    ids = np.random.default_rng(5).permutation(n)
+    ranked = RankedCorpus(ids, np.linspace(1.0, 0.0, n))
+    paths = {"source_path": tmp_path / "s.txt", "target_path": tmp_path / "t.txt", "tsv_path": None}
+    write = cli._writer(tmp_path, paths)
+    fetch, held = cli.fetch_pairs, []
+
+    def fetch_measured(ids, *args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return fetch(ids, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fetch_pairs", fetch_measured)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        write(None, ranked)
+    finally:
+        tracemalloc.stop()
+    # a list of the ids would hold about 40 bytes per id while each fetch runs
+    assert len(held) == 2 and max(held) < 2 * n
+    scores = (tmp_path / "scores.tsv").read_text().splitlines()
+    assert [int(row.split("\t")[1]) for row in scores] == ids.tolist()
 
 
 @pytest.mark.parametrize("tsv", [False, True])
@@ -713,6 +740,32 @@ def test_importing_the_cli_does_not_load_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "False"
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the thread count from /proc/self/status")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_a_ranked_run_pins_openblas_to_one_thread(tmp_path, preset):
+    write_corpus(_stream_pairs(distinct=50, n=200), tmp_path / "s.txt", tmp_path / "t.txt")
+    write_embeddings(np.random.default_rng(3).normal(size=(200, 8)), tmp_path / "e.bin")
+    env = {key: value for key, value in os.environ.items() if not key.startswith("CURATE_")}
+    env["PYTHONPATH"] = str(Path(pdcurate.__file__).parents[1])
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    rank = "rank --source s.txt --target t.txt --src-emb e.bin --tgt-emb e.bin --top-k 5 --out-dir out".split()
+    code = (
+        "import os, sys, pdcurate.cli; print('numpy' in sys.modules); "
+        f"code = pdcurate.cli.main({rank!r}); "
+        "threads = open('/proc/self/status').read().split('Threads:')[1].split()[0]; "
+        "print(code, 'numpy' in sys.modules, threads, os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "False"
+    code, numpy_loaded, threads, pinned = proc.stdout.splitlines()[-1].split()
+    assert (code, numpy_loaded, pinned) == ("0", "True", preset or "1")
+    if preset is None:
+        assert threads == "1"
 
 
 def test_filter_flag_of_another_kind_is_rejected(corpus, capsys, monkeypatch):

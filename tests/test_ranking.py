@@ -335,7 +335,11 @@ def whole_matrix_scores(ids, src, tgt):
     return np.clip(scores, -1.0, 1.0)
 
 
-@pytest.mark.parametrize("block_elements", [1, 768 * 7, 1 << 18, 1 << 30])
+_DEFAULT_BLOCK = ranking._BLOCK_ELEMENTS
+
+
+# 768 * 300: blocks of 300 rows, so the last block of the 2,000 rows holds only 200
+@pytest.mark.parametrize("block_elements", [1, 768 * 7, 768 * 300, _DEFAULT_BLOCK, 1 << 18, 1 << 30])
 def test_block_scores_equal_whole_matrix_scores(monkeypatch, block_elements):
     monkeypatch.setattr(ranking, "_BLOCK_ELEMENTS", block_elements)
     rng = np.random.default_rng(41)
@@ -351,8 +355,30 @@ def test_block_scores_equal_whole_matrix_scores(monkeypatch, block_elements):
     assert {entry.pair_id: entry.score for entry in ranked.entries} == reference
     assert ranked.zero_norm_count == 3
     assert all(type(e.pair_id) is int and type(e.score) is float for e in ranked.entries)
-    if block_elements == 1 << 18:
+    if block_elements == _DEFAULT_BLOCK:
         assert ranked.ids() == brute_force_rank(pairs, src, tgt)
+
+
+def test_rank_peak_is_one_workspace_and_one_read_block(tmp_path):
+    rng = np.random.default_rng(45)
+    n, dim = 4_000, 768
+    for name in ("src.bin", "tgt.bin"):
+        write_embeddings(rng.normal(size=(n, dim)).astype(np.float32), tmp_path / name)
+    src, tgt = load_embeddings(tmp_path / "src.bin"), load_embeddings(tmp_path / "tgt.bin")
+    # one id in 50 is missing; a block with a gap is gathered, and the 64 B
+    # per id also covers the float32 copy of its wanted rows
+    ids = np.delete(np.arange(n), np.arange(0, n, 50))
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        ranked = rank_corpus(ids, src, tgt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_rows = ranking._BLOCK_ELEMENTS // dim
+    workspace, read_block = 2 * block_rows * dim * 8, block_rows * dim * 4
+    assert len(ranked) == len(ids)
+    assert peak - start <= workspace + read_block + 64 * len(ids)
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, None])
