@@ -58,6 +58,7 @@ from .corpus import LanguagePair, Side, atomic_write, compute_stats, corpus_stam
 from .corpus import fetch_pairs, read_corpus, write_corpus
 from .dedup import DedupStream
 from .errors import ConfigError, CurateError, DataError
+from .filters import SENT_RATIO_THRESHOLD
 from .lid import export_predictions
 from .metrics import disparity_report, format_disparity_report, read_score_table, write_disparity_report
 from .ranking import load_embeddings, rank_corpus, top_k, write_ranked_tsv
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset = sub.add_parser("preset", help="print the recommended pipeline config")
     p_preset.add_argument("--pair", required=True, help="language pair tag, like en-si")
     p_preset.add_argument("--ngram", type=int, default="5")
-    p_preset.add_argument("--ratio", type=float, default="0.6")
+    p_preset.add_argument("--ratio", type=float, default=SENT_RATIO_THRESHOLD)
     p_preset.add_argument("--dedup-side", default="t", choices=["t", "st"])
     p_preset.add_argument("--src-emb")
     p_preset.add_argument("--tgt-emb")

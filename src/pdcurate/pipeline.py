@@ -46,6 +46,8 @@ from .errors import ConfigError, DataError
 from .filters import (
     LID_PROB_THRESHOLD,
     MIN_WORDS_DEFAULT,
+    SENT_RATIO_STRICT,
+    SENT_RATIO_THRESHOLD,
     LengthSpec,
     LidSpec,
     RatioKind,
@@ -808,7 +810,7 @@ def run(
 def recommended_preset(
     language_pair: LanguagePair,
     n: int = 5,
-    ratio_lo: float = 0.6,
+    ratio_lo: float = SENT_RATIO_THRESHOLD,
     *,
     dedup_side: Side = Side.TARGET,
     ranking: RankingSpec | None = None,
@@ -829,7 +831,7 @@ def recommended_preset(
         )
     if not 0.0 < ratio_lo <= 1.0:
         raise ConfigError(f"ratio_lo must lie in (0, 1], got {ratio_lo}")
-    ratio_side = Side.BOTH if ratio_lo >= 0.8 else Side.SOURCE
+    ratio_side = Side.BOTH if ratio_lo >= SENT_RATIO_STRICT else Side.SOURCE
     stages: tuple[StageSpec, ...] = (
         DedupSpec(norm=NormMode.STRIP_PUNCT_NUMS, ngram=None, side=dedup_side),
         DedupSpec(norm=NormMode.IDENTITY, ngram=n, side=Side.TARGET),

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import tracemalloc
+from itertools import count
 from unittest import mock
 
 import pytest
@@ -18,9 +19,10 @@ from pdcurate.corpus import (
     corpus_stamps,
     fetch_pairs,
     read_corpus,
+    read_side_file,
     write_corpus,
 )
-from pdcurate.errors import ConfigError, DataError
+from pdcurate.errors import ConfigError, CurateError, DataError
 
 sentence_text = st.text(
     alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
@@ -308,3 +310,125 @@ def test_fetch_pairs_rejects_a_file_that_changed(tmp_path):
         out.write("e\n")
     with pytest.raises(DataError, match=f"{paths['target_path']} changed during the run"):
         list(fetch_pairs([0], stamps, **paths))
+
+
+def _brute_force_lines(data: bytes, path, tabs: bool):
+    """The lines of data, split and decoded one at a time, before the first bad one, and its error message."""
+    raws = data.split(b"\n")
+    if raws[-1] == b"":
+        raws.pop()  # the empty segment after the last LF, or of an empty file
+    lines, offset = [], 0
+    for number, raw in enumerate(raws, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return lines, f"{path}: invalid UTF-8 at line {number}, byte offset {offset + exc.start}"
+        if not tabs and "\t" in text:
+            return lines, f"{path}: line {number} contains a tab character"
+        lines.append(text)
+        offset += len(raw) + 1
+    return lines, None
+
+
+def _expected_two_file(source: bytes, target: bytes, source_path, target_path):
+    """The pairs, and the (type, message) of the error, that reading source before target line by line gives."""
+    sides = [_brute_force_lines(source, source_path, False), _brute_force_lines(target, target_path, False)]
+    pairs = []
+    for pair_id in count():
+        texts = []
+        for lines, error in sides:
+            if pair_id == len(lines) and error:
+                return pairs, (DataError, error)
+            texts.append(lines[pair_id] if pair_id < len(lines) else None)
+        if texts == [None, None]:
+            return pairs, None
+        if None in texts:
+            longer = target_path if texts[0] is None else source_path
+            message = f"{source_path} and {target_path} disagree in length: {longer} has an unmatched line {pair_id + 1}"
+            return pairs, (AlignmentError, message)
+        pairs.append(SentencePair(pair_id, *texts))
+
+
+def _expected_tsv(data: bytes, path):
+    lines, error = _brute_force_lines(data, path, True)
+    pairs = []
+    for pair_id, line in enumerate(lines):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            return pairs, (DataError, f"{path}: line {pair_id + 1} has {len(fields)} tab-separated fields, expected 2")
+        pairs.append(SentencePair(pair_id, *fields))
+    return pairs, error and (DataError, error)
+
+
+def _expected_side_rows(data: bytes, path):
+    """What read_side_file(path, None, tuple, comments=True) gives."""
+    lines, error = _brute_force_lines(data, path, True)
+    rows, fields = [], None
+    for number, line in enumerate(lines, start=1):
+        line = line.removesuffix("\r")
+        if number == 1:
+            line = line.removeprefix("\ufeff")
+        if not line or line.startswith("#"):
+            continue
+        row = tuple(line.split("\t"))
+        fields = fields or len(row)
+        if len(row) != fields:
+            return rows, (DataError, f"{path}: line {number}: expected {fields} fields, got {len(row)}")
+        rows.append(row)
+    return rows, error and (DataError, error)
+
+
+def _drain(items):
+    """The items up to the first error, and that error's (type, message), or None."""
+    got = []
+    try:
+        for item in items:
+            got.append(item)
+    except CurateError as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+# pieces of reader input: LF, CR, tabs, a BOM, comment marks, multibyte characters
+# that small chunks split, and invalid or truncated UTF-8
+_READER_PIECES = [
+    b"ab", b" ", b"#", b"\n", b"\n", b"\t", b"\r", b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xed\xa0\x80",
+    "මම".encode(), "\U0001F600".encode(), "\U0001F600".encode()[:3],
+]
+reader_file = st.lists(st.sampled_from(_READER_PIECES), max_size=24).map(b"".join)
+
+
+@given(source=reader_file, target=reader_file, chunk=st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_readers_match_a_brute_force_parse_at_any_chunk_size(tmp_path_factory, source, target, chunk):
+    folder = tmp_path_factory.mktemp("reader")
+    src, tgt = folder / "s.txt", folder / "t.txt"
+    src.write_bytes(source)
+    tgt.write_bytes(target)
+    reads = [
+        (lambda: read_corpus(src, tgt), _expected_two_file(source, target, src, tgt)),
+        (lambda: read_corpus(tsv_path=src), _expected_tsv(source, src)),
+        (lambda: read_side_file(src, None, tuple, comments=True), _expected_side_rows(source, src)),
+    ]
+    for read, expected in reads:
+        at_default = _drain(read())
+        with mock.patch.object(corpus, "_CHUNK_BYTES", chunk):
+            assert _drain(read()) == at_default == expected
+
+
+def test_a_two_file_corpus_reports_the_first_bad_line_in_reading_order(tmp_path):
+    # the target's line 4 is decoded before source line 2 is reached, but
+    # source line 2 is read first, so its tab is the error
+    (tmp_path / "s.txt").write_bytes(b"a\nb\tc\nd\ne\n")
+    (tmp_path / "t.txt").write_bytes(b"1\n2\n3\n\xff\n")
+    with pytest.raises(DataError) as err:
+        list(read_corpus(tmp_path / "s.txt", tmp_path / "t.txt"))
+    assert str(err.value) == f"{tmp_path / 's.txt'}: line 2 contains a tab character"
+
+
+def test_a_line_of_many_chunks_reads_back_whole(tmp_path):
+    long = "ම" * ((1 << 20) // 3)  # a 1 MiB line whose 3-byte characters straddle 16-byte chunks
+    paths = _write_corpus_bytes(tmp_path, [long, "short"], ["t0", "t1"], tsv=False, final_lf=True)
+    with mock.patch.object(corpus, "_CHUNK_BYTES", 16):
+        assert list(read_corpus(**paths)) == [SentencePair(0, long, "t0"), SentencePair(1, "short", "t1")]
+        assert list(fetch_pairs([1, 0], corpus_stamps(**paths), **paths))[1] == SentencePair(0, long, "t0")
