@@ -50,16 +50,16 @@ merged geometrically (a new run is merged into the one before while it
 is at least as large), so it has about log2(n) runs.  A merge grows the
 older run in place.  numpy is imported only when a first block arrives.
 
-``pipeline.run`` chains the stages a block at a time: a dedup stage
-iterates over the kept pairs of the stage before it, so its index grows
-while the corpus is still being read, and only its current block of
-pairs is held.
+``pipeline.run`` pushes each block of the input through the stages in
+turn and calls a dedup stage's ``dedup_block`` with the pairs that the
+stage before it kept, so the index grows while the corpus is still
+being read, and only the current block of pairs is held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import compress, groupby, islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -204,8 +204,9 @@ RemovalCallback = Callable[[SentencePair, str, str], None]
 class DedupStream:
     """Single-pass dedup over an id-ordered pair stream, one block at a time.
 
-    Iterate to obtain kept pairs; ``removed_count`` is valid once the
-    iterator is exhausted.  ``on_removed(pair, stage, reason)`` fires for
+    Iterate to obtain kept pairs, or pass id-ordered blocks to
+    ``dedup_block`` one after another; ``removed_count`` counts the
+    removals so far.  ``on_removed(pair, stage, reason)`` fires for
     every removal, in id order, which backs the optional removal log.
     """
 
@@ -224,18 +225,13 @@ class DedupStream:
         self._stage_name = stage_name or spec.describe()
         # one index for both sides: target keys are salted, so comparison stays same-side
         self._index = SeenIndex()
+        self._last_id = -1
 
     def __iter__(self) -> Iterator[SentencePair]:
+        self._last_id = -1  # each iteration checks its ids afresh
         pairs = iter(self._pairs)
-        last_id = -1
         while block := list(islice(pairs, _BLOCK_PAIRS)):
-            for pair in block:
-                if pair.id <= last_id:
-                    raise ValueError(
-                        f"pair ids out of order: {pair.id} after {last_id} (stream must be id-sorted)"
-                    )
-                last_id = pair.id
-            yield from self._dedup_block(block)
+            yield from self.dedup_block(block)
 
     def _keys(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """The keys of one side's raw texts, each text's in positional order, and how many each has."""
@@ -288,7 +284,16 @@ class DedupStream:
         hit = self._index.hits(unique)[inverse]
         return hit, hit | (counts > 1)[inverse]
 
-    def _dedup_block(self, block: list[SentencePair]) -> Iterator[SentencePair]:
+    def dedup_block(self, block: list[SentencePair]) -> list[SentencePair]:
+        """The kept pairs of the stream's next block, whose ids must ascend from the last block's."""
+        for pair in block:
+            if pair.id <= self._last_id:
+                raise ValueError(
+                    f"pair ids out of order: {pair.id} after {self._last_id} (stream must be id-sorted)"
+                )
+            self._last_id = pair.id
+        if not block:
+            return []
         import numpy as np
 
         spec = self.spec
@@ -331,14 +336,12 @@ class DedupStream:
         # the probe showed every key of a kept pair to be absent from the index
         self._index._insert(np.unique(keys[kept[owner]]))
 
-        for pair_index, pair in enumerate(block):
-            at = first_hit.get(pair_index)
-            if at is None:
-                yield pair
-                continue
-            self.removed_count += 1
-            if self._on_removed is not None:
+        self.removed_count += len(first_hit)
+        if self._on_removed is not None:
+            for pair_index, at in first_hit.items():  # in id order, as groupby found them
+                pair = block[pair_index]
                 self._on_removed(pair, self._stage_name, self._reason(pair, sides, at))
+        return list(compress(block, kept.tolist()))
 
     def _reason(self, pair: SentencePair, sides: list[tuple[str, np.ndarray]], at: int) -> str:
         """Key number ``at`` of the block's sides, counted across them, as its text or n-token window."""

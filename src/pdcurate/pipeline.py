@@ -205,17 +205,17 @@ class _StageKind:
     params maps each spec field a stage's params may set to its
     converter, and defaults(kind, language_pair) gives the fields they
     leave out.  kind(spec) is the kind the row writes and describe(spec)
-    names the stage in reports.  apply(spec, blocks, name, ctx) takes the
-    pairs that reach the stage as an iterator of id-ordered lists and
-    returns the kept pairs, in order, as another such iterator; it pulls
-    only as many blocks as its output needs.
+    names the stage in reports.  block_fn(spec, name, ctx), called once
+    per run, returns the stage's block function: it takes an id-ordered
+    list of the pairs that reach the stage and returns the kept ones, in
+    order.
     """
 
     names: tuple[str, ...]
     spec: type
     params: dict[str, Callable[[Any], Any]]
     kind: Callable[[Any], str]
-    apply: Callable[[Any, Iterator[Block], str, "_StageContext"], Iterator[Block]]
+    block_fn: Callable[[Any, str, "_StageContext"], Callable[[Block], Block]]
     defaults: Callable[[str, LanguagePair | None], dict] = lambda kind, language_pair: {}
     describe: Callable[[Any], str] = _kind_at_side
     uses_predictor: bool = False
@@ -368,22 +368,25 @@ class _StageContext:
 
 
 def _filter_stage(keep):
-    """The stage function of a block test keep(spec, block, ctx) -> one bool per pair.
+    """The block_fn of a block test keep(spec, block, ctx) -> one bool per pair.
 
     Removed pairs are logged in id order with the stage kind as their reason.
     """
 
-    def apply(spec, blocks, name, ctx):
+    def block_fn(spec, name, ctx):
         reason = stage_kind(spec)
-        for block in blocks:
+
+        def kept(block: Block) -> Block:
             flags = keep(spec, block, ctx)
             if ctx.removals is not None:
                 for pair, ok in zip(block, flags):
                     if not ok:
                         ctx.remove(pair, name, reason)
-            yield list(compress(block, flags))
+            return list(compress(block, flags))
 
-    return apply
+        return kept
+
+    return block_fn
 
 
 def _lid_keep(spec: LidSpec, block: Block, ctx: _StageContext) -> list[bool]:
@@ -392,13 +395,10 @@ def _lid_keep(spec: LidSpec, block: Block, ctx: _StageContext) -> list[bool]:
     return [lid_pass(pair, spec, ctx.predictor, on_error=ctx.lid_failed) for pair in block]
 
 
-def _dedup_stage(spec, blocks, name, ctx):
-    # DedupStream blocks its input itself, so all of its index work runs
-    # inside its own iterator, which the benchmark's tracer charges to it
+def _dedup_stage(spec, name, ctx):
     # removal reasons are built only for a removal log
     on_removed = None if ctx.removals is None else ctx.remove
-    stream = DedupStream(chain.from_iterable(blocks), spec, on_removed=on_removed, stage_name=name)
-    return _blocks(stream)
+    return DedupStream((), spec, on_removed=on_removed, stage_name=name).dedup_block
 
 
 _STAGE_KINDS = (
@@ -407,7 +407,7 @@ _STAGE_KINDS = (
         spec=DedupSpec,
         params={"norm": lambda value: NormMode.from_string(_text(value)), "ngram": _integer},
         kind=lambda spec: "dedup",
-        apply=_dedup_stage,
+        block_fn=_dedup_stage,
         describe=DedupSpec.describe,
     ),
     _StageKind(
@@ -415,14 +415,14 @@ _STAGE_KINDS = (
         spec=LengthSpec,
         params={"min_words": _integer},
         kind=lambda spec: "length",
-        apply=_filter_stage(lambda spec, block, ctx: length_keep(block, spec).tolist()),
+        block_fn=_filter_stage(lambda spec, block, ctx: length_keep(block, spec).tolist()),
     ),
     _StageKind(
         names=("lid", "lidthresh"),
         spec=LidSpec,
         params={"expected_source": _text, "expected_target": _text, "min_prob": _number},
         kind=lambda spec: "lid",
-        apply=_filter_stage(_lid_keep),
+        block_fn=_filter_stage(_lid_keep),
         defaults=_lid_defaults,
         uses_predictor=True,
     ),
@@ -431,7 +431,7 @@ _STAGE_KINDS = (
         spec=RatioSpec,
         params={"lo": _number, "hi": _number},
         kind=lambda spec: spec.kind.value,
-        apply=_filter_stage(lambda spec, block, ctx: ratio_keep(block, spec).tolist()),
+        block_fn=_filter_stage(lambda spec, block, ctx: ratio_keep(block, spec).tolist()),
         defaults=lambda kind, language_pair: {"kind": RatioKind(kind)},
     ),
 )
@@ -629,31 +629,6 @@ def validate_config(config: PipelineConfig) -> None:
             )
 
 
-def _blocks(pairs: Iterable[SentencePair]) -> Iterator[Block]:
-    """pairs as consecutive lists of up to ``dedup._BLOCK_PAIRS`` each."""
-    pairs = iter(pairs)
-    size = dedup._BLOCK_PAIRS
-    return iter(lambda: list(islice(pairs, size)), [])
-
-
-@dataclass(slots=True)
-class _Meter:
-    """The pairs in one stream of blocks and the time spent pulling them."""
-
-    pairs: int = 0
-    seconds: float = 0.0
-
-    def pull(self, blocks: Iterator[Block]) -> Iterator[Block]:
-        while True:
-            started = time.perf_counter()
-            block = next(blocks, None)
-            self.seconds += time.perf_counter() - started
-            if block is None:
-                return
-            self.pairs += len(block)
-            yield block
-
-
 def _rank_top_k(
     survivors: Iterator[SentencePair], k: int, src_emb: EmbeddingStore, tgt_emb: EmbeddingStore
 ) -> tuple[RankedCorpus, int]:
@@ -709,15 +684,16 @@ def run(
 ) -> RunResult:
     """Run stages in order, then rank survivors and slice top-k.
 
-    The pairs stream through the stages in config order, in blocks of
-    ``dedup._BLOCK_PAIRS``, in this process and thread: no stage holds
-    the corpus or its full survivor list.  The output, the removal log
-    (joined stage-major) and the report counts are the same as if each
-    stage ran over all pairs that reach it before the next one started.
-    A stage's wall time is the time spent pulling its output blocks,
-    less the time its input took.  With ranking, both embedding stores
-    are loaded before the first pair is read, and ranking holds the ids
-    and scores of the top k survivors so far, never their texts.
+    The pairs are read in blocks of ``dedup._BLOCK_PAIRS``, and each
+    block goes through the stages in config order, in this process and
+    thread, before the next one is read: no stage holds the corpus or
+    its full survivor list.  The output, the removal log (joined
+    stage-major) and the report counts are the same as if each stage ran
+    over all pairs that reach it before the next one started.  A stage's
+    wall time is the time spent in its calls.  With ranking, both
+    embedding stores are loaded before the first pair is read, and
+    ranking holds the ids and scores of the top k survivors so far,
+    never their texts.
 
     sink(pairs, ranked), if given, is called once with the output.
     Without ranking, pairs is an iterator over the survivors in id
@@ -769,12 +745,23 @@ def run(
     removals = None if removal_log is None else _Removals(names)
     ctx = _StageContext(report, removals, predictor)
 
-    meters = [_Meter()]
-    blocks = meters[0].pull(_blocks(pairs))
-    for name, stage in zip(names, config.stages):
-        meters.append(_Meter())
-        blocks = meters[-1].pull(_row(stage).apply(stage, blocks, name, ctx))
-    survivors = chain.from_iterable(blocks)
+    block_fns = [_row(stage).block_fn(stage, name, ctx) for name, stage in zip(names, config.stages)]
+    counts = [0] * (len(block_fns) + 1)  # the pairs that reach each stage, and the survivors
+    seconds = [0.0] * len(block_fns)
+
+    def survivor_blocks() -> Iterator[Block]:
+        source, size = iter(pairs), dedup._BLOCK_PAIRS
+        while block := list(islice(source, size)):
+            counts[0] += len(block)
+            for at, block_fn in enumerate(block_fns):
+                started = time.perf_counter()
+                block = block_fn(block)
+                seconds[at] += time.perf_counter() - started
+                counts[at + 1] += len(block)
+            yield block
+            del block  # the survivors, before the next block is read
+
+    survivors = chain.from_iterable(survivor_blocks())
 
     ranked = None
     try:
@@ -798,10 +785,9 @@ def run(
             removals.close()  # the run stopped early, so no one reads the spills
         raise
 
-    for name, upstream, meter in zip(names, meters, meters[1:]):
-        stats = compute_stats(upstream.pairs, meter.pairs)
-        report.stages.append(StageReport(name, stats, meter.seconds - upstream.seconds))
-    report.total = compute_stats(meters[0].pairs, meters[-1].pairs)
+    for at, name in enumerate(names):
+        report.stages.append(StageReport(name, compute_stats(counts[at], counts[at + 1]), seconds[at]))
+    report.total = compute_stats(counts[0], counts[-1])
     if removals is not None:
         removal_log.extend(removals)
     return RunResult(pairs=kept, report=report, ranked=ranked)

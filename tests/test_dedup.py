@@ -97,10 +97,23 @@ def test_empty_normalizations_collide_on_empty_key():
     assert removed == 1
 
 
-def test_out_of_order_ids_rejected():
+def test_out_of_order_ids_rejected(monkeypatch):
     pairs = [SentencePair(1, "a", "b"), SentencePair(0, "c", "d")]
     with pytest.raises(ValueError, match="out of order"):
         list(dedup_stream(pairs, DedupSpec()))
+    # ids that do not continue from one block to the next, iterated or passed to dedup_block
+    monkeypatch.setattr(dedup, "_BLOCK_PAIRS", 1)
+    with pytest.raises(ValueError) as iterated:
+        list(dedup_stream(pairs, DedupSpec()))
+    stream = DedupStream((), DedupSpec())
+    assert stream.dedup_block(pairs[:1]) == pairs[:1]
+    assert stream.dedup_block([]) == []
+    with pytest.raises(ValueError) as passed:
+        stream.dedup_block(pairs[1:])
+    assert str(passed.value) == str(iterated.value) == "pair ids out of order: 0 after 1 (stream must be id-sorted)"
+    # each iteration checks its ids afresh; the index stays
+    stream = dedup_stream(pairs[:1], DedupSpec())
+    assert (list(stream), list(stream), stream.removed_count) == (pairs[:1], [], 1)
 
 
 def test_ngram_out_of_range_rejected():
@@ -495,6 +508,12 @@ def test_block_size_does_not_change_kept_ids_or_reasons(monkeypatch, block_pairs
         assert kept == [p.id for p in expected_kept], (norm, ngram, side)
         assert stream.removed_count == expected_removed == len(log)
         assert log == brute_force_reasons(pairs, spec), (norm, ngram, side)
+        # the same blocks, passed to dedup_block one call each
+        rows = []
+        fed = DedupStream((), spec, on_removed=lambda pair, stage, reason: rows.append((pair.id, stage, reason)))
+        fed_kept = [p.id for at in range(0, len(pairs), block_pairs) for p in fed.dedup_block(pairs[at : at + block_pairs])]
+        assert fed_kept == kept and fed.removed_count == stream.removed_count, (norm, ngram, side)
+        assert rows == [(i, spec.describe(), reason) for i, reason in sorted(log.items())], (norm, ngram, side)
 
 
 # whitespace of several kinds, leading, trailing and in runs; digits,

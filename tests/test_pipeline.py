@@ -1,4 +1,5 @@
 import itertools
+import time
 from collections import Counter
 from unittest import mock
 
@@ -170,6 +171,24 @@ def test_stage_bookkeeping_sums():
     assert report.total.retained_count == len(result.pairs)
     retained = [stage.stats.retained_count for stage in report.stages]
     assert retained == sorted(retained, reverse=True)
+
+
+def test_each_stage_is_charged_its_own_wall_time(monkeypatch):
+    # the middle stage of three sleeps 20 ms per block; the others take about 1 ms a block
+    pairs = [SentencePair(i, f"w{i} a b c d e", f"v{i} x y z u") for i in range(40)]
+    stages = (
+        DedupSpec(side=Side.BOTH),
+        LengthSpec(min_words=5, side=Side.BOTH),
+        RatioSpec(kind=RatioKind.SENT_W_RATIO, lo=0.6, hi=None, side=Side.SOURCE),
+    )
+    real_length_keep = pipeline.length_keep
+    monkeypatch.setattr(pipeline, "length_keep", lambda *args: time.sleep(0.02) or real_length_keep(*args))
+    monkeypatch.setattr(dedup, "_BLOCK_PAIRS", 8)
+    report = run(PipelineConfig(language_pair=EN_SI, stages=stages), pairs).report
+    slept = 0.02 * 5
+    assert [stage.stats.retained_count for stage in report.stages] == [40, 40, 40]
+    assert report.stages[1].wall_time_s >= slept
+    assert report.stages[0].wall_time_s < slept and report.stages[2].wall_time_s < slept
 
 
 def test_stateless_stage_permutation_keeps_same_set():
