@@ -52,6 +52,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import pipeline as pl
 from .corpus import LanguagePair, Side, atomic_write, compute_stats, corpus_stamps, deferred_renames
@@ -163,13 +164,6 @@ def _writer(out_dir: Path, paths: dict) -> pl.Sink:
     return write
 
 
-class _HeldRows:
-    """A removal_log for pl.run that keeps the rows it is given instead of copying them."""
-
-    def extend(self, rows) -> None:
-        self.rows = rows
-
-
 def _run(config: pl.PipelineConfig, args, log_path=None, stage: str | None = None) -> pl.RunReport:
     """Run config over the command's corpus and write the output into --out-dir.
 
@@ -178,14 +172,12 @@ def _run(config: pl.PipelineConfig, args, log_path=None, stage: str | None = Non
     """
     pairs, paths = _open_corpus(args)
     sink = _writer(Path(args.out_dir), paths)  # records the corpus stamps before the run
-    held = None if log_path is None else _HeldRows()
-    report = pl.run(config, _ticker(pairs, "read"), removal_log=held, sink=sink).report
-    if held is not None:
-        try:
-            _write_removal_log(held.rows, log_path, stage)
-        finally:
-            held.rows.close()
-    return report
+    # extend writes the log file; it looks _write_removal_log up when called, so
+    # a wrapper on that name (as an instrumented run puts there) gets the rows
+    log = None
+    if log_path is not None:
+        log = SimpleNamespace(extend=lambda rows: _write_removal_log(rows, log_path, stage))
+    return pl.run(config, _ticker(pairs, "read"), removal_log=log, sink=sink).report
 
 
 def _parse(from_string, value: str):

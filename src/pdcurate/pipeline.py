@@ -31,6 +31,7 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from itertools import chain, compress, islice
@@ -41,7 +42,7 @@ import yaml
 
 from . import dedup
 from .corpus import CorpusStats, LanguagePair, SentencePair, Side, compute_stats
-from .dedup import DedupSpec, DedupStream
+from .dedup import DedupSpec, DedupStream, RemovalCallback
 from .errors import ConfigError, DataError
 from .filters import (
     LID_PROB_THRESHOLD,
@@ -289,24 +290,27 @@ class _Removals:
     """A run's removal rows by stage, so that they read back stage-major
     although the stages interleave.
 
-    Every ``_SPILL_ROWS`` rows of a stage go as one marshal block to the
+    add(pair, stage, reason) is the stages' removal callback.  Every
+    ``_SPILL_ROWS`` rows of a stage go as one marshal block to the
     stage's spill: an anonymous temp file (so it honours TMPDIR and
     leaves nothing on disk), made on the stage's first full block.  The
-    object is sized; iterating it yields every row once, closing each
-    spill once read, and close() closes the spills not read.  An
-    OSError from a spill is raised as a DataError.
+    object is sized, and its rows can be read once, each spill closing
+    once read: a second read, or a read after close(), raises
+    ValueError.  close() closes every spill.  An OSError from a spill is
+    raised as a DataError.
     """
 
     def __init__(self, names: list[str]):
         self._rows: dict[str, RemovalLog] = {name: [] for name in names}
         self._spills: dict[str, tuple[Any, list[int]]] = {}  # name -> (file, block sizes)
         self._spilled = 0
+        self._read = False
 
-    def add(self, row: tuple[int, str, str]) -> None:
-        rows = self._rows[row[1]]
-        rows.append(row)
+    def add(self, pair: SentencePair, stage: str, reason: str) -> None:
+        rows = self._rows[stage]
+        rows.append((pair.id, stage, reason))
         if len(rows) == _SPILL_ROWS:
-            self._spill(row[1], rows)
+            self._spill(stage, rows)
 
     def _spill(self, name: str, rows: RemovalLog) -> None:
         block = marshal.dumps(rows)
@@ -325,36 +329,37 @@ class _Removals:
         return self._spilled + sum(map(len, self._rows.values()))
 
     def __iter__(self) -> Iterator[tuple[int, str, str]]:
+        if self._read:
+            raise ValueError("removal rows can be read once, and not after close()")
+        self._read = True
         try:
             for name, rows in self._rows.items():
                 if name in self._spills:
-                    file, sizes = self._spills.pop(name)
-                    with file:
+                    file, sizes = self._spills[name]
+                    with file:  # frees the spill's disk space once it is read
                         file.seek(0)
                         for size in sizes:
                             yield from marshal.loads(file.read(size))
                 yield from rows
         except OSError as exc:
             raise DataError(f"cannot read removal rows back from the temp dir: {exc}") from exc
-        finally:
-            self.close()
 
     def close(self) -> None:
-        while self._spills:
-            self._spills.popitem()[1][0].close()
+        self._read = True
+        for file, _ in self._spills.values():
+            file.close()
 
 
 @dataclass
 class _StageContext:
-    """What stage functions share within one run besides their pairs."""
+    """What stage functions share within one run besides their pairs.
+
+    on_removed(pair, stage, reason) is None without a removal log.
+    """
 
     report: RunReport
-    removals: _Removals | None
+    on_removed: RemovalCallback | None
     predictor: LidPredictor | None
-
-    def remove(self, pair: SentencePair, stage: str, reason: str) -> None:
-        if self.removals is not None:
-            self.removals.add((pair.id, stage, reason))
 
     def lid_failed(self, *_) -> None:
         self.report.lid_failures += 1  # the pair fails closed and is removed as "lid"
@@ -378,10 +383,10 @@ def _filter_stage(keep):
 
         def kept(block: Block) -> Block:
             flags = keep(spec, block, ctx)
-            if ctx.removals is not None:
+            if ctx.on_removed is not None:
                 for pair, ok in zip(block, flags):
                     if not ok:
-                        ctx.remove(pair, name, reason)
+                        ctx.on_removed(pair, name, reason)
             return list(compress(block, flags))
 
         return kept
@@ -397,8 +402,7 @@ def _lid_keep(spec: LidSpec, block: Block, ctx: _StageContext) -> list[bool]:
 
 def _dedup_stage(spec, name, ctx):
     # removal reasons are built only for a removal log
-    on_removed = None if ctx.removals is None else ctx.remove
-    return DedupStream((), spec, on_removed=on_removed, stage_name=name).dedup_block
+    return DedupStream((), spec, on_removed=ctx.on_removed, stage_name=name).dedup_block
 
 
 _STAGE_KINDS = (
@@ -522,19 +526,19 @@ class RunReport:
     lid_failures: int = 0
     warnings: list[str] = field(default_factory=list)
 
+    def _count_rows(self) -> list[tuple[str, CorpusStats, float | None]]:
+        """(name, stats, wall time) of each stage, then of the total, which has no wall time."""
+        rows = [(stage.name, stage.stats, stage.wall_time_s) for stage in self.stages]
+        return rows + [("total", self.total, None)]
+
     def to_text(self) -> str:
         lines = ["stage                                    in          out    removed  reduction"]
-        for stage in self.stages:
-            stats = stage.stats
-            removed = stats.pair_count - stats.retained_count
-            lines.append(
-                f"{stage.name:<38} {stats.pair_count:>9}  {stats.retained_count:>9}  "
-                f"{removed:>9}  {stats.reduction_pct:>7.2f}%  ({stage.wall_time_s:.2f}s)"
+        for name, stats, seconds in self._count_rows():
+            line = (
+                f"{name:<38} {stats.pair_count:>9}  {stats.retained_count:>9}  "
+                f"{stats.pair_count - stats.retained_count:>9}  {stats.reduction_pct:>7.2f}%"
             )
-        lines.append(
-            f"{'total':<38} {self.total.pair_count:>9}  {self.total.retained_count:>9}  "
-            f"{self.total.pair_count - self.total.retained_count:>9}  {self.total.reduction_pct:>7.2f}%"
-        )
+            lines.append(line if seconds is None else f"{line}  ({seconds:.2f}s)")
         if self.ranking is not None:
             lines.append(
                 f"ranking: top {self.ranking.requested_k} of ranked corpus -> "
@@ -548,17 +552,12 @@ class RunReport:
 
     def to_tsv(self) -> str:
         rows = ["section\tname\tin\tout\tremoved\treduction_pct\twall_time_s"]
-        for stage in self.stages:
-            stats = stage.stats
+        for name, stats, seconds in self._count_rows():
+            label, wall = ("total\t-", "-") if seconds is None else (f"stage\t{name}", f"{seconds:.3f}")
+            removed = stats.pair_count - stats.retained_count
             rows.append(
-                f"stage\t{stage.name}\t{stats.pair_count}\t{stats.retained_count}\t"
-                f"{stats.pair_count - stats.retained_count}\t{stats.reduction_pct:.2f}\t"
-                f"{stage.wall_time_s:.3f}"
+                f"{label}\t{stats.pair_count}\t{stats.retained_count}\t{removed}\t{stats.reduction_pct:.2f}\t{wall}"
             )
-        rows.append(
-            f"total\t-\t{self.total.pair_count}\t{self.total.retained_count}\t"
-            f"{self.total.pair_count - self.total.retained_count}\t{self.total.reduction_pct:.2f}\t-"
-        )
         if self.ranking is not None:
             rows.append(
                 f"ranking\ttop_k\t{self.ranking.requested_k}\t{self.ranking.emitted}\t-\t-\t-"
@@ -709,12 +708,12 @@ def run(
     removal_log, if given, is any object with an ``extend`` method; run
     calls ``removal_log.extend(rows)`` once, at the end.  rows is a
     sized iterable over the (pair id, stage name, reason) rows,
-    stage-major with ids ascending within a stage, that can be read
-    once.  Until it is read, the rows wait in one spill per stage in the
-    temp dir (TMPDIR), taking about the size of the log on disk and
-    about one block of rows per stage in memory.  A list receives every
-    row; an object that keeps rows instead must read it to the end or
-    call ``rows.close()``.
+    stage-major with ids ascending within a stage.  Until it is read,
+    the rows wait in one spill per stage in the temp dir (TMPDIR),
+    taking about the size of the log on disk and about one block of rows
+    per stage in memory.  extend must read the rows itself, as a list
+    does: run closes them when extend returns or raises, and reading
+    them a second time, or after that, raises ValueError.
     """
     validate_config(config)
     report = RunReport()
@@ -742,8 +741,8 @@ def run(
             survivors if ranked is None else _pairs_in_rank_order(pairs, ranked)
         )
     names = [stage_name(index, stage) for index, stage in enumerate(config.stages)]
-    removals = None if removal_log is None else _Removals(names)
-    ctx = _StageContext(report, removals, predictor)
+    removals = _Removals(names)
+    ctx = _StageContext(report, None if removal_log is None else removals.add, predictor)
 
     block_fns = [_row(stage).block_fn(stage, name, ctx) for name, stage in zip(names, config.stages)]
     counts = [0] * (len(block_fns) + 1)  # the pairs that reach each stage, and the survivors
@@ -764,7 +763,7 @@ def run(
     survivors = chain.from_iterable(survivor_blocks())
 
     ranked = None
-    try:
+    with closing(removals):  # also when the run or removal_log.extend raises
         if ranking is None:
             sink(survivors, None)
         else:
@@ -780,16 +779,12 @@ def run(
                 zero_norm_count=ranked.zero_norm_count,
             )
             sink(None, ranked)
-    except BaseException:
-        if removals is not None:
-            removals.close()  # the run stopped early, so no one reads the spills
-        raise
+        if removal_log is not None:
+            removal_log.extend(removals)
 
     for at, name in enumerate(names):
         report.stages.append(StageReport(name, compute_stats(counts[at], counts[at + 1]), seconds[at]))
     report.total = compute_stats(counts[0], counts[-1])
-    if removals is not None:
-        removal_log.extend(removals)
     return RunResult(pairs=kept, report=report, ranked=ranked)
 
 

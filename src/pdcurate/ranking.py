@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .corpus import SentencePair, atomic_write, read_side_file
+from .corpus import SentencePair, _writable, atomic_write, read_side_file
 from .errors import DataError
 
 if TYPE_CHECKING:
@@ -338,10 +338,11 @@ def merge_rankings(first: RankedCorpus, second: RankedCorpus) -> RankedCorpus:
 def write_ranked_tsv(ranked: RankedCorpus, pairs: Iterable[SentencePair], path: str | Path) -> None:
     """Score sidecar: ``rank<TAB>id<TAB>score<TAB>source<TAB>target``.
 
-    pairs are the ranked pairs in rank order, one per entry.
+    pairs are the ranked pairs in rank order, one per entry.  A text
+    with a tab or a line feed, which would break its row, is a DataError.
     """
     with atomic_write(path) as out:
-        rows = zip(pairs, ranked._ids, ranked._scores, strict=True)
+        rows = zip(map(_writable, pairs), ranked._ids, ranked._scores, strict=True)
         for rank, (pair, pair_id, score) in enumerate(rows, start=1):
             if pair.id != pair_id:
                 raise ValueError(f"pair {pair.id} is given where pair {pair_id} ranks {rank}")

@@ -412,6 +412,70 @@ def test_env_variable_overrides_flag_default(corpus, capsys, monkeypatch):
     assert len(kept) == 3  # min-words 3 from the environment keeps 2-word pair out
 
 
+def test_store_true_and_append_flags_read_the_environment(corpus, capsys, monkeypatch):
+    monkeypatch.setenv("CURATE_REMOVAL_LOG", "1")
+    (corpus / "cfg.yaml").write_text("language_pair: en-si\nstages:\n- {kind: dedup}\n")
+    argv = ("--source", str(corpus / "s.txt"), "--target", str(corpus / "t.txt"))
+    assert run_cli("run", "--config", str(corpus / "cfg.yaml"), *argv, "--out-dir", str(corpus / "out")) == 0
+    rows = (corpus / "out" / "removals.tsv").read_text(encoding="utf-8").splitlines()
+    assert [row.split("\t")[:2] for row in rows] == [["2", "0:dedup[identity]@st"]]
+
+    monkeypatch.setenv("CURATE_RATE", "CN=0.2")
+    assert run_cli("synth", "--pairs", "100", "--seed", "1", "--out", str(corpus / "labeled.tsv")) == 0
+    labels = [line.split("\t")[1] for line in (corpus / "labeled.tsv").read_text(encoding="utf-8").splitlines()]
+    assert labels.count("CN") == 20
+
+
+def _write_corpus_embeddings(corpus) -> tuple[str, ...]:
+    """Embedding flags for the corpus fixture's four pairs."""
+    rng = np.random.default_rng(0)
+    for name in ("s.bin", "t.bin"):
+        write_embeddings(rng.normal(size=(4, 5)).astype(np.float32), corpus / name)
+    return ("--src-emb", str(corpus / "s.bin"), "--tgt-emb", str(corpus / "t.bin"))
+
+
+def test_rank_warns_when_top_k_exceeds_the_corpus(corpus, capsys):
+    argv = ("--source", str(corpus / "s.txt"), "--target", str(corpus / "t.txt"), "--out-dir", str(corpus / "out"))
+    assert run_cli("rank", *argv, *_write_corpus_embeddings(corpus), "--top-k", "10") == 0
+    assert "warning: --top-k 10 exceeds corpus size 4; keeping all" in capsys.readouterr().err
+
+
+def test_a_ranked_run_reports_top_k_above_the_survivors_and_copies_its_report(corpus, capsys):
+    emb = _write_corpus_embeddings(corpus)
+    (corpus / "cfg.yaml").write_text(
+        "language_pair: en-si\nstages:\n- {kind: dedup}\n"
+        f"ranking: {{source_embeddings: {emb[1]}, target_embeddings: {emb[3]}, top_k: 10}}\n"
+        f"report: {corpus / 'copy.txt'}\n"
+    )
+    out = corpus / "out"
+    argv = ("--source", str(corpus / "s.txt"), "--target", str(corpus / "t.txt"), "--out-dir", str(out))
+    assert run_cli("run", "--config", str(corpus / "cfg.yaml"), *argv) == 0
+    warning = "top_k 10 exceeds ranked corpus size 3; emitting everything"
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    assert f"\nwarning: {warning}\n" in text
+    assert f"\nwarning\t{warning}\t-\t-\t-\t-\t-\n" in (out / "report.tsv").read_text(encoding="utf-8")
+    assert (corpus / "copy.txt").read_text(encoding="utf-8") == text
+
+
+def test_filter_lid_counts_a_pair_missing_from_the_predictions(corpus, capsys):
+    preds = corpus / "preds.tsv"
+    preds.write_text("".join(f"{i}\ten\t0.99\n" for i in (0, 2, 3)))
+    code = run_cli(
+        "filter",
+        "--kind", "lid",
+        "--pair", "en-si",
+        "--side", "s",
+        "--src-predictions", str(preds),
+        "--source", str(corpus / "s.txt"),
+        "--target", str(corpus / "t.txt"),
+        "--out-dir", str(corpus / "out"),
+    )
+    assert code == 0
+    output = capsys.readouterr().out
+    assert "kept 3, removed 1 (lid@s)" in output
+    assert "lid failures (failed closed): 1\n" in output
+
+
 def test_tsv_input_gives_tsv_output(tmp_path):
     (tmp_path / "c.tsv").write_text("dup source\tdup target\ndup source\tdup target\nfresh\tnew\n")
     out = tmp_path / "out"

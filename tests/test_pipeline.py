@@ -1,4 +1,5 @@
 import itertools
+import tempfile
 import time
 from collections import Counter
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdcurate import dedup, pipeline
-from pdcurate.corpus import LanguagePair, SentencePair, Side
+from pdcurate.corpus import LanguagePair, SentencePair, Side, compute_stats
 from pdcurate.dedup import DedupSpec
 from pdcurate.errors import ConfigError, DataError
 from pdcurate.filters import (
@@ -399,6 +400,50 @@ def test_spilled_removal_rows_round_trip_any_text():
     assert {reason for _, _, reason in held} >= {"tab\there", "nul \x00 and \u2028 separator"}
 
 
+def _spilling_dedup(monkeypatch) -> tuple[PipelineConfig, list[SentencePair], list]:
+    """A one-stage config, ten pairs whose last nine it removes in three spilled blocks, and the spills."""
+    monkeypatch.setattr(pipeline, "_SPILL_ROWS", 3)
+    spills, make = [], tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args: spills.append(make(*args)) or spills[-1])
+    config = PipelineConfig(language_pair=EN_SI, stages=(DedupSpec(NormMode.IDENTITY, None, Side.SOURCE),))
+    return config, [SentencePair(i, "same", f"t{i}") for i in range(10)], spills
+
+
+def test_removal_rows_are_read_once_and_closed_when_extend_returns(monkeypatch):
+    config, pairs, spills = _spilling_dedup(monkeypatch)
+
+    class Keeper:
+        def extend(self, rows):
+            self.rows, self.count, self.first = rows, len(rows), list(rows)
+            with pytest.raises(ValueError, match="read once"):
+                list(rows)
+
+    keeper = Keeper()
+    run(config, pairs, removal_log=keeper)
+    assert keeper.count == 9 and [row[0] for row in keeper.first] == list(range(1, 10))
+    assert len(spills) == 1 and spills[0].closed
+    with pytest.raises(ValueError, match="read once"):  # run closed the rows
+        list(keeper.rows)
+
+
+@pytest.mark.parametrize("reads", [0, 4])
+def test_removal_rows_are_closed_when_extend_raises(monkeypatch, reads):
+    config, pairs, spills = _spilling_dedup(monkeypatch)
+
+    class Failing:
+        def extend(self, rows):
+            self.rows = rows
+            list(itertools.islice(rows, reads))
+            raise OSError("the log's disk is full")
+
+    failing = Failing()
+    with pytest.raises(OSError, match="disk is full"):
+        run(config, pairs, removal_log=failing)
+    assert len(spills) == 1 and spills[0].closed
+    with pytest.raises(ValueError, match="read once"):
+        list(failing.rows)
+
+
 def test_report_renders_both_formats():
     labeled = labeled_corpus(pair_count=100, rates={NoiseLabel.CS: 0.1})
     result = run(recommended_preset(EN_SI), [item.pair for item in labeled])
@@ -407,6 +452,39 @@ def test_report_renders_both_formats():
     assert "total" in text and "lid failures" in text
     assert tsv.startswith("section\tname\t")
     assert f"\t{len(labeled)}\t" in tsv
+
+
+def test_both_report_formats_are_pinned():
+    report = pipeline.RunReport(
+        stages=[
+            pipeline.StageReport("0:dedup[identity]@t", compute_stats(1000, 870), 1.25),
+            pipeline.StageReport("1:length@st", compute_stats(870, 801), 0.0625),
+        ],
+        total=compute_stats(1000, 801),
+        ranking=pipeline.RankingReport(requested_k=900, emitted=801, dim=8, zero_norm_count=2),
+        lid_failures=3,
+        warnings=["top_k 900 exceeds ranked corpus size 801; emitting everything"],
+    )
+    assert report.to_text() == (
+        "stage                                    in          out    removed  reduction\n"
+        "0:dedup[identity]@t                         1000        870        130    13.00%  (1.25s)\n"
+        "1:length@st                                  870        801         69     7.93%  (0.06s)\n"
+        "total                                       1000        801        199    19.90%\n"
+        "ranking: top 900 of ranked corpus -> 801 pairs (dim 8, 2 zero-norm vectors)\n"
+        "lid failures (failed closed): 3\n"
+        "warning: top_k 900 exceeds ranked corpus size 801; emitting everything\n"
+    )
+    assert report.to_tsv() == (
+        "section\tname\tin\tout\tremoved\treduction_pct\twall_time_s\n"
+        "stage\t0:dedup[identity]@t\t1000\t870\t130\t13.00\t1.250\n"
+        "stage\t1:length@st\t870\t801\t69\t7.93\t0.062\n"
+        "total\t-\t1000\t801\t199\t19.90\t-\n"
+        "ranking\ttop_k\t900\t801\t-\t-\t-\n"
+        "ranking\tdim\t8\t-\t-\t-\t-\n"
+        "ranking\tzero_norm\t2\t-\t-\t-\t-\n"
+        "lid\tfailures\t3\t-\t-\t-\t-\n"
+        "warning\ttop_k 900 exceeds ranked corpus size 801; emitting everything\t-\t-\t-\t-\t-\n"
+    )
 
 
 # ---------------------------------------------------------------- stage table

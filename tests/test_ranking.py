@@ -15,6 +15,7 @@ from pdcurate.corpus import SentencePair
 from pdcurate.errors import DataError
 from pdcurate.ranking import (
     MAGIC,
+    RankedCorpus,
     EmbeddingStore,
     cosine,
     load_embeddings,
@@ -488,3 +489,18 @@ def test_ranked_tsv_format(tmp_path):
     lines = (tmp_path / "scores.tsv").read_text().splitlines()
     assert lines[0] == "1\t0\t1.000000\ts0\tt0"
     assert lines[1] == "2\t1\t0.000000\ts1\tt1"
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (SentencePair(0, "a\tb", "x"), "pair 0: source text contains a tab"),
+        (SentencePair(0, "c", "line\nfeed"), "pair 0: target text contains a line feed"),
+    ],
+)
+def test_ranked_tsv_rejects_a_text_that_would_break_its_row(tmp_path, pair, message):
+    ranked = RankedCorpus(np.array([1, 0]), np.array([0.9, 0.1]))
+    path = tmp_path / "scores.tsv"
+    with pytest.raises(DataError, match=message):
+        write_ranked_tsv(ranked, [SentencePair(1, "fine", "row"), pair], path)
+    assert not path.exists()

@@ -231,3 +231,18 @@ def test_score_reports_stage_attribution():
     assert score.stage_removals[lid_stage]["WL"] == 50
     text = score.to_text()
     assert "CS=50" in text and "WL=50" in text
+
+
+def test_cn_and_cb_recipes_plant_their_labels():
+    labeled = generate(recipe(pair_count=400, rates={NoiseLabel.CN: 0.1, NoiseLabel.CB: 0.1}))
+    counts = {label: 0 for label in (NoiseLabel.CN, NoiseLabel.CB)}
+    for item in labeled:
+        source, target = item.pair.source.split(), item.pair.target.split()
+        if item.truth is NoiseLabel.CN:
+            assert target[-1] == ","  # a punctuation blemish appended to the target
+        elif item.truth is NoiseLabel.CB:
+            assert 5 <= len(target) < len(source)  # tokens dropped from the target
+        else:
+            continue
+        counts[item.truth] += 1
+    assert counts == {NoiseLabel.CN: 40, NoiseLabel.CB: 40}
