@@ -323,9 +323,12 @@ def cmd_synth(args) -> int:
         for entry in args.rate or []:
             try:
                 code, value = entry.split("=")
-                rates[code] = float(value)
+                rate = float(value)
             except ValueError:
                 raise ConfigError(f"--rate takes LABEL=FRACTION, got {entry!r}") from None
+            if code in rates:  # recipe_from_dict rejects one label spelled two ways, like cs and CS
+                raise ConfigError(f"--rate gives label {code} twice")
+            rates[code] = rate
         recipe = recipe_from_dict(
             {
                 "seed": args.seed,

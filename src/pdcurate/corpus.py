@@ -18,6 +18,8 @@ rejects a text with a tab or a line feed.  Every reader, ``fetch_pairs``
 too, takes its lines from one scanner, ``_line_blocks``, and decodes a
 block of whole lines at once.  A bad line raises only when the consumer
 reaches it, naming its line (and, for invalid UTF-8, its byte offset).
+Each module that uses numpy binds its ``np`` to a ``_LazyNumpy``, so
+importing the package loads no numpy; a run loads it at its first use.
 """
 
 from __future__ import annotations
@@ -30,12 +32,25 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, count, repeat, zip_longest
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import AlignmentError, ConfigError, DataError
 
-if TYPE_CHECKING:
-    import numpy as np
+
+class _LazyNumpy:
+    """A module's ``np`` until its first attribute read, which imports numpy and rebinds ``np`` to it."""
+
+    def __init__(self, namespace: dict[str, Any]):
+        self._namespace = namespace
+
+    def __getattr__(self, name: str) -> Any:
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy(globals())
 
 # bytes read per chunk when scanning a file for lines.  Peak memory sets it, as a
 # reader holds a chunk's lines as strings: at 1 MiB, `curate run`'s peak RSS grew
@@ -303,8 +318,6 @@ def _line_spans(handle, path: Path, ids: np.ndarray) -> tuple[np.ndarray, np.nda
 
     A span ends before its line's LF, which for a last line with none is the file's end.
     """
-    import numpy as np
-
     starts = np.empty(len(ids), dtype=np.int64)
     stops = np.empty(len(ids), dtype=np.int64)
     lines = 0  # the lines before the block
@@ -359,8 +372,6 @@ def fetch_pairs(
     modification time differs from its stamp (see ``corpus_stamps``), or
     that has no line for an id, raises DataError.
     """
-    import numpy as np
-
     paths = _corpus_paths(source_path, target_path, tsv_path)
     ids = np.asarray(ids, dtype=np.int64)
     order = np.argsort(ids, kind="stable")

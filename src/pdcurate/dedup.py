@@ -48,7 +48,8 @@ once per block side.
 The index holds its fingerprints as sorted uint64 runs, 8 bytes each,
 merged geometrically (a new run is merged into the one before while it
 is at least as large), so it has about log2(n) runs.  A merge grows the
-older run in place.  numpy is imported only when a first block arrives.
+older run in place.  numpy is imported only when a first block arrives
+(``corpus._LazyNumpy``).
 
 ``pipeline.run`` pushes each block of the input through the stages in
 turn and calls a dedup stage's ``dedup_block`` with the pairs that the
@@ -61,15 +62,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, groupby, islice
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .corpus import SentencePair, Side
+from .corpus import SentencePair, Side, _LazyNumpy
 from .errors import ConfigError
 from .filters import _chunks, normalize_texts
 from .textnorm import NormMode, normalize, word_ngrams
 
-if TYPE_CHECKING:
-    import numpy as np
+np = _LazyNumpy(globals())
 
 NGRAM_RANGE = (2, 10)
 
@@ -114,8 +114,6 @@ class SeenIndex:
         return self._size
 
     def __contains__(self, fingerprint: int) -> bool:
-        import numpy as np
-
         return bool(self.hits(np.array([fingerprint], dtype=np.uint64))[0])
 
     def hits(self, fingerprints: np.ndarray) -> np.ndarray:
@@ -124,8 +122,6 @@ class SeenIndex:
         One binary search per fingerprint and run; sorted input keeps the
         searches cache-friendly.
         """
-        import numpy as np
-
         found = np.zeros(len(fingerprints), dtype=bool)
         for run in self._runs:
             found |= run.take(run.searchsorted(fingerprints), mode="clip") == fingerprints
@@ -133,8 +129,6 @@ class SeenIndex:
 
     def add(self, fingerprints: Iterable[int] | np.ndarray) -> None:
         """Insert fingerprints not yet present as one new sorted run, then merge runs."""
-        import numpy as np
-
         fresh = np.unique(np.asarray(fingerprints, dtype=np.uint64))
         self._insert(fresh[~self.hits(fresh)])
 
@@ -161,8 +155,6 @@ class SeenIndex:
 
 def _mix(keys: np.ndarray) -> None:
     """The splitmix64 finalizer, in place: spreads every input bit over the key."""
-    import numpy as np
-
     for shift, factor in zip((30, 27), _MIX):
         keys ^= keys >> np.uint64(shift)
         keys *= np.uint64(factor)
@@ -180,8 +172,6 @@ def _fingerprints(codepoints: np.ndarray, starts: np.ndarray) -> np.ndarray:
     over the characters, this has no algebraic structure for long
     strings (Thue-Morse words, say) to collide on.
     """
-    import numpy as np
-
     spans = np.diff(starts, append=codepoints.size).astype(np.uint64)
     # each code point's position in its segment, as a cumulative sum that
     # drops back to 0 at every segment start (mod 2^64)
@@ -235,8 +225,6 @@ class DedupStream:
 
     def _keys(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """The keys of one side's raw texts, each text's in positional order, and how many each has."""
-        import numpy as np
-
         n, mode = self.spec.ngram, self.spec.norm
         if n is None:
             keys = np.zeros(len(texts), dtype=np.uint64)  # a text that normalizes to "" keeps _mix(0)
@@ -278,8 +266,6 @@ class DedupStream:
 
     def _probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which keys are in the index, and which may decide a pair: in the index or counted twice."""
-        import numpy as np
-
         unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
         hit = self._index.hits(unique)[inverse]
         return hit, hit | (counts > 1)[inverse]
@@ -294,8 +280,6 @@ class DedupStream:
             self._last_id = pair.id
         if not block:
             return []
-        import numpy as np
-
         spec = self.spec
         sides = []  # (name, owner) per checked side, for the removal reasons
         parts = []  # (keys, owner, hit, maybe) per checked side

@@ -32,7 +32,8 @@ the same chunks: it drops the code points of the mode's strip classes by
 a mask, keeps one space before each token but the first, and yields the
 chunk's code points undecoded.  The class of a code point below U+10000
 is computed once per process, on first sight; one above is computed
-again on each pass it occurs in.  numpy is imported on the first call.
+again on each pass it occurs in.  numpy is imported on the first call
+(``corpus._LazyNumpy``).
 """
 
 from __future__ import annotations
@@ -41,15 +42,14 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .corpus import SentencePair, Side
+from .corpus import SentencePair, Side, _LazyNumpy
 from .errors import ConfigError, PredictorError
 from .lid import _MARK_LATIN, _MARK_SINHALA, _MARK_TAMIL, TIE_ORDER, LidPredictor, _script_mark
 from .textnorm import NormMode, char_ratios, is_alpha_word
 
-if TYPE_CHECKING:
-    import numpy as np
+np = _LazyNumpy(globals())
 
 STRATIO_BOUNDS = {
     ("en", "si"): (0.79, 1.39),
@@ -201,15 +201,11 @@ def _classify(codepoint: int) -> int:
 @cache
 def _bmp_classes() -> np.ndarray:
     """The class of each code point below U+10000, or 0 while not yet computed."""
-    import numpy as np
-
     return np.zeros(0x10000, dtype=np.uint16)
 
 
 def _classes(codepoints: np.ndarray) -> np.ndarray:
     """The class of each uint32 code point, as a uint16 array."""
-    import numpy as np
-
     table = _bmp_classes()
     classes = table.take(codepoints, mode="clip")
     astral = np.flatnonzero(codepoints > 0xFFFF)
@@ -238,8 +234,6 @@ def _chunks(texts: list[str]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarr
     offset at which each of them starts in it.  The generator keeps no
     reference to the code points, so a caller can free them.
     """
-    import numpy as np
-
     lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
     ends = np.cumsum(lengths)
     begin = 0
@@ -259,8 +253,6 @@ def _chunks(texts: list[str]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _per_text(texts: list[str], kernel: Callable, rows: int) -> np.ndarray:
     """kernel's rows of counts for each text, shape (rows, len(texts)); an empty text counts 0."""
-    import numpy as np
-
     counts = np.zeros((rows, len(texts)), dtype=np.intp)
     for at, codepoints, starts in _chunks(texts):
         classes = _classes(codepoints)
@@ -270,15 +262,11 @@ def _per_text(texts: list[str], kernel: Callable, rows: int) -> np.ndarray:
 
 
 def _sums(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    import numpy as np
-
     return np.add.reduceat(flags, starts, dtype=np.intp)
 
 
 def _token_starts(classes: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where a token begins (a non-space after a space or at a text start), and the spaces."""
-    import numpy as np
-
     space = (classes & _SPACE).astype(bool)
     after_space = np.empty_like(space)
     after_space[0] = True
@@ -293,8 +281,6 @@ def _count_tokens(classes, starts):
 
 def _count_alpha_words(classes, starts):
     """Tokens with only L*/M* code points, and all tokens."""
-    import numpy as np
-
     begins, space = _token_starts(classes, starts)
     tokens = _sums(begins, starts)
     at = np.flatnonzero(begins)
@@ -324,8 +310,6 @@ def normalize_texts(texts: list[str], mode: NormMode) -> Iterator[tuple[np.ndarr
     array and the offset at which each starts in it.  Only in IDENTITY,
     which keeps whitespace, does this differ from ``normalize``.
     """
-    import numpy as np
-
     strip = _STRIP_BITS.get(mode, 0)
     for at, codepoints, starts in _chunks(texts):
         classes = _classes(codepoints)
@@ -373,8 +357,6 @@ def _checked(pairs: Sequence[SentencePair], side: Side) -> Iterator[tuple[list[s
 
 def length_keep(pairs: Sequence[SentencePair], spec: LengthSpec) -> np.ndarray:
     """length_pass of each pair, as a boolean array."""
-    import numpy as np
-
     keep = np.ones(len(pairs), dtype=bool)
     for texts, _ in _checked(pairs, spec.side):
         keep &= _per_text(texts, _count_tokens, 1)[0] >= spec.min_words
@@ -383,8 +365,6 @@ def length_keep(pairs: Sequence[SentencePair], spec: LengthSpec) -> np.ndarray:
 
 def lid_keep(pairs: Sequence[SentencePair], spec: LidSpec) -> np.ndarray:
     """lid_pass of each pair with the script detector (``ScriptPredictor``), as a boolean array."""
-    import numpy as np
-
     keep = np.ones(len(pairs), dtype=bool)
     for texts, is_source in _checked(pairs, spec.side):
         letters, *scripts = _per_text(texts, _count_letters, 4)
@@ -401,8 +381,6 @@ def lid_keep(pairs: Sequence[SentencePair], spec: LidSpec) -> np.ndarray:
 
 def ratio_keep(pairs: Sequence[SentencePair], spec: RatioSpec) -> np.ndarray:
     """ratio_pass of each pair, as a boolean array."""
-    import numpy as np
-
     if spec.kind is RatioKind.ST_RATIO:
         source, target = (
             _per_text(texts, _count_tokens, 1)[0] for texts, _ in _checked(pairs, Side.BOTH)
@@ -426,8 +404,6 @@ def stratio_bounds_from_reference(
     Use this to extend the published windows to new language pairs from
     a trusted reference set.
     """
-    import numpy as np
-
     if len(src_lengths) == 0 or len(src_lengths) != len(tgt_lengths):
         raise ValueError("need equal-length non-empty source/target length lists")
     tgt = np.asarray(tgt_lengths, dtype=np.float64)

@@ -41,7 +41,7 @@ from typing import Any, Callable, Iterable, Iterator
 import yaml
 
 from . import dedup
-from .corpus import CorpusStats, LanguagePair, SentencePair, Side, compute_stats
+from .corpus import CorpusStats, LanguagePair, SentencePair, Side, _LazyNumpy, compute_stats
 from .dedup import DedupSpec, DedupStream, RemovalCallback
 from .errors import ConfigError, DataError
 from .filters import (
@@ -65,6 +65,8 @@ from .lid import load_prediction_table, load_predictions
 from .ranking import EmbeddingStore, RankedCorpus, load_embeddings, merge_rankings
 from .ranking import rank_corpus, repeated_id_error, top_k
 from .textnorm import NormMode
+
+np = _LazyNumpy(globals())
 
 StageSpec = DedupSpec | LengthSpec | LidSpec | RatioSpec
 Block = list[SentencePair]
@@ -480,9 +482,24 @@ def dump_config(config: PipelineConfig) -> str:
     return yaml.safe_dump(config_to_dict(config), sort_keys=False)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that rejects a mapping that gives one key twice, instead of keeping the last."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []  # a list, so that an unhashable key still meets PyYAML's own error
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # a key merged in with << may be given again
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(None, None, f"found duplicate key {key!r}", key_node.start_mark)
+            seen.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def _parse_yaml(text: str | bytes, what: str):
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:  # also invalid UTF-8 in bytes
         raise ConfigError(f"{what} is not valid YAML: {exc}") from exc
 
@@ -639,8 +656,6 @@ def _rank_top_k(
     zero_norm_count counts the zero-norm vectors of every survivor.  One
     flag per embedding row makes an id seen in an earlier batch a DataError.
     """
-    import numpy as np
-
     size = min(max(k, _RANK_BATCH), sys.maxsize)  # islice takes no larger count
     survivor_ids = (pair.id for pair in survivors)
     pool = RankedCorpus(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))

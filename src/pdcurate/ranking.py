@@ -39,13 +39,12 @@ import struct
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .corpus import SentencePair, _writable, atomic_write, read_side_file
+from .corpus import SentencePair, _LazyNumpy, _writable, atomic_write, read_side_file
 from .errors import DataError
 
-if TYPE_CHECKING:
-    import numpy as np
+np = _LazyNumpy(globals())
 
 MAGIC = b"PDCEMB01"
 _HEADER = struct.Struct("<8sII")
@@ -62,8 +61,6 @@ class EmbeddingStore:
     """Dense float32 vectors indexed by pair id (row = id), held in memory."""
 
     def __init__(self, vectors: np.ndarray):
-        import numpy as np
-
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {vectors.shape}")
@@ -105,8 +102,6 @@ class _FileStore(EmbeddingStore):
         return self._rows(0, self.count)
 
     def _rows(self, start: int, stop: int) -> np.ndarray:
-        import numpy as np
-
         rows = np.empty((min(stop, self.count) - start, self.dim), dtype="<f4")
         self._handle.seek(_HEADER.size + 4 * self.dim * start)
         got = self._handle.readinto(rows)
@@ -117,8 +112,6 @@ class _FileStore(EmbeddingStore):
 
 
 def _validate_finite(store: EmbeddingStore, path: Path) -> None:
-    import numpy as np
-
     for block in _row_blocks(store.count, store.dim):
         bad = np.flatnonzero(~np.isfinite(store._rows(block.start, block.stop)).all(axis=1))
         if bad.size:
@@ -149,8 +142,6 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
 
 
 def _load_tsv(path: Path) -> EmbeddingStore:
-    import numpy as np
-
     matrix = np.empty((0, 0), dtype=np.float32)
     count = 0
     parse_row = lambda fields: [float(v) for v in fields]
@@ -168,8 +159,6 @@ def _load_tsv(path: Path) -> EmbeddingStore:
 
 def write_embeddings(store: EmbeddingStore | np.ndarray, path: str | Path, fmt: str = "binary") -> None:
     """Write a store in either encoding; both load back bit-identical."""
-    import numpy as np
-
     matrix = store.vectors if isinstance(store, EmbeddingStore) else np.asarray(store, dtype=np.float32)
     path = Path(path)
     if fmt == "binary":
@@ -189,8 +178,6 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
 
     A zero-norm operand scores 0 by convention instead of erroring.
     """
-    import numpy as np
-
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
@@ -227,8 +214,6 @@ class RankedCorpus:
         return len(self._ids)
 
     def __eq__(self, other) -> bool:
-        import numpy as np
-
         if not isinstance(other, RankedCorpus):
             return NotImplemented
         return (
@@ -268,8 +253,6 @@ def rank_corpus(
     original corpus.  Ties break by ascending id, so the order of pairs is
     free: they are scored by id, reading each row once.
     """
-    import numpy as np
-
     if src_emb.dim != tgt_emb.dim:
         raise DataError(f"embedding dims differ: source {src_emb.dim} vs target {tgt_emb.dim}")
     if isinstance(pairs, np.ndarray):
@@ -327,8 +310,6 @@ def merge_rankings(first: RankedCorpus, second: RankedCorpus) -> RankedCorpus:
 
     Ties break by ascending id, and the zero-norm counts add.
     """
-    import numpy as np
-
     ids = np.concatenate((first._ids, second._ids))
     scores = np.concatenate((first._scores, second._scores))
     order = np.lexsort((ids, -scores))

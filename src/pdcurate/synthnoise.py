@@ -115,13 +115,22 @@ def recipe_to_dict(recipe: NoiseRecipe) -> dict:
     return data
 
 
+def _rates(rates) -> dict[NoiseLabel, float]:
+    """The injection rate of each label; a label given twice, in upper or lower case, is a ValueError."""
+    by_label: dict[NoiseLabel, float] = {}
+    for code, rate in pl._mapping(rates).items():
+        label = NoiseLabel(code)
+        if label in by_label:
+            raise ValueError(f"label {label.code} is given twice")
+        by_label[label] = pl._number(rate)
+    return by_label
+
+
 _RECIPE_FIELDS = {
     "seed": pl._integer,
     "pair_count": pl._integer,
     "language_pair": pl._language_pair,
-    "rates": lambda rates: {
-        NoiseLabel(code): pl._number(rate) for code, rate in pl._mapping(rates).items()
-    },
+    "rates": _rates,
     "duplicate_rate": pl._number,
     "vocabularies": lambda vocabularies: {
         pl._text(lang): [pl._text(word) for word in pl._list(words)]

@@ -314,6 +314,15 @@ def test_synth_bad_rate_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("first", ["CS=0.5", "cs=0.5"])
+def test_synth_rejects_a_rate_label_given_twice(tmp_path, capsys, first):
+    # the second --rate silently replaced the first
+    code = run_cli("synth", "--pairs", "20", "--rate", first, "--rate", "CS=0.1", "--out", str(tmp_path / "x.tsv"))
+    assert code == 2
+    assert "label CS" in capsys.readouterr().err
+    assert not (tmp_path / "x.tsv").exists()
+
+
 @pytest.mark.parametrize("word", ["alpha\\nbeta", "alpha\\tbeta"])
 def test_synth_rejects_a_vocabulary_word_with_whitespace(tmp_path, capsys, word):
     recipe = tmp_path / "r.yaml"
@@ -786,24 +795,65 @@ def test_top_k_below_one_from_the_environment_is_a_config_error(capsys, monkeypa
     assert "must be >= 1, got 0" in capsys.readouterr().err
 
 
-def test_importing_the_cli_does_not_load_numpy(tmp_path):
-    # nor does a run with dedup stages on an empty corpus and no ranking
+@pytest.mark.parametrize(
+    "command",
+    [
+        "run --config cfg.yaml --source s.txt --target t.txt --out-dir out --removal-log",
+        "preset --pair en-si",
+        "stats --source a.txt --target b.txt --ref-source a.txt --ref-target b.txt",
+        "synth --pairs 50 --seed 1 --duplicates 0.2 --out l.tsv --source-out ls.txt --target-out lt.txt",
+        "lid --source a.txt --target b.txt --side t --out p.tsv",
+        "report --scores scores.tsv --reference laser3",
+    ],
+    ids=["run", "preset", "stats", "synth", "lid", "report"],
+)
+def test_importing_the_cli_does_not_load_numpy(tmp_path, command):
+    # nor do these commands; the run has dedup stages on an empty corpus and no ranking
     (tmp_path / "s.txt").write_text("")
     (tmp_path / "t.txt").write_text("")
+    (tmp_path / "a.txt").write_text("one two three four\nfive six\n")
+    (tmp_path / "b.txt").write_text("මම ගෙදර යනවා\nseven eight\n", encoding="utf-8")
     (tmp_path / "cfg.yaml").write_text(
         "language_pair: en-si\nstages:\n- {kind: dedup}\n- {kind: dedup, params: {ngram: 5}}\n"
     )
+    (tmp_path / "scores.tsv").write_text(
+        "cc\ten-si\tlaser3\tbaseline\t30.76\ncc\ten-si\txlmr\tbaseline\t5.55\n"
+        "cc\ten-si\tlaser3\tcombined\t36.10\ncc\ten-si\txlmr\tcombined\t24.18\n"
+    )
     env = {key: value for key, value in os.environ.items() if not key.startswith("CURATE_")}
     env["PYTHONPATH"] = str(Path(pdcurate.__file__).parents[1])
-    run = "run --config cfg.yaml --source s.txt --target t.txt --out-dir out --removal-log".split()
     code = (
         "import sys, pdcurate.cli; print('numpy' in sys.modules); "
-        f"code = pdcurate.cli.main({run!r}); print(code, 'numpy' in sys.modules)"
+        f"code = pdcurate.cli.main({command.split()!r}); print(code, 'numpy' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "False"
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_each_module_binds_numpy_at_its_first_use(tmp_path, capsys):
+    # a preset-plus-ranking run uses numpy in corpus, dedup, filters, pipeline and ranking
+    write_corpus(_stream_pairs(distinct=50, n=200), tmp_path / "s.txt", tmp_path / "t.txt")
+    write_embeddings(np.random.default_rng(3).normal(size=(200, 8)), tmp_path / "e.bin")
+    emb = str(tmp_path / "e.bin")
+    assert run_cli("preset", "--pair", "en-si", "--src-emb", emb, "--tgt-emb", emb, "--top-k", "30") == 0
+    (tmp_path / "cfg.yaml").write_text(capsys.readouterr().out)
+    env = {key: value for key, value in os.environ.items() if not key.startswith("CURATE_")}
+    env["PYTHONPATH"] = str(Path(pdcurate.__file__).parents[1])
+    run = "run --config cfg.yaml --source s.txt --target t.txt --out-dir out".split()
+    script = (
+        "import sys, types, pdcurate.cli\n"
+        "from pdcurate import corpus, dedup, filters, pipeline, ranking\n"
+        "modules = (corpus, dedup, filters, pipeline, ranking)\n"
+        "print('numpy' in sys.modules, any(isinstance(getattr(m, 'np', None), types.ModuleType) for m in modules))\n"
+        f"code = pdcurate.cli.main({run!r})\n"
+        "print(code, all(getattr(m, 'np', None) is sys.modules['numpy'] for m in modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "False False"
+    assert proc.stdout.splitlines()[-1] == "0 True"
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the thread count from /proc/self/status")

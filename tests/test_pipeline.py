@@ -38,7 +38,7 @@ from pdcurate.pipeline import (
     stage_name,
 )
 from pdcurate.ranking import cosine, write_embeddings
-from pdcurate.synthnoise import NoiseRecipe, generate, recipe_from_dict
+from pdcurate.synthnoise import NoiseRecipe, generate, load_recipe, recipe_from_dict
 from pdcurate.taxonomy import NoiseLabel
 from pdcurate.textnorm import NormMode, normalize
 
@@ -108,6 +108,31 @@ def test_config_rejects_unknown_keys():
         parse_config("language_pair: en-si\nstages:\n- kind: bogus\n")
     with pytest.raises(ConfigError, match="language_pair"):
         parse_config("stages: []\n")
+
+
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        ("language_pair: en-si\nstages:\n- {kind: dedup}\nstages: []\n", "stages", 4),
+        ("language_pair: en-si\nstages:\n- {kind: length, side: st, side: s}\n", "side", 3),
+    ],
+    ids=["stages", "side"],
+)
+def test_config_rejects_a_repeated_key(tmp_path, text, key, line):
+    # PyYAML alone keeps a repeated key's last value, so the first was silently ignored
+    match = f"(?s)config is not valid YAML: .*found duplicate key '{key}'\n  in .*, line {line},"
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+    (tmp_path / "recipe.yaml").write_text("seed: 1\npair_count: 10\nrates: {CS: 0.5, CS: 0.1}\n")
+    with pytest.raises(ConfigError, match="(?s)recipe is not valid YAML: .*found duplicate key 'CS'"):
+        load_recipe(tmp_path / "recipe.yaml")
+
+
+def test_the_repeated_key_check_spares_merged_keys_and_unhashable_keys():
+    config = parse_config("language_pair: en-si\nstages:\n- {<<: {kind: length, side: st}, side: s}\n")
+    assert config.stages[0].side is Side.SOURCE
+    with pytest.raises(ConfigError, match="found unhashable key"):
+        parse_config("language_pair: en-si\n? [a]\n: 1\n")
 
 
 # ---------------------------------------------------------------- runs
@@ -804,6 +829,7 @@ def test_config_sections_reject_wrong_keys_and_types(section, match):
         ("rates: [CS]", "rates: expected a mapping"),
         ("rates: {CS: .nan}", "expected a finite number"),
         ("rates: {QQ: 0.1}", "QQ"),
+        ("rates: {cs: 0.5, CS: 0.1}", "rates: label CS is given twice"),
         ("vocabularies: {en: 5}", "expected a list"),
         ("vocabularies: {en: [1, 2]}", "expected a string"),
     ],
