@@ -35,15 +35,22 @@ built per text or token, into one uint64 array of keys.  One
 index (one binary search each) and the keys that the block side counts
 twice.  A pair with a source key in the index is removed whatever its
 target holds, so its target is not normalized or probed, and a side
-with no pair left open is not probed at all.  Only pairs with a key
-that hits the index or is counted twice take a short sequential pass,
-in id order, which decides them exactly as a pair-at-a-time pass would:
-a pair's source keys are probed before its target keys, each side's in
-positional order, and the first hit is the removal reason, rebuilt from
-the pair's text.  The kept pairs' keys, which that probe showed absent,
-then enter the index as one sorted run without being probed again.  So
-the result does not depend on the block size, and the index is probed
-once per block side.
+with no pair left open is not probed at all.  A key that hits the index
+or is counted twice is a candidate; no other key can match an earlier
+kept pair.  A pair-at-a-time pass probes a pair's source keys before
+its target keys, each side's in positional order, and removes the pair
+for its first key that an earlier kept pair holds.  So a pair whose
+first candidate is in the index goes for that key, whatever the block's
+earlier pairs kept, and array operations settle all such pairs at once.
+Only the pairs whose first candidate is counted twice take a short
+sequential pass, in id order, against the keys of the block's kept
+pairs.  The probe's ``np.unique`` sorted each side's distinct keys;
+those with a kept owner, which the probe showed absent, enter the index
+as one sorted run (the two sides merged) without being probed or sorted
+again.  So the result does not depend on the block size, and the index
+is probed once per block side.  Removal reasons are built only for a
+removal log, a block at a time: each removal key's normalized text, or
+its n-token window.
 
 The index holds its fingerprints as sorted uint64 runs, 8 bytes each,
 merged geometrically (a new run is merged into the one before while it
@@ -67,7 +74,8 @@ from typing import Callable, Iterable, Iterator
 from .corpus import SentencePair, Side, _LazyNumpy
 from .errors import ConfigError
 from .filters import _chunks, normalize_texts
-from .textnorm import NormMode, normalize, word_ngrams
+# dedup does not call word_ngrams; the name stays a seam that perfbench/tracer.py patches
+from .textnorm import NormMode, normalize, tokenize, word_ngrams  # noqa: F401
 
 np = _LazyNumpy(globals())
 
@@ -264,11 +272,12 @@ class DedupStream:
             counts[at] = inside
         return keys, counts
 
-    def _probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which keys are in the index, and which may decide a pair: in the index or counted twice."""
+    def _probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted distinct keys, each key's place among them, which keys are in the
+        index, and which may decide a pair: in the index or counted twice."""
         unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
         hit = self._index.hits(unique)[inverse]
-        return hit, hit | (counts > 1)[inverse]
+        return unique, inverse, hit, hit | (counts > 1)[inverse]
 
     def dedup_block(self, block: list[SentencePair]) -> list[SentencePair]:
         """The kept pairs of the stream's next block, whose ids must ascend from the last block's."""
@@ -282,6 +291,7 @@ class DedupStream:
             return []
         spec = self.spec
         sides = []  # (name, owner) per checked side, for the removal reasons
+        sorts = []  # (unique, inverse) per checked side, for the insert
         parts = []  # (keys, owner, hit, maybe) per checked side
         in_index = np.zeros(len(block), dtype=bool)  # pairs with a key found in the index
         for name, checks, salt in (
@@ -295,17 +305,24 @@ class DedupStream:
             keys, counts = self._keys([getattr(block[i], name) for i in open_pairs.tolist()])
             keys ^= np.uint64(salt)
             owner = np.repeat(open_pairs, counts)
-            hit, maybe = self._probe(keys)
+            unique, inverse, hit, maybe = self._probe(keys)
             in_index[owner[hit]] = True
             sides.append((name, owner))
+            sorts.append((unique, inverse))
             parts.append((keys, owner, hit, maybe))
         keys, owner, hit, maybe = (np.concatenate(arrays) for arrays in zip(*parts))
 
-        # the sequential pass, over the candidate keys of each such pair in probe order
-        first_hit: dict[int, int] = {}
-        seen: set[int] = set()
+        # each pair's candidate keys in probe order; a pair whose first one is in the
+        # index goes for that key, whatever the pairs before it kept
         candidates = np.flatnonzero(maybe)
         candidates = candidates[np.argsort(owner[candidates], kind="stable")]
+        by_pair = owner[candidates]
+        settled = candidates[(np.diff(by_pair, prepend=-1) != 0) & hit[candidates]]
+        reason = np.full(len(block), -1, dtype=np.intp)  # each removed pair's removal key
+        reason[owner[settled]] = settled
+        # the sequential pass, over the other pairs' candidate keys
+        seen: set[int] = set()
+        candidates = candidates[reason[by_pair] < 0]
         rows = zip(*(array[candidates].tolist() for array in (owner, hit, keys)), candidates.tolist())
         for pair_index, group in groupby(rows, key=itemgetter(0)):
             group = list(group)
@@ -313,32 +330,45 @@ class DedupStream:
             if found is None:
                 seen.update(key for _, _, key, _ in group)
             else:
-                first_hit[pair_index] = found
+                reason[pair_index] = found
+        kept = reason < 0
 
-        kept = np.ones(len(block), dtype=bool)
-        kept[list(first_hit)] = False
-        # the probe showed every key of a kept pair to be absent from the index
-        self._index._insert(np.unique(keys[kept[owner]]))
+        # the probe showed every key of a kept pair to be absent from the index, and
+        # sorted each side's distinct keys: insert those with a kept owner
+        fresh = np.concatenate([
+            unique[np.bincount(inverse[kept[side_owner]], minlength=unique.size) > 0]
+            for (_, side_owner), (unique, inverse) in zip(sides, sorts)
+        ])
+        del sorts, unique, inverse
+        if len(sides) > 1:
+            fresh.sort(kind="stable")  # timsort: a merge of the two sorted sides
+            fresh = fresh[np.diff(fresh, prepend=~fresh[:1]) != 0]  # no key twice
+        self._index._insert(fresh)
 
-        self.removed_count += len(first_hit)
+        at = reason[~kept]  # in id order
+        self.removed_count += at.size
         if self._on_removed is not None:
-            for pair_index, at in first_hit.items():  # in id order, as groupby found them
-                pair = block[pair_index]
-                self._on_removed(pair, self._stage_name, self._reason(pair, sides, at))
+            pairs = [block[i] for i in owner[at].tolist()]
+            for pair, text in zip(pairs, self._reasons(pairs, sides, at)):
+                self._on_removed(pair, self._stage_name, text)
         return list(compress(block, kept.tolist()))
 
-    def _reason(self, pair: SentencePair, sides: list[tuple[str, np.ndarray]], at: int) -> str:
-        """Key number ``at`` of the block's sides, counted across them, as its text or n-token window."""
-        for name, owner in sides:
-            if at < len(owner):
-                break
-            at -= len(owner)
-        text = normalize(getattr(pair, name), self.spec.norm)
-        n = self.spec.ngram
+    def _reasons(self, pairs: list[SentencePair], sides: list[tuple[str, np.ndarray]], at: np.ndarray) -> list[str]:
+        """Each removed pair's key number ``at`` of the block's sides, counted across
+        them, as its normalized text or n-token window."""
+        # a key past the first checked side's keys is one of the second side's
+        names = [sides[second][0] for second in (at >= sides[0][1].size).tolist()]
+        texts = [getattr(pair, name) for pair, name in zip(pairs, names)]
+        n, mode = self.spec.ngram, self.spec.norm
         if n is None:
-            return text
-        start = at - int(owner.searchsorted(owner[at]))  # a text's keys are adjacent, in positional order
-        return next(iter(word_ngrams(text.split()[start : start + n], n)))
+            return [normalize(text, mode) for text in texts]
+        starts, base = at.copy(), 0  # each key's place among its text's keys
+        for _, owner in sides:
+            mine = (base <= at) & (at < base + owner.size)
+            # a text's keys are adjacent, in positional order
+            starts[mine] -= base + owner.searchsorted(owner[at[mine] - base])
+            base += owner.size
+        return [" ".join(tokenize(text, mode)[start : start + n]) for text, start in zip(texts, starts.tolist())]
 
 
 dedup_stream = DedupStream  # function-style name for the same constructor

@@ -102,7 +102,9 @@ class RatioSpec:
     """Ratio filter: a [lo, hi] window for ST_RATIO, a floor for the others.
 
     side is ignored for ST_RATIO, which is inherently pairwise.  The
-    floor-only kinds reject hi rather than silently ignore it.
+    floor-only kinds reject hi rather than silently ignore it.  No bound
+    is negative, and a floor lies in [0, 1] as the ratio does, so no
+    bound removes every pair by itself.
     """
 
     kind: RatioKind
@@ -114,8 +116,12 @@ class RatioSpec:
         if self.kind is not RatioKind.ST_RATIO:
             if self.hi is not None:
                 raise ConfigError(f"{self.kind.value} takes only lo, got hi {self.hi}")
+            if not 0.0 <= self.lo <= 1.0:
+                raise ConfigError(f"{self.kind.value} lo must lie in [0, 1], got {self.lo}")
         elif self.hi is None:
             raise ConfigError("stratio needs both lo and hi bounds")
+        elif min(self.lo, self.hi) < 0:
+            raise ConfigError(f"stratio bounds must not be negative, got lo {self.lo} and hi {self.hi}")
         elif self.lo > self.hi:
             raise ConfigError(f"lo {self.lo} exceeds hi {self.hi}")
 

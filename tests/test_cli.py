@@ -3,6 +3,7 @@ import gc
 import io
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import pdcurate
 from pdcurate import cli, pipeline
 from pdcurate.cli import main
 from pdcurate.corpus import LanguagePair, SentencePair, read_corpus, write_corpus
+from pdcurate.errors import ConfigError
 from pdcurate.pipeline import dump_config, recommended_preset
 from pdcurate.ranking import RankedCorpus, cosine, write_embeddings
 from pdcurate.synthnoise import builtin_vocabulary
@@ -71,6 +73,32 @@ def test_missing_hi_for_stratio_exits_2(corpus, capsys):
     )
     assert code == 2
     assert "stratio" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, bounds, match",
+    [
+        ("sentcratio", ("--lo", "1.5"), r"sentcratio lo must lie in \[0, 1\], got 1.5"),
+        ("sentwratio", ("--lo", "2"), r"sentwratio lo must lie in \[0, 1\], got 2"),
+        ("sentwratio", ("--lo", "-0.5"), r"sentwratio lo must lie in \[0, 1\], got -0.5"),
+        ("stratio", ("--lo", "-5", "--hi", "-1"), "stratio bounds must not be negative, got lo -5.0 and hi -1.0"),
+        ("stratio", ("--lo", "-0.5", "--hi", "2"), "stratio bounds must not be negative"),
+    ],
+    ids=["sentcratio-above-1", "sentwratio-above-1", "sentwratio-negative", "stratio-negative", "stratio-lo-negative"],
+)
+def test_a_ratio_bound_that_can_only_remove_every_pair_is_a_config_error(corpus, capsys, kind, bounds, match):
+    params = {"lo": float(bounds[1])} | ({"hi": float(bounds[3])} if len(bounds) > 2 else {})
+    with pytest.raises(ConfigError, match=match):
+        pipeline.stage_from_dict({"kind": kind, "params": params}, None)
+    code = run_cli(
+        "filter", "--kind", kind, *bounds,
+        "--source", str(corpus / "s.txt"),
+        "--target", str(corpus / "t.txt"),
+        "--out-dir", str(corpus / "out"),
+    )
+    assert code == 2
+    assert re.search(match, capsys.readouterr().err)
+    assert not (corpus / "out").exists()
 
 
 def test_missing_input_file_exits_3(tmp_path, capsys):

@@ -564,3 +564,54 @@ def test_an_ngram_repeated_inside_its_own_text_is_not_a_duplicate(monkeypatch, b
         assert log == brute_force_reasons(pairs, spec), (norm, ngram, side)
     kept, _ = run_dedup(pairs[:3], DedupSpec(ngram=2, side=Side.SOURCE))
     assert [p.id for p in kept] == [0, 1]
+
+
+def logged_reasons(pairs, spec):
+    log = {}
+    stream = dedup_stream(pairs, spec, on_removed=lambda pair, _, reason: log.setdefault(pair.id, reason))
+    return [p.id for p in stream], log, stream
+
+
+@pytest.mark.parametrize("block_pairs", [1, 3, dedup._BLOCK_PAIRS])
+def test_a_first_window_repeated_in_the_block_beats_a_later_index_hit(monkeypatch, block_pairs):
+    # at three pairs a block, pair 4's first window repeats kept pair 3 in
+    # its block, and its last window is in the index since pair 0
+    monkeypatch.setattr(dedup, "_BLOCK_PAIRS", block_pairs)
+    pairs = pairs_of(("c d", "x"), ("e f", "x"), ("g h", "x"), ("a b", "x"), ("a b c d", "x"), ("i j", "x"))
+    spec = DedupSpec(ngram=2, side=Side.SOURCE)
+    kept, log, _ = logged_reasons(pairs, spec)
+    assert kept == [0, 1, 2, 3, 5]
+    assert log == brute_force_reasons(pairs, spec) == {4: "a b"}
+
+
+@pytest.mark.parametrize("block_pairs", [1, 3, dedup._BLOCK_PAIRS])
+def test_a_source_repeated_in_the_block_beats_a_target_index_hit(monkeypatch, block_pairs):
+    # at three pairs a block, pair 4's source repeats kept pair 3 in its
+    # block, and its target is in the index since pair 0
+    monkeypatch.setattr(dedup, "_BLOCK_PAIRS", block_pairs)
+    pairs = pairs_of(("s0", "T"), ("s1", "t1"), ("s2", "t2"), ("S", "t3"), ("S", "T"), ("s5", "t5"))
+    spec = DedupSpec(side=Side.BOTH)
+    kept, log, _ = logged_reasons(pairs, spec)
+    assert kept == [0, 1, 2, 3, 5]
+    assert log == brute_force_reasons(pairs, spec) == {4: "S"}
+
+
+@pytest.mark.parametrize("block_pairs", [1, 3, dedup._BLOCK_PAIRS])
+@pytest.mark.parametrize("ngram", [None, 2])
+@pytest.mark.parametrize("side", [Side.SOURCE, Side.BOTH])
+def test_the_index_holds_each_kept_key_of_each_side_once(monkeypatch, block_pairs, ngram, side):
+    monkeypatch.setattr(dedup, "_BLOCK_PAIRS", block_pairs)
+    # the first pair repeats a window inside each of its texts
+    rows = [("a b a b", "x y x y"), ("", "")] + [(p.source, p.target) for p in random_corpus(random.Random(11), 200)]
+    pairs = pairs_of(*rows)
+    spec = DedupSpec(norm=NormMode.STRIP_NUMS, ngram=ngram, side=side)
+    kept, log, stream = logged_reasons(pairs, spec)
+    assert log == brute_force_reasons(pairs, spec)
+
+    def keys(text):
+        norm = normalize(text, spec.norm)
+        return [norm] if ngram is None else list(word_ngrams(norm.split(), ngram))
+
+    sides = [name for name in ("source", "target") if getattr(side, f"checks_{name}")]
+    distinct = {(name, key) for p in pairs if p.id in kept for name in sides for key in keys(getattr(p, name))}
+    assert len(pairs) > len(kept) and len(stream._index) == len(distinct)

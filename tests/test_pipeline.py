@@ -366,7 +366,7 @@ def test_dedup_builds_removal_reasons_only_for_a_removal_log(monkeypatch):
     def no_reason(*args):
         raise AssertionError("a removal reason was built for no removal log")
 
-    monkeypatch.setattr(dedup.DedupStream, "_reason", no_reason)
+    monkeypatch.setattr(dedup.DedupStream, "_reasons", no_reason)
     assert [pair.id for pair in run(config, pairs).pairs] == kept_ids
 
 
