@@ -26,18 +26,22 @@ only) is accepted for compatibility and has no effect: the stages run a
 block of pairs at a time, in order, in one thread.
 
 ``dedup`` and ``filter`` are one-stage runs of the same pipeline as
-``run``, and ``rank`` is a stage-free run of it with ranking.  ``run``,
-``dedup`` and ``filter`` write the output corpus while they read the
-input.  Ranking holds ids and scores, never texts: at most about
-2 * max(k, 8192) of them with ``--top-k k``, and all of them, 16 bytes
-per pair, without it.  The top-k pairs are then read back from the
-input files by line number, so an input file that changes during the
-run is a data error.  ``run --removal-log``, ``dedup --log``
-and ``filter --log`` stream the removal rows from the run's per-stage
-spills in the temp dir (TMPDIR) into the log, so the log costs about
-its own size on disk, not in memory.  All output files are written atomically
-and published together: each goes to a temp file, and the temp files
-are renamed into place only when the command succeeds.  An interrupted
+``run``, and ``rank`` is a stage-free run of it with ranking.  The
+pairs reach the pipeline as blocks of columns (``corpus.read_blocks``),
+and ``run``, ``dedup`` and ``filter`` write each block of survivors
+while they read the input.  Ranking holds ids and scores, never texts:
+at most about 2 * max(k, 8192) of them with ``--top-k k``, and all of
+them, 16 bytes per pair, without it.  The top-k pairs are then read
+back from the input files by line number, once and a block at a time
+for both the output corpus and scores.tsv, so an input file that
+changes during the run is a data error.  ``run --removal-log``,
+``dedup --log`` and ``filter --log`` stream the removal rows from the
+run's per-stage spills in the temp dir (TMPDIR) into the log, so the
+log costs about its own size on disk, not in memory.  ``run`` adds a
+report warning for each stage that is given pairs and keeps none.  All
+output files are written atomically and published together: each goes
+to a temp file, and the temp files are renamed into place only when the
+command succeeds.  An interrupted
 or failed command unlinks them, so it leaves no output file at all.
 
 ``main`` sets ``OPENBLAS_NUM_THREADS=1`` unless it is already set, before
@@ -54,20 +58,22 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
+from . import dedup
 from . import pipeline as pl
-from .corpus import LanguagePair, Side, atomic_write, compute_stats, corpus_stamps, deferred_renames
-from .corpus import fetch_pairs, read_corpus, write_corpus
+from .corpus import LanguagePair, Side, atomic_write, block_pairs, compute_stats, corpus_stamps, deferred_renames
+from .corpus import fetch_blocks, read_blocks, read_corpus, write_blocks, write_corpus
 from .dedup import DedupStream
 from .errors import ConfigError, CurateError, DataError
 from .filters import SENT_RATIO_THRESHOLD
 from .lid import export_predictions
 from .metrics import disparity_report, format_disparity_report, read_score_table, write_disparity_report
-from .ranking import load_embeddings, rank_corpus, top_k, write_ranked_tsv
+from .ranking import load_embeddings, rank_corpus, scored_blocks, top_k, write_ranked_tsv
 from .synthnoise import generate, load_recipe, recipe_from_dict, score_filters, write_labeled_tsv
 from .textnorm import NormMode
 
-# DedupStream, load_embeddings, rank_corpus and top_k are unused here; they
-# are imported only because the benchmark's tracer wraps them on this module.
+# DedupStream, load_embeddings, rank_corpus, top_k, read_corpus, write_corpus
+# and write_ranked_tsv are unused here; they are imported only because the
+# benchmark's tracer wraps them on this module.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,39 +133,48 @@ def _flag_group(args, source: str, target: str, tsv: str | None = None) -> dict 
 
 
 def _open_corpus(args):
-    """The command's corpus as read_corpus's stream, and its paths as keywords."""
+    """The command's corpus as read_blocks' stream of blocks, and its paths as keywords."""
     paths = _flag_group(args, "source", "target", "tsv")
     if paths is None:
         raise ConfigError("need --source and --target (or --tsv)")
-    return read_corpus(**paths), paths
+    return read_blocks(**paths, size=dedup._BLOCK_PAIRS), paths
 
 
-def _ticker(pairs, label: str):
+def _ticker(blocks, label: str):
+    """The blocks; each multiple N of _TICK_EVERY in the pairs read prints a line ``label: N pairs``."""
     count = 0
-    for pair in pairs:
-        count += 1
-        if count % _TICK_EVERY == 0:
-            print(f"{label}: {count} pairs", file=sys.stderr)
-        yield pair
+
+    def tick(block):
+        nonlocal count
+        for read in range(count - count % _TICK_EVERY + _TICK_EVERY, count + len(block) + 1, _TICK_EVERY):
+            print(f"{label}: {read} pairs", file=sys.stderr)
+        count += len(block)
+        return block
+
+    return map(tick, blocks)  # which holds no block while the next is read
 
 
 def _writer(out_dir: Path, paths: dict) -> pl.Sink:
     """A pipeline sink that writes the output corpus, and scores.tsv after ranking.
 
     The ranked pairs are read back from the corpus files at paths, which
-    must not change after this call.
+    must not change after this call, once and a block at a time: each
+    block goes to the output corpus and to scores.tsv before the next one
+    is read.
     """
     stamps = corpus_stamps(**paths)
+    if paths["tsv_path"] is not None:
+        out = {"tsv_path": out_dir / "corpus.tsv"}
+    else:
+        out = {"source_path": out_dir / "source.txt", "target_path": out_dir / "target.txt"}
 
-    def write(pairs, ranked) -> None:
-        if ranked is not None:
-            pairs = fetch_pairs(ranked.id_array, stamps, **paths)
-        if paths["tsv_path"] is not None:
-            write_corpus(pairs, tsv_path=out_dir / "corpus.tsv")
-        else:
-            write_corpus(pairs, out_dir / "source.txt", out_dir / "target.txt")
-        if ranked is not None:
-            write_ranked_tsv(ranked, fetch_pairs(ranked.id_array, stamps, **paths), out_dir / "scores.tsv")
+    def write(blocks, ranked) -> None:
+        if ranked is None:
+            write_blocks(blocks, **out)
+            return
+        with atomic_write(out_dir / "scores.tsv") as scores:
+            fetched = fetch_blocks(ranked.id_array, stamps, **paths)
+            write_blocks(scored_blocks(ranked, fetched, scores), **out)
 
     return write
 
@@ -170,14 +185,14 @@ def _run(config: pl.PipelineConfig, args, log_path=None, stage: str | None = Non
     With log_path, the removal rows go there, streamed from the run's
     spills; stage, if given, replaces each row's stage name.
     """
-    pairs, paths = _open_corpus(args)
+    blocks, paths = _open_corpus(args)
     sink = _writer(Path(args.out_dir), paths)  # records the corpus stamps before the run
     # extend writes the log file; it looks _write_removal_log up when called, so
     # a wrapper on that name (as an instrumented run puts there) gets the rows
     log = None
     if log_path is not None:
         log = SimpleNamespace(extend=lambda rows: _write_removal_log(rows, log_path, stage))
-    return pl.run(config, _ticker(pairs, "read"), removal_log=log, sink=sink).report
+    return pl.run(config, _ticker(blocks, "read"), removal_log=log, sink=sink).report
 
 
 def _parse(from_string, value: str):
@@ -203,6 +218,9 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     started = time.perf_counter()
     report = _run(config, args, out_dir / "removals.tsv" if args.removal_log else None)
+    for stage in report.stages:
+        if stage.stats.pair_count and not stage.stats.retained_count:
+            report.warnings.append(f"stage {stage.name} removed all {stage.stats.pair_count} pairs it was given")
     written = report.total.retained_count if report.ranking is None else report.ranking.emitted
     report_text = report.to_text()
     with atomic_write(out_dir / "report.txt") as out:
@@ -298,10 +316,10 @@ def cmd_rank(args) -> int:
 
 def cmd_stats(args) -> int:
     reference_paths = _flag_group(args, "ref_source", "ref_target", "ref_tsv")
-    count = sum(1 for _ in _open_corpus(args)[0])
+    count = sum(map(len, _open_corpus(args)[0]))
     print(f"pairs: {count}")
     if reference_paths is not None:
-        reference = sum(1 for _ in read_corpus(**reference_paths))
+        reference = sum(map(len, read_blocks(**reference_paths, size=dedup._BLOCK_PAIRS)))
         print(f"reference: {reference}")
         print(f"reduction: {compute_stats(reference, count).reduction_pct:.2f}%")
     return EXIT_OK
@@ -358,8 +376,8 @@ def cmd_lid(args) -> int:
     side = _parse(Side.from_string, args.side)
     if side is Side.BOTH:
         raise ConfigError("export one side at a time: --side s or --side t")
-    pairs, _ = _open_corpus(args)
-    count = export_predictions(_ticker(pairs, "read"), side, args.out)
+    blocks, _ = _open_corpus(args)
+    count = export_predictions(block_pairs(_ticker(blocks, "read")), side, args.out)
     print(f"wrote {count} predictions to {args.out}")
     return EXIT_OK
 

@@ -16,10 +16,20 @@ are rejected in both formats, because a tab would corrupt TSV output and
 break the read/write round-trip guarantee; for the same reason, writing
 rejects a text with a tab or a line feed.  Every reader, ``fetch_pairs``
 too, takes its lines from one scanner, ``_line_blocks``, and decodes a
-block of whole lines at once.  A bad line raises only when the consumer
+chunk of whole lines at once.  A bad line raises only when the consumer
 reaches it, naming its line (and, for invalid UTF-8, its byte offset).
-Each module that uses numpy binds its ``np`` to a ``_LazyNumpy``, so
-importing the package loads no numpy; a run loads it at its first use.
+
+Pairs travel in blocks, as columns: a ``PairBlock`` holds an int64 id
+array and the two sides' texts, and no ``SentencePair`` is built for a
+pair in it.  ``read_blocks`` cuts each file's lines into blocks; a TSV
+block is split on tabs once, and its lines are checked one by one only
+when that split shows a line without exactly one tab.  ``write_blocks``
+joins each side of a block into one string and checks it for tabs and
+line feeds by counting them.  ``fetch_blocks`` reads given lines back a
+block at a time.  ``read_corpus``, ``write_corpus`` and ``fetch_pairs``
+are the same functions a pair at a time.  Each module that uses numpy
+binds its ``np`` to a ``_LazyNumpy``, so importing the package loads no
+numpy; a run loads it at its first use.
 """
 
 from __future__ import annotations
@@ -30,9 +40,10 @@ from contextlib import ExitStack, contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, count, repeat, zip_longest
+from itertools import chain, compress, count, islice, repeat
+from operator import contains
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import AlignmentError, ConfigError, DataError
 
@@ -56,7 +67,12 @@ np = _LazyNumpy(globals())
 # reader holds a chunk's lines as strings: at 1 MiB, `curate run`'s peak RSS grew
 # 12.7 MiB from 5k to 50k pairs, and at 64 KiB it stood 0.7 MiB above 16 KiB
 _CHUNK_BYTES = 1 << 14
-_INT_BLOCK = 4096  # array values converted to ints at a time
+# pairs joined into one string to write, and fetched or blocked by a function
+# a pair at a time, at once.  A block of 2,048 web-like pairs, written as two
+# strings and read back in blocks of as many, raised the peak RSS of a ranked
+# `curate run` by 2.3 MiB over writing a pair at a time; at 256, each string
+# and its UTF-8 stay far below glibc's 128 KiB mmap threshold
+_PIECE_PAIRS = 256
 
 
 class Side(Enum):
@@ -107,6 +123,57 @@ class SentencePair:
         if side is Side.TARGET:
             return (self.target,)
         return (self.source, self.target)
+
+
+class PairBlock:
+    """A block of pairs as columns: their ids and each side's texts, in the same order.
+
+    ids may be given as a range or a list of ints, which ``ids`` makes an
+    int64 array when first read, so that a block only read and written
+    loads no numpy.
+    """
+
+    __slots__ = ("_ids", "sources", "targets")
+
+    def __init__(self, ids: np.ndarray | range | list[int], sources: Sequence[str], targets: Sequence[str]):
+        self._ids, self.sources, self.targets = ids, sources, targets
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    @classmethod
+    def of(cls, pairs: Sequence[SentencePair]) -> "PairBlock":
+        return cls([pair.id for pair in pairs], [pair.source for pair in pairs], [pair.target for pair in pairs])
+
+    @property
+    def ids(self) -> np.ndarray:
+        if isinstance(self._ids, range):
+            self._ids = np.arange(self._ids.start, self._ids.stop, dtype=np.int64)
+        elif isinstance(self._ids, list):
+            self._ids = np.array(self._ids, dtype=np.int64)
+        return self._ids
+
+    def pairs(self) -> Iterator[SentencePair]:
+        ids = self._ids if isinstance(self._ids, (range, list)) else self._ids.tolist()
+        return map(SentencePair, ids, self.sources, self.targets)
+
+    def compress(self, keep: np.ndarray) -> "PairBlock":
+        """The pairs at which the boolean array keep is True."""
+        if keep.all():
+            return self
+        flags = keep.tolist()
+        return PairBlock(self.ids[keep], list(compress(self.sources, flags)), list(compress(self.targets, flags)))
+
+
+def block_pairs(blocks: Iterable[PairBlock]) -> Iterator[SentencePair]:
+    """The pairs of the blocks, one SentencePair each."""
+    return chain.from_iterable(map(PairBlock.pairs, blocks))
+
+
+def _batches(items: Iterable, size: int) -> Iterator[list]:
+    """The items as lists of size, the last one shorter."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, size)), [])
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,6 +310,9 @@ def read_side_file(
         yield parsed
 
 
+_Path = str | Path | None  # a corpus file argument: source and target together, or tsv alone
+
+
 def _corpus_paths(source_path, target_path, tsv_path) -> list[Path]:
     """The corpus files: [tsv] or [source, target]; any other combination is a ConfigError."""
     if tsv_path is not None:
@@ -254,53 +324,112 @@ def _corpus_paths(source_path, target_path, tsv_path) -> list[Path]:
     return [Path(source_path), Path(target_path)]
 
 
-def read_corpus(
-    source_path: str | Path | None = None,
-    target_path: str | Path | None = None,
-    *,
-    tsv_path: str | Path | None = None,
-) -> Iterator[SentencePair]:
-    """Stream sentence pairs from a two-file or TSV corpus.
+def read_blocks(
+    source_path: _Path = None, target_path: _Path = None, *, tsv_path: _Path = None, size: int
+) -> Iterator[PairBlock]:
+    """Stream the pairs of a two-file or TSV corpus as blocks of size pairs, the last one shorter.
 
     Memory use is bounded regardless of corpus size.  Two-file mode
     raises AlignmentError naming the first line where one file has run
-    out; TSV mode rejects lines that do not have exactly two fields.
-    Argument and existence checks happen eagerly, before streaming.
+    out; TSV mode rejects lines that do not have exactly two fields.  The
+    block before a bad line holds the pairs up to it.  Argument and
+    existence checks happen eagerly, before streaming.
     """
     paths = _corpus_paths(source_path, target_path, tsv_path)
     for path in paths:
         if not path.is_file():
             raise DataError(f"corpus file not found: {path}")
-    if len(paths) == 1:
-        return map(_tsv_pair, count(), chain.from_iterable(_lines(paths[0])), repeat(paths[0]))
-    return _read_two_file(*paths)
+    return _read_tsv(paths[0], size) if len(paths) == 1 else _read_two_file(*paths, size)
 
 
-def _read_two_file(source_path: Path, target_path: Path) -> Iterator[SentencePair]:
-    lines = (chain.from_iterable(_lines(path, tabs=False)) for path in (source_path, target_path))
-    for pair_id, (src, tgt) in enumerate(zip_longest(*lines)):  # source line i is read before target line i
-        if src is None or tgt is None:
-            longer = target_path if src is None else source_path
-            raise AlignmentError(
-                f"{source_path} and {target_path} disagree in length: "
-                f"{longer} has an unmatched line {pair_id + 1}",
-                line=pair_id + 1,
-            )
-        yield SentencePair(pair_id, src, tgt)
+def read_corpus(
+    source_path: _Path = None, target_path: _Path = None, *, tsv_path: _Path = None
+) -> Iterator[SentencePair]:
+    """Stream sentence pairs from a two-file or TSV corpus: ``read_blocks``, a pair at a time."""
+    return block_pairs(read_blocks(source_path, target_path, tsv_path=tsv_path, size=_PIECE_PAIRS))
 
 
-def _tsv_pair(pair_id: int, text: str, path: Path) -> SentencePair:
-    fields = text.split("\t")
-    if len(fields) != 2:
-        raise DataError(f"{path}: line {pair_id + 1} has {len(fields)} tab-separated fields, expected 2")
-    return SentencePair(pair_id, fields[0], fields[1])
+def _line_lists(path: Path, tabs: bool, size: int, tsv: bool = False) -> Iterator[tuple[list[str], DataError | None]]:
+    """The lines of path, size at a time, each list with None; the last list is shorter
+    and comes with the DataError of the line after it, or None at the file's end.
+
+    With tsv, each line is given as its two fields, source then target, so a
+    list holds 2 * size of them, split a chunk at a time.
+    """
+    held, error, line_no = [], None, 0
+    try:
+        for lines in _lines(path, tabs):
+            if tsv:
+                lines, error = _tsv_fields(lines, range(line_no, line_no + len(lines)), path)
+                line_no += len(lines) // 2
+            held += lines
+            while len(held) >= size * (1 + tsv):
+                yield held[: size * (1 + tsv)], None
+                del held[: size * (1 + tsv)]
+            if error:
+                break
+    except DataError as exc:
+        error = exc
+    yield held, error
+
+
+# The block readers and writers drop each block before they read the next;
+# a zip or enumerate over blocks would hold the last one while it does.
+
+
+def _read_two_file(source_path: Path, target_path: Path, size: int) -> Iterator[PairBlock]:
+    sides = [_line_lists(source_path, False, size), _line_lists(target_path, False, size)]
+    for start in count(0, size):
+        (sources, source_error), (targets, target_error) = next(sides[0]), next(sides[1])
+        n = min(len(sources), len(targets))
+        lengths = len(sources), len(targets)
+        if n:
+            yield PairBlock(range(start, start + n), sources[:n], targets[:n])
+        del sources, targets
+        if n == size:
+            continue
+        # pair start + n is the first that a side lacks; source line i is read before target line i
+        for length, error in zip(lengths, (source_error, target_error)):
+            if length == n and error:
+                raise error
+        if lengths[0] == lengths[1]:
+            return
+        longer = source_path if lengths[0] > n else target_path
+        raise AlignmentError(
+            f"{source_path} and {target_path} disagree in length: "
+            f"{longer} has an unmatched line {start + n + 1}",
+            line=start + n + 1,
+        )
+
+
+def _read_tsv(path: Path, size: int) -> Iterator[PairBlock]:
+    lists = _line_lists(path, True, size, tsv=True)
+    for start in count(0, size):
+        fields, error = next(lists)
+        n = len(fields) // 2
+        if n:
+            yield PairBlock(range(start, start + n), fields[0::2], fields[1::2])
+        del fields
+        if error:
+            raise error
+        if n < size:
+            return
+
+
+def _tsv_fields(lines: Sequence[str], ids: np.ndarray | range, path: Path) -> tuple[list[str], DataError | None]:
+    """The fields of the TSV lines (numbered by ids), source then target of each, before
+    the first line that has not two, and that line's DataError (else None)."""
+    fields = "\t".join(lines).split("\t") if lines else []
+    # as many fields as two per line, and a tab in every line: one tab in each
+    if len(fields) == 2 * len(lines) and all(map(contains, lines, repeat("\t"))):
+        return fields, None
+    bad = next(at for at, line in enumerate(lines) if line.count("\t") != 1)
+    message = f"{path}: line {ids[bad] + 1} has {lines[bad].count(chr(9)) + 1} tab-separated fields, expected 2"
+    return _tsv_fields(lines[:bad], ids, path)[0], DataError(message)
 
 
 def corpus_stamps(
-    source_path: str | Path | None = None,
-    target_path: str | Path | None = None,
-    *,
-    tsv_path: str | Path | None = None,
+    source_path: _Path = None, target_path: _Path = None, *, tsv_path: _Path = None
 ) -> list[tuple[int, int]]:
     """(st_size, st_mtime_ns) of each corpus file, for ``fetch_pairs`` to check."""
     stamps = []
@@ -316,18 +445,22 @@ def corpus_stamps(
 def _line_spans(handle, path: Path, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The byte spans (starts, stops) of the lines numbered by ids, which ascend.
 
-    A span ends before its line's LF, which for a last line with none is the file's end.
+    A span ends before its line's LF, which for a last line with none is
+    the file's end.  Only a block that holds a wanted line is searched.
     """
     starts = np.empty(len(ids), dtype=np.int64)
     stops = np.empty(len(ids), dtype=np.int64)
-    lines = 0  # the lines before the block
+    lines, low = 0, int(np.searchsorted(ids, 0))  # the lines before the block, and the ids in them
     for offset, block in _line_blocks(handle):
-        ends = offset + np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
-        low, high = np.searchsorted(ids, (lines, lines + len(ends)))
-        at = ids[low:high] - lines
-        starts[low:high] = np.concatenate(([offset], ends + 1))[at]
-        stops[low:high] = ends[at]
-        lines += len(ends)
+        count = block.count(b"\n")
+        if low < len(ids) and ids[low] < lines + count:
+            ends = offset + np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
+            high = int(np.searchsorted(ids, lines + count))
+            at = ids[low:high] - lines
+            starts[low:high] = np.concatenate(([offset], ends + 1))[at]
+            stops[low:high] = ends[at]
+            low = high
+        lines += count
     if len(ids) and (ids[0] < 0 or ids[-1] >= lines):
         missing = int(ids[0] if ids[0] < 0 else ids[-1])
         raise DataError(f"{path} has {lines} lines, so no line for pair id {missing}")
@@ -335,9 +468,9 @@ def _line_spans(handle, path: Path, ids: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _ints(array: np.ndarray) -> Iterator[int]:
-    """The values of a 1-D integer array as ints, converted ``_INT_BLOCK`` at a time."""
-    blocks = range(0, len(array), _INT_BLOCK)
-    return chain.from_iterable(array[low : low + _INT_BLOCK].tolist() for low in blocks)
+    """The values of a 1-D integer array as ints, converted ``_PIECE_PAIRS`` at a time."""
+    blocks = range(0, len(array), _PIECE_PAIRS)
+    return chain.from_iterable(array[low : low + _PIECE_PAIRS].tolist() for low in blocks)
 
 
 def _lines_at(handle, path: Path, starts: np.ndarray, stops: np.ndarray, ids: np.ndarray) -> Iterator[str]:
@@ -356,21 +489,17 @@ def _lines_at(handle, path: Path, starts: np.ndarray, stops: np.ndarray, ids: np
         yield text
 
 
-def fetch_pairs(
-    ids,
-    stamps: list[tuple[int, int]],
-    source_path: str | Path | None = None,
-    target_path: str | Path | None = None,
-    *,
-    tsv_path: str | Path | None = None,
-) -> Iterator[SentencePair]:
-    """The corpus pairs with the given ids (line numbers), in the order of ids.
+def fetch_blocks(
+    ids, stamps: list[tuple[int, int]], source_path: _Path = None, target_path: _Path = None, *, tsv_path: _Path = None
+) -> Iterator[PairBlock]:
+    """The corpus pairs with the given ids (line numbers), in the order of ids, ``_PIECE_PAIRS`` at a time.
 
     Each file is scanned once, in chunks, for the byte spans of the wanted
-    lines; then each pair is read back by pread, so no pair is held.  A
-    pair reads back as ``read_corpus`` gives it.  A file whose size or
-    modification time differs from its stamp (see ``corpus_stamps``), or
-    that has no line for an id, raises DataError.
+    lines; then each pair is read back by pread, a block when the consumer
+    asks for it, so no more than a block is held.  A pair reads back as
+    ``read_corpus`` gives it.  A file whose size or modification time
+    differs from its stamp (see ``corpus_stamps``), or that has no line
+    for an id, raises DataError.
     """
     paths = _corpus_paths(source_path, target_path, tsv_path)
     ids = np.asarray(ids, dtype=np.int64)
@@ -388,10 +517,24 @@ def fetch_pairs(
             starts, stops = np.empty_like(ids), np.empty_like(ids)
             starts[order], stops[order] = _line_spans(handle, path, ids[order])
             sides.append(_lines_at(handle, path, starts, stops, ids))
-        if len(paths) == 1:
-            yield from map(_tsv_pair, _ints(ids), sides[0], repeat(paths[0]))
-        else:
-            yield from map(SentencePair, _ints(ids), *sides)
+        rows = zip(*sides)  # source line i is read before target line i
+        for low in range(0, len(ids), _PIECE_PAIRS):
+            block_ids = ids[low : low + _PIECE_PAIRS]
+            texts = list(zip(*islice(rows, len(block_ids))))
+            if len(paths) == 2:
+                yield PairBlock(block_ids, *texts)
+                continue
+            fields, error = _tsv_fields(texts[0], block_ids, paths[0])
+            yield PairBlock(block_ids[: len(fields) // 2], fields[0::2], fields[1::2])
+            if error:
+                raise error
+
+
+def fetch_pairs(
+    ids, stamps: list[tuple[int, int]], source_path: _Path = None, target_path: _Path = None, *, tsv_path: _Path = None
+) -> Iterator[SentencePair]:
+    """``fetch_blocks``, a pair at a time."""
+    return block_pairs(fetch_blocks(ids, stamps, source_path, target_path, tsv_path=tsv_path))
 
 
 def _writable(pair: SentencePair) -> SentencePair:
@@ -401,6 +544,14 @@ def _writable(pair: SentencePair) -> SentencePair:
             name = "tab" if "\t" in text else "line feed"
             raise DataError(f"pair {pair.id}: {side} text contains a {name}, which a corpus line cannot hold")
     return pair
+
+
+def _check_lines(text: str, lines: int, tabs: int, block: PairBlock) -> None:
+    """Raise _writable's DataError for block's first pair unless text, lines of its pairs,
+    has lines LFs and tabs tabs: then no text of those pairs holds a tab or a line feed."""
+    if text.count("\n") != lines or text.count("\t") != tabs:
+        for pair in block.pairs():
+            _writable(pair)
 
 
 # (temp file, destination) of each atomic_write inside deferred_renames
@@ -466,31 +617,38 @@ def deferred_renames():
                 os.unlink(tmp_name)
 
 
-def write_corpus(
-    pairs: Iterable[SentencePair],
-    source_path: str | Path | None = None,
-    target_path: str | Path | None = None,
-    *,
-    tsv_path: str | Path | None = None,
+def write_blocks(
+    blocks: Iterable[PairBlock], source_path: _Path = None, target_path: _Path = None, *, tsv_path: _Path = None
 ) -> CorpusStats:
-    """Write pairs out in input order; returns the written pair count.
+    """Write blocks of pairs out in order, each side of a block joined once; returns the written pair count.
 
     Reading the result back yields text-identical pairs with ids
     reassigned by position.  A text with a tab or line feed could not be
     read back, so it raises DataError and no file is written.
     """
     paths = _corpus_paths(source_path, target_path, tsv_path)
-    pairs = map(_writable, pairs)
-    count = 0
-    if len(paths) == 1:
-        with atomic_write(paths[0]) as out:
-            for pair in pairs:
-                out.write(f"{pair.source}\t{pair.target}\n")
-                count += 1
-    else:
-        with atomic_write(paths[0]) as src_out, atomic_write(paths[1]) as tgt_out:
-            for pair in pairs:
-                src_out.write(pair.source + "\n")
-                tgt_out.write(pair.target + "\n")
-                count += 1
-    return compute_stats(count, count)
+    written = 0
+    with ExitStack() as stack:
+        outs = [stack.enter_context(atomic_write(path)) for path in paths]
+        for block in blocks:
+            for low in range(0, len(block), _PIECE_PAIRS):
+                sources = block.sources[low : low + _PIECE_PAIRS]
+                targets = block.targets[low : low + _PIECE_PAIRS]
+                if len(outs) == 1:
+                    texts = ["".join(map("{}\t{}\n".format, sources, targets))]
+                else:
+                    texts = ["\n".join(sources) + "\n", "\n".join(targets) + "\n"]
+                for out, text in zip(outs, texts):
+                    _check_lines(text, len(sources), (2 - len(outs)) * len(sources), block)
+                    out.write(text)
+            written += len(block)
+            del block
+    return compute_stats(written, written)
+
+
+def write_corpus(
+    pairs: Iterable[SentencePair], source_path: _Path = None, target_path: _Path = None, *, tsv_path: _Path = None
+) -> CorpusStats:
+    """``write_blocks`` of pairs."""
+    blocks = map(PairBlock.of, _batches(pairs, _PIECE_PAIRS))
+    return write_blocks(blocks, source_path, target_path, tsv_path=tsv_path)

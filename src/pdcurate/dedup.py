@@ -69,9 +69,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, groupby, islice
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .corpus import SentencePair, Side, _LazyNumpy
+from .corpus import PairBlock, SentencePair, Side, _LazyNumpy
 from .errors import ConfigError
 from .filters import _chunks, normalize_texts
 # dedup does not call word_ngrams; the name stays a seam that perfbench/tracer.py patches
@@ -281,44 +281,54 @@ class DedupStream:
 
     def dedup_block(self, block: list[SentencePair]) -> list[SentencePair]:
         """The kept pairs of the stream's next block, whose ids must ascend from the last block's."""
-        for pair in block:
-            if pair.id <= self._last_id:
-                raise ValueError(
-                    f"pair ids out of order: {pair.id} after {self._last_id} (stream must be id-sorted)"
-                )
-            self._last_id = pair.id
-        if not block:
-            return []
+        keep, reasons = self.dedup_columns(PairBlock.of(block), self._on_removed is not None)
+        if reasons is not None:
+            for pair, reason in zip(compress(block, (~keep).tolist()), reasons):
+                self._on_removed(pair, self._stage_name, reason)
+        return list(compress(block, keep.tolist()))
+
+    def dedup_columns(self, block: PairBlock, reasons: bool = False) -> tuple[np.ndarray, list[str] | None]:
+        """Which pairs of the stream's next block dedup keeps, as a boolean array, and with
+        reasons the removed pairs' reasons in id order (else None).  The block's ids must
+        ascend from the last block's."""
+        ids = block.ids
+        if not len(ids):
+            return np.ones(0, dtype=bool), [] if reasons else None
+        before = np.concatenate(([self._last_id], ids[:-1]))
+        if (ids <= before).any():
+            at = int(np.argmax(ids <= before))
+            raise ValueError(f"pair ids out of order: {ids[at]} after {before[at]} (stream must be id-sorted)")
+        self._last_id = int(ids[-1])
         spec = self.spec
-        sides = []  # (name, owner) per checked side, for the removal reasons
+        sides = []  # (texts, owner) per checked side, for the removal reasons
         sorts = []  # (unique, inverse) per checked side, for the insert
         parts = []  # (keys, owner, hit, maybe) per checked side
-        in_index = np.zeros(len(block), dtype=bool)  # pairs with a key found in the index
-        for name, checks, salt in (
-            ("source", spec.side.checks_source, 0),
-            ("target", spec.side.checks_target, _TARGET_SALT),
+        in_index = np.zeros(len(ids), dtype=bool)  # pairs with a key found in the index
+        for texts, checks, salt in (
+            (block.sources, spec.side.checks_source, 0),
+            (block.targets, spec.side.checks_target, _TARGET_SALT),
         ):
             # a pair with a key in the index goes whatever its other side holds
             open_pairs = np.flatnonzero(~in_index)
             if not checks or not open_pairs.size:
                 continue
-            keys, counts = self._keys([getattr(block[i], name) for i in open_pairs.tolist()])
+            keyed = texts if open_pairs.size == len(ids) else [texts[i] for i in open_pairs.tolist()]
+            keys, counts = self._keys(keyed)
             keys ^= np.uint64(salt)
             owner = np.repeat(open_pairs, counts)
             unique, inverse, hit, maybe = self._probe(keys)
             in_index[owner[hit]] = True
-            sides.append((name, owner))
+            sides.append((texts, owner))
             sorts.append((unique, inverse))
             parts.append((keys, owner, hit, maybe))
         keys, owner, hit, maybe = (np.concatenate(arrays) for arrays in zip(*parts))
-
         # each pair's candidate keys in probe order; a pair whose first one is in the
         # index goes for that key, whatever the pairs before it kept
         candidates = np.flatnonzero(maybe)
         candidates = candidates[np.argsort(owner[candidates], kind="stable")]
         by_pair = owner[candidates]
         settled = candidates[(np.diff(by_pair, prepend=-1) != 0) & hit[candidates]]
-        reason = np.full(len(block), -1, dtype=np.intp)  # each removed pair's removal key
+        reason = np.full(len(ids), -1, dtype=np.intp)  # each removed pair's removal key
         reason[owner[settled]] = settled
         # the sequential pass, over the other pairs' candidate keys
         seen: set[int] = set()
@@ -347,18 +357,14 @@ class DedupStream:
 
         at = reason[~kept]  # in id order
         self.removed_count += at.size
-        if self._on_removed is not None:
-            pairs = [block[i] for i in owner[at].tolist()]
-            for pair, text in zip(pairs, self._reasons(pairs, sides, at)):
-                self._on_removed(pair, self._stage_name, text)
-        return list(compress(block, kept.tolist()))
+        return kept, self._reasons(sides, owner[at].tolist(), at) if reasons else None
 
-    def _reasons(self, pairs: list[SentencePair], sides: list[tuple[str, np.ndarray]], at: np.ndarray) -> list[str]:
+    def _reasons(self, sides: list[tuple[Sequence[str], np.ndarray]], owners: list[int], at: np.ndarray) -> list[str]:
         """Each removed pair's key number ``at`` of the block's sides, counted across
-        them, as its normalized text or n-token window."""
+        them, as its normalized text or n-token window; owners are the pairs' places in the block."""
         # a key past the first checked side's keys is one of the second side's
-        names = [sides[second][0] for second in (at >= sides[0][1].size).tolist()]
-        texts = [getattr(pair, name) for pair, name in zip(pairs, names)]
+        seconds = (at >= sides[0][1].size).tolist()
+        texts = [sides[second][0][owner] for owner, second in zip(owners, seconds)]
         n, mode = self.spec.ngram, self.spec.norm
         if n is None:
             return [normalize(text, mode) for text in texts]

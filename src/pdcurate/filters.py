@@ -44,7 +44,7 @@ from enum import Enum
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
-from .corpus import SentencePair, Side, _LazyNumpy
+from .corpus import PairBlock, SentencePair, Side, _LazyNumpy
 from .errors import ConfigError, PredictorError
 from .lid import _MARK_LATIN, _MARK_SINHALA, _MARK_TAMIL, TIE_ORDER, LidPredictor, _script_mark
 from .textnorm import NormMode, char_ratios, is_alpha_word
@@ -353,15 +353,16 @@ def normalize_texts(texts: list[str], mode: NormMode) -> Iterator[tuple[np.ndarr
             yield at[nonempty], codepoints, (np.cumsum(sizes) - sizes)[nonempty]
 
 
-def _checked(pairs: Sequence[SentencePair], side: Side) -> Iterator[tuple[list[str], bool]]:
+def _checked(pairs: Sequence[SentencePair] | PairBlock, side: Side) -> Iterator[tuple[Sequence[str], bool]]:
     """The texts of each side that side checks, with True for the source side."""
+    block = pairs if isinstance(pairs, PairBlock) else PairBlock.of(pairs)
     if side.checks_source:
-        yield [pair.source for pair in pairs], True
+        yield block.sources, True
     if side.checks_target:
-        yield [pair.target for pair in pairs], False
+        yield block.targets, False
 
 
-def length_keep(pairs: Sequence[SentencePair], spec: LengthSpec) -> np.ndarray:
+def length_keep(pairs: Sequence[SentencePair] | PairBlock, spec: LengthSpec) -> np.ndarray:
     """length_pass of each pair, as a boolean array."""
     keep = np.ones(len(pairs), dtype=bool)
     for texts, _ in _checked(pairs, spec.side):
@@ -369,7 +370,7 @@ def length_keep(pairs: Sequence[SentencePair], spec: LengthSpec) -> np.ndarray:
     return keep
 
 
-def lid_keep(pairs: Sequence[SentencePair], spec: LidSpec) -> np.ndarray:
+def lid_keep(pairs: Sequence[SentencePair] | PairBlock, spec: LidSpec) -> np.ndarray:
     """lid_pass of each pair with the script detector (``ScriptPredictor``), as a boolean array."""
     keep = np.ones(len(pairs), dtype=bool)
     for texts, is_source in _checked(pairs, spec.side):
@@ -385,7 +386,7 @@ def lid_keep(pairs: Sequence[SentencePair], spec: LidSpec) -> np.ndarray:
     return keep
 
 
-def ratio_keep(pairs: Sequence[SentencePair], spec: RatioSpec) -> np.ndarray:
+def ratio_keep(pairs: Sequence[SentencePair] | PairBlock, spec: RatioSpec) -> np.ndarray:
     """ratio_pass of each pair, as a boolean array."""
     if spec.kind is RatioKind.ST_RATIO:
         source, target = (

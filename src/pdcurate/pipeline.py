@@ -28,21 +28,21 @@ from __future__ import annotations
 import marshal
 import math
 import os
-import sys
 import tempfile
 import time
 from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
-from itertools import chain, compress, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 import yaml
 
 from . import dedup
-from .corpus import CorpusStats, LanguagePair, SentencePair, Side, _LazyNumpy, compute_stats
-from .dedup import DedupSpec, DedupStream, RemovalCallback
+from .corpus import CorpusStats, LanguagePair, PairBlock, SentencePair, Side, _LazyNumpy
+from .corpus import _batches, block_pairs, compute_stats
+from .dedup import DedupSpec, DedupStream
 from .errors import ConfigError, DataError
 from .filters import (
     LID_PROB_THRESHOLD,
@@ -69,7 +69,6 @@ from .textnorm import NormMode
 np = _LazyNumpy(globals())
 
 StageSpec = DedupSpec | LengthSpec | LidSpec | RatioSpec
-Block = list[SentencePair]
 
 PRESET_NGRAM_RANGE = (4, 7)
 
@@ -209,16 +208,17 @@ class _StageKind:
     converter, and defaults(kind, language_pair) gives the fields they
     leave out.  kind(spec) is the kind the row writes and describe(spec)
     names the stage in reports.  block_fn(spec, name, ctx), called once
-    per run, returns the stage's block function: it takes an id-ordered
-    list of the pairs that reach the stage and returns the kept ones, in
-    order.
+    per run, returns the stage's block function: it takes the id-ordered
+    ``PairBlock`` of the pairs that reach the stage and returns a boolean
+    array of the pairs it keeps and the removal reason: one for all
+    removed pairs, a list with one per removed pair, or None.
     """
 
     names: tuple[str, ...]
     spec: type
     params: dict[str, Callable[[Any], Any]]
     kind: Callable[[Any], str]
-    block_fn: Callable[[Any, str, "_StageContext"], Callable[[Block], Block]]
+    block_fn: Callable[[Any, str, "_StageContext"], Callable[[PairBlock], tuple]]
     defaults: Callable[[str, LanguagePair | None], dict] = lambda kind, language_pair: {}
     describe: Callable[[Any], str] = _kind_at_side
     uses_predictor: bool = False
@@ -292,7 +292,7 @@ class _Removals:
     """A run's removal rows by stage, so that they read back stage-major
     although the stages interleave.
 
-    add(pair, stage, reason) is the stages' removal callback.  Every
+    add(ids, stage, reasons) adds a block's rows.  Every
     ``_SPILL_ROWS`` rows of a stage go as one marshal block to the
     stage's spill: an anonymous temp file (so it honours TMPDIR and
     leaves nothing on disk), made on the stage's first full block.  The
@@ -308,10 +308,15 @@ class _Removals:
         self._spilled = 0
         self._read = False
 
-    def add(self, pair: SentencePair, stage: str, reason: str) -> None:
+    def add(self, ids: np.ndarray, stage: str, reasons: str | list[str]) -> None:
+        """The rows of the pairs ids (ascending) that stage removed from a block, for the
+        reason reasons, or each for its own reason in the list reasons."""
         rows = self._rows[stage]
-        rows.append((pair.id, stage, reason))
-        if len(rows) == _SPILL_ROWS:
+        added = zip(ids.tolist(), repeat(stage), repeat(reasons) if isinstance(reasons, str) else reasons)
+        while True:
+            rows.extend(islice(added, _SPILL_ROWS - len(rows)))
+            if len(rows) < _SPILL_ROWS:
+                return
             self._spill(stage, rows)
 
     def _spill(self, name: str, rows: RemovalLog) -> None:
@@ -356,11 +361,11 @@ class _Removals:
 class _StageContext:
     """What stage functions share within one run besides their pairs.
 
-    on_removed(pair, stage, reason) is None without a removal log.
+    log_removals is True when the run keeps a removal log.
     """
 
     report: RunReport
-    on_removed: RemovalCallback | None
+    log_removals: bool
     predictor: LidPredictor | None
 
     def lid_failed(self, *_) -> None:
@@ -375,36 +380,26 @@ class _StageContext:
 
 
 def _filter_stage(keep):
-    """The block_fn of a block test keep(spec, block, ctx) -> one bool per pair.
-
-    Removed pairs are logged in id order with the stage kind as their reason.
-    """
+    """The block_fn of a block test keep(spec, block, ctx) -> a boolean array; the stage kind is its reason."""
 
     def block_fn(spec, name, ctx):
         reason = stage_kind(spec)
-
-        def kept(block: Block) -> Block:
-            flags = keep(spec, block, ctx)
-            if ctx.on_removed is not None:
-                for pair, ok in zip(block, flags):
-                    if not ok:
-                        ctx.on_removed(pair, name, reason)
-            return list(compress(block, flags))
-
-        return kept
+        return lambda block: (keep(spec, block, ctx), reason)
 
     return block_fn
 
 
-def _lid_keep(spec: LidSpec, block: Block, ctx: _StageContext) -> list[bool]:
+def _lid_keep(spec: LidSpec, block: PairBlock, ctx: _StageContext) -> np.ndarray:
     if type(ctx.predictor) is ScriptPredictor:
-        return lid_keep(block, spec).tolist()
-    return [lid_pass(pair, spec, ctx.predictor, on_error=ctx.lid_failed) for pair in block]
+        return lid_keep(block, spec)
+    verdicts = (lid_pass(pair, spec, ctx.predictor, on_error=ctx.lid_failed) for pair in block.pairs())
+    return np.fromiter(verdicts, dtype=bool, count=len(block))
 
 
 def _dedup_stage(spec, name, ctx):
     # removal reasons are built only for a removal log
-    return DedupStream((), spec, on_removed=ctx.on_removed, stage_name=name).dedup_block
+    stream = DedupStream((), spec, stage_name=name)
+    return lambda block: stream.dedup_columns(block, ctx.log_removals)
 
 
 _STAGE_KINDS = (
@@ -421,7 +416,7 @@ _STAGE_KINDS = (
         spec=LengthSpec,
         params={"min_words": _integer},
         kind=lambda spec: "length",
-        block_fn=_filter_stage(lambda spec, block, ctx: length_keep(block, spec).tolist()),
+        block_fn=_filter_stage(lambda spec, block, ctx: length_keep(block, spec)),
     ),
     _StageKind(
         names=("lid", "lidthresh"),
@@ -437,7 +432,7 @@ _STAGE_KINDS = (
         spec=RatioSpec,
         params={"lo": _number, "hi": _number},
         kind=lambda spec: spec.kind.value,
-        block_fn=_filter_stage(lambda spec, block, ctx: ratio_keep(block, spec).tolist()),
+        block_fn=_filter_stage(lambda spec, block, ctx: ratio_keep(block, spec)),
         defaults=lambda kind, language_pair: {"kind": RatioKind(kind)},
     ),
 )
@@ -599,7 +594,7 @@ class RunResult:
     ranked: RankedCorpus | None = None
 
 
-Sink = Callable[[Iterable[SentencePair] | None, RankedCorpus | None], None]
+Sink = Callable[[Iterator[PairBlock] | None, RankedCorpus | None], None]
 RemovalLog = list[tuple[int, str, str]]
 
 
@@ -645,8 +640,24 @@ def validate_config(config: PipelineConfig) -> None:
             )
 
 
+def _id_batches(blocks: Iterable[PairBlock], size: int) -> Iterator[np.ndarray]:
+    """The blocks' ids, size at a time; the last batch is shorter, and may be empty."""
+    held, count = [np.zeros(0, dtype=np.int64)], 0
+    for block in blocks:
+        held.append(block.ids)
+        count += len(block)
+        del block
+        if count >= size:
+            ids = np.concatenate(held)
+            while len(ids) >= size:
+                yield ids[:size]
+                ids = ids[size:].copy()
+            held, count = [ids], len(ids)
+    yield np.concatenate(held)
+
+
 def _rank_top_k(
-    survivors: Iterator[SentencePair], k: int, src_emb: EmbeddingStore, tgt_emb: EmbeddingStore
+    survivors: Iterable[PairBlock], k: int, src_emb: EmbeddingStore, tgt_emb: EmbeddingStore
 ) -> tuple[RankedCorpus, int]:
     """The ranking of the top k survivors and the survivor count.
 
@@ -656,13 +667,10 @@ def _rank_top_k(
     zero_norm_count counts the zero-norm vectors of every survivor.  One
     flag per embedding row makes an id seen in an earlier batch a DataError.
     """
-    size = min(max(k, _RANK_BATCH), sys.maxsize)  # islice takes no larger count
-    survivor_ids = (pair.id for pair in survivors)
     pool = RankedCorpus(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
     ranked_ids = np.zeros(min(src_emb.count, tgt_emb.count), dtype=bool)
     count = 0
-    while True:
-        ids = np.fromiter(islice(survivor_ids, size), dtype=np.int64)
+    for ids in _id_batches(survivors, max(k, _RANK_BATCH)):
         ranked = rank_corpus(ids, src_emb, tgt_emb)  # every id is a row of both stores
         if ranked_ids[ids].any():
             raise repeated_id_error(int(ids[ranked_ids[ids]][0]))
@@ -671,8 +679,19 @@ def _rank_top_k(
         # no entry below the batch's own top k can enter the pool
         ranked = top_k(ranked, k)
         pool = top_k(merge_rankings(pool, ranked), k) if len(pool) else ranked
-        if len(ids) < size:
-            return pool, count
+    return pool, count
+
+
+def _blocks(pairs: Iterable[SentencePair] | Iterable[PairBlock]) -> Iterator[PairBlock]:
+    """pairs as PairBlocks: given blocks as they are, SentencePairs ``dedup._BLOCK_PAIRS`` at a time."""
+    pairs = iter(pairs)
+    first = next(pairs, None)
+    if isinstance(first, PairBlock):
+        yield first
+        del first  # the block, before the next one is read
+        yield from pairs
+    elif first is not None:
+        yield from map(PairBlock.of, _batches(chain([first], pairs), dedup._BLOCK_PAIRS))
 
 
 def _pairs_in_rank_order(pairs: Iterable[SentencePair], ranked: RankedCorpus) -> list[SentencePair]:
@@ -690,7 +709,7 @@ def _pairs_in_rank_order(pairs: Iterable[SentencePair], ranked: RankedCorpus) ->
 
 def run(
     config: PipelineConfig,
-    pairs: Iterable[SentencePair],
+    pairs: Iterable[SentencePair] | Iterable[PairBlock],
     *,
     removal_log: Any = None,
     predictor: LidPredictor | None = None,
@@ -698,27 +717,30 @@ def run(
 ) -> RunResult:
     """Run stages in order, then rank survivors and slice top-k.
 
-    The pairs are read in blocks of ``dedup._BLOCK_PAIRS``, and each
-    block goes through the stages in config order, in this process and
-    thread, before the next one is read: no stage holds the corpus or
-    its full survivor list.  The output, the removal log (joined
-    stage-major) and the report counts are the same as if each stage ran
-    over all pairs that reach it before the next one started.  A stage's
-    wall time is the time spent in its calls.  With ranking, both
-    embedding stores are loaded before the first pair is read, and
-    ranking holds the ids and scores of the top k survivors so far,
-    never their texts.
+    pairs are SentencePairs, which run takes ``dedup._BLOCK_PAIRS`` at a
+    time, or id-ordered PairBlocks, as ``corpus.read_blocks`` gives them.
+    Each block goes through the stages in config order, as columns, in
+    this process and thread, before the next one is read: no stage holds
+    the corpus or its full survivor list, and no SentencePair is built
+    for a pair.  The output, the removal log (joined stage-major) and the
+    report counts are the same as if each stage ran over all pairs that
+    reach it before the next one started.  A stage's wall time is the
+    time spent in its calls.  With ranking, both embedding stores are
+    loaded before the first pair is read, and ranking holds the ids and
+    scores of the top k survivors so far, never their texts.
 
-    sink(pairs, ranked), if given, is called once with the output.
-    Without ranking, pairs is an iterator over the survivors in id
-    order, which the sink must exhaust, and ranked is None; with
-    ranking, pairs is None and ranked is the top-k ranking, whose pairs
-    the sink reads from the input by id.  Without a sink, RunResult.pairs
-    holds the output; with ranking, run then reads its input a second
-    time for the top-k pairs, so an input that is an iterator is held as
-    a list.  Pair ids always index the original corpus, so embedding
-    stores built for the unfiltered corpus keep working after filtering.
-    Identical input and config give byte-identical output.
+    sink(blocks, ranked), if given, is called once with the output.
+    Without ranking, blocks is an iterator over the survivors' PairBlocks
+    in id order, which the sink must exhaust, and ranked is None; each
+    block is read, and goes through the stages, when the sink asks for
+    it.  With ranking, blocks is None and ranked is the top-k ranking,
+    whose pairs the sink reads from the input by id.  Without a sink,
+    RunResult.pairs holds the output; with ranking, run then reads its
+    input a second time for the top-k pairs, so an input that is an
+    iterator is held as a list.  Pair ids always index the original
+    corpus, so embedding stores built for the unfiltered corpus keep
+    working after filtering.  Identical input and config give
+    byte-identical output.
 
     removal_log, if given, is any object with an ``extend`` method; run
     calls ``removal_log.extend(rows)`` once, at the end.  rows is a
@@ -752,37 +774,39 @@ def run(
     if sink is None:
         if ranking is not None and iter(pairs) is pairs:
             pairs = list(pairs)  # read a second time for the ranked pairs
-        sink = lambda survivors, ranked: kept.extend(
-            survivors if ranked is None else _pairs_in_rank_order(pairs, ranked)
+        sink = lambda blocks, ranked: kept.extend(
+            block_pairs(blocks) if ranked is None else _pairs_in_rank_order(block_pairs(_blocks(pairs)), ranked)
         )
     names = [stage_name(index, stage) for index, stage in enumerate(config.stages)]
     removals = _Removals(names)
-    ctx = _StageContext(report, None if removal_log is None else removals.add, predictor)
+    ctx = _StageContext(report, removal_log is not None, predictor)
 
     block_fns = [_row(stage).block_fn(stage, name, ctx) for name, stage in zip(names, config.stages)]
     counts = [0] * (len(block_fns) + 1)  # the pairs that reach each stage, and the survivors
     seconds = [0.0] * len(block_fns)
 
-    def survivor_blocks() -> Iterator[Block]:
-        source, size = iter(pairs), dedup._BLOCK_PAIRS
-        while block := list(islice(source, size)):
+    def survivor_blocks() -> Iterator[PairBlock]:
+        for block in _blocks(pairs):
             counts[0] += len(block)
             for at, block_fn in enumerate(block_fns):
+                if not len(block):
+                    break
                 started = time.perf_counter()
-                block = block_fn(block)
+                keep, reasons = block_fn(block)
+                if ctx.log_removals:
+                    removals.add(block.ids[~keep], names[at], reasons)
+                block = block.compress(keep)
                 seconds[at] += time.perf_counter() - started
                 counts[at + 1] += len(block)
             yield block
             del block  # the survivors, before the next block is read
 
-    survivors = chain.from_iterable(survivor_blocks())
-
     ranked = None
     with closing(removals):  # also when the run or removal_log.extend raises
         if ranking is None:
-            sink(survivors, None)
+            sink(survivor_blocks(), None)
         else:
-            ranked, count = _rank_top_k(survivors, ranking.top_k, src_emb, tgt_emb)
+            ranked, count = _rank_top_k(survivor_blocks(), ranking.top_k, src_emb, tgt_emb)
             if ranking.top_k > count:
                 report.warnings.append(
                     f"top_k {ranking.top_k} exceeds ranked corpus size {count}; emitting everything"

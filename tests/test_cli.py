@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import pdcurate
-from pdcurate import cli, pipeline
+from pdcurate import cli, dedup, pipeline
+from pdcurate import corpus as corpus_module
 from pdcurate.cli import main
 from pdcurate.corpus import LanguagePair, SentencePair, read_corpus, write_corpus
 from pdcurate.errors import ConfigError
@@ -238,21 +239,22 @@ def test_the_writer_hands_the_fetch_its_ids_as_an_array(tmp_path, monkeypatch):
     ranked = RankedCorpus(ids, np.linspace(1.0, 0.0, n))
     paths = {"source_path": tmp_path / "s.txt", "target_path": tmp_path / "t.txt", "tsv_path": None}
     write = cli._writer(tmp_path, paths)
-    fetch, held = cli.fetch_pairs, []
+    fetch, held = cli.fetch_blocks, []
 
     def fetch_measured(ids, *args, **kwargs):
         held.append(tracemalloc.get_traced_memory()[0] - start)
         return fetch(ids, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "fetch_pairs", fetch_measured)
+    monkeypatch.setattr(cli, "fetch_blocks", fetch_measured)
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
         write(None, ranked)
     finally:
         tracemalloc.stop()
-    # a list of the ids would hold about 40 bytes per id while each fetch runs
-    assert len(held) == 2 and max(held) < 2 * n
+    # a list of the ids would hold about 40 bytes per id while the fetch runs;
+    # one fetch feeds both the output corpus and scores.tsv
+    assert len(held) == 1 and max(held) < 2 * n
     scores = (tmp_path / "scores.tsv").read_text().splitlines()
     assert [int(row.split("\t")[1]) for row in scores] == ids.tolist()
 
@@ -1204,3 +1206,77 @@ def test_a_spill_that_cannot_be_written_exits_3(tmp_path, monkeypatch, capsys):
     assert "data error: cannot spill removal rows" in capsys.readouterr().err
     assert spills and all(spill.closed for spill in spills)
     assert list(tmp_path.glob("out/*")) == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs ru_maxrss in KiB")
+def test_ranked_run_peak_memory_does_not_grow_with_k(tmp_path):
+    # the top-k pairs are read back a block at a time; the ranking and the
+    # line spans take about 100 bytes per id, and a list of the fetched
+    # pairs would add about 300 more
+    rng = random.Random(12)
+    en, si = builtin_vocabulary("en"), builtin_vocabulary("si")
+    n = 50_000
+    with open(tmp_path / "s.txt", "w", encoding="utf-8") as src, open(tmp_path / "t.txt", "w", encoding="utf-8") as tgt:
+        for _ in range(n):
+            k = rng.randint(6, 14)
+            src.write(" ".join(rng.choices(en, k=k)) + "\n")
+            tgt.write(" ".join(rng.choices(si, k=k)) + "\n")
+    write_embeddings(np.random.default_rng(n).normal(size=(n, 8)).astype(np.float32), tmp_path / "e.bin")
+    corpus = ["--source", str(tmp_path / "s.txt"), "--target", str(tmp_path / "t.txt")]
+    emb = ["--src-emb", str(tmp_path / "e.bin"), "--tgt-emb", str(tmp_path / "e.bin")]
+    peaks = [
+        _peak_rss_kib("rank", *corpus, *emb, "--top-k", str(k), "--out-dir", str(tmp_path / f"out{k}"))
+        for k in (100, 40_000)
+    ]
+    grown_mib = (peaks[1] - peaks[0]) / 1024
+    assert grown_mib < 40_000 * 160 / 2**20, f"peak RSS grew by {grown_mib:.1f} MiB from top 100 to top 40,000"
+
+
+@pytest.mark.parametrize("tsv", [False, True], ids=["two-file", "tsv"])
+def test_a_ranked_run_reads_each_input_file_back_once(tmp_path, monkeypatch, tsv):
+    # one read-back feeds both the output corpus and scores.tsv
+    pairs = _stream_pairs(distinct=300, n=300)
+    paths = {"tsv_path": tmp_path / "c.tsv"} if tsv else {"source_path": tmp_path / "s.txt", "target_path": tmp_path / "t.txt"}
+    write_corpus(pairs, **paths)
+    write_embeddings(np.random.default_rng(2).normal(size=(len(pairs), 4)).astype(np.float32), tmp_path / "e.bin")
+    scans = []
+    line_spans = corpus_module._line_spans
+    monkeypatch.setattr(corpus_module, "_line_spans", lambda handle, path, ids: scans.append(path) or line_spans(handle, path, ids))
+    flags = ["--tsv", str(paths["tsv_path"])] if tsv else ["--source", str(paths["source_path"]), "--target", str(paths["target_path"])]
+    emb = ["--src-emb", str(tmp_path / "e.bin"), "--tgt-emb", str(tmp_path / "e.bin")]
+    assert run_cli("rank", *flags, *emb, "--top-k", "40", "--out-dir", str(tmp_path / "out")) == 0
+    assert scans == list(paths.values())
+    scores = (tmp_path / "out" / "scores.tsv").read_text(encoding="utf-8").splitlines()
+    fetched = list(read_corpus(**{key: tmp_path / "out" / name for key, name in (
+        [("tsv_path", "corpus.tsv")] if tsv else [("source_path", "source.txt"), ("target_path", "target.txt")]
+    )}))
+    assert len(scores) == len(fetched) == 40
+    assert [row.split("\t", 3)[3] for row in scores] == [f"{pair.source}\t{pair.target}" for pair in fetched]
+
+
+@pytest.mark.parametrize("block_pairs", [1, 3, 2048])
+def test_progress_lines_count_pairs_at_each_multiple(tmp_path, capsys, monkeypatch, block_pairs):
+    write_corpus(_stream_pairs(distinct=50, n=50), tmp_path / "s.txt", tmp_path / "t.txt")
+    (tmp_path / "cfg.yaml").write_text("language_pair: en-si\nstages: []\n")
+    monkeypatch.setattr(cli, "_TICK_EVERY", 7)
+    monkeypatch.setattr(dedup, "_BLOCK_PAIRS", block_pairs)
+    corpus = ["--source", str(tmp_path / "s.txt"), "--target", str(tmp_path / "t.txt")]
+    assert run_cli("run", "--config", str(tmp_path / "cfg.yaml"), *corpus, "--out-dir", str(tmp_path / "out")) == 0
+    assert capsys.readouterr().err.splitlines() == [f"read: {n} pairs" for n in range(7, 50, 7)]
+
+
+def test_a_stage_that_removes_every_pair_it_is_given_is_warned_about(tmp_path, capsys):
+    write_corpus(_stream_pairs(distinct=20, n=30), tmp_path / "s.txt", tmp_path / "t.txt")
+    (tmp_path / "cfg.yaml").write_text(
+        "language_pair: en-si\nstages:\n- {kind: dedup, side: s}\n- {kind: length, side: st, params: {min_words: 9}}\n"
+        "- {kind: sentwratio, side: s, params: {lo: 0.6}}\n"
+    )
+    corpus = ["--source", str(tmp_path / "s.txt"), "--target", str(tmp_path / "t.txt")]
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(tmp_path / "cfg.yaml"), *corpus, "--out-dir", str(out)) == 0
+    # only the stage that was given pairs and kept none is named
+    warning = "stage 1:length@st removed all 20 pairs it was given"
+    assert (out / "report.txt").read_text().splitlines()[-1] == f"warning: {warning}"
+    assert (out / "report.tsv").read_text().splitlines()[-1] == f"warning\t{warning}\t-\t-\t-\t-\t-"
+    assert f"warning: {warning}\n" in capsys.readouterr().out
+    assert (out / "source.txt").read_text() == ""

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdcurate.cli import main
-from pdcurate import corpus
+from pdcurate import corpus, dedup
 from pdcurate.corpus import (
     AlignmentError,
     LanguagePair,
@@ -436,3 +436,44 @@ def test_a_line_of_many_chunks_reads_back_whole(tmp_path):
     with mock.patch.object(corpus, "_CHUNK_BYTES", 16):
         assert list(read_corpus(**paths)) == [SentencePair(0, long, "t0"), SentencePair(1, "short", "t1")]
         assert list(fetch_pairs([1, 0], corpus_stamps(**paths), **paths))[1] == SentencePair(0, long, "t0")
+
+
+
+@pytest.mark.parametrize("block_pairs", [1, 3, 2048])
+@pytest.mark.parametrize("chunk", [16, corpus._CHUNK_BYTES])
+@pytest.mark.parametrize("at", [0, 2, 3, 5])
+def test_a_tabless_tsv_line_before_a_line_of_three_fields_is_the_error(tmp_path, capsys, block_pairs, chunk, at):
+    # the two lines hold two tabs, as many as two good lines; at 2 with blocks
+    # of 3 the pair straddles a block boundary, at 3 it starts a block
+    lines = [f"s{i}\tt{i}" for i in range(7)]
+    lines[at : at + 2] = ["no tab here", "one\ttwo\tthree"]
+    path = tmp_path / "c.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "cfg.yaml").write_text("language_pair: en-si\nstages: []\n")
+    message = f"{path}: line {at + 1} has 1 tab-separated fields, expected 2"
+    with mock.patch.object(corpus, "_CHUNK_BYTES", chunk), mock.patch.object(dedup, "_BLOCK_PAIRS", block_pairs):
+        got = []
+        with pytest.raises(DataError) as err:
+            for pair in read_corpus(tsv_path=path):
+                got.append(pair)
+        code = main(["run", "--config", str(tmp_path / "cfg.yaml"), "--tsv", str(path), "--out-dir", str(tmp_path / "out")])
+    assert str(err.value) == message
+    assert got == [SentencePair(i, f"s{i}", f"t{i}") for i in range(at)]
+    assert (code, capsys.readouterr().err) == (3, f"data error: {message}\n")
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("tsv", [False, True], ids=["two-file", "tsv"])
+@pytest.mark.parametrize("side, text, message", [
+    ("source", "a\ttab", "pair 5: source text contains a tab"),
+    ("target", "a line\nfeed", "pair 5: target text contains a line feed"),
+])
+def test_the_writer_names_the_first_pair_in_a_block_that_a_line_cannot_hold(tmp_path, tsv, side, text, message):
+    pairs = [SentencePair(i, f"s{i}", f"t{i}") for i in range(3, 12)]
+    pairs[2] = SentencePair(5, text, "t5") if side == "source" else SentencePair(5, "s5", text)
+    pairs[4] = SentencePair(7, "later\ttab", "later\nfeed")  # a later bad pair in the same block
+    paths = {"tsv_path": tmp_path / "c.tsv"} if tsv else {"source_path": tmp_path / "s.txt", "target_path": tmp_path / "t.txt"}
+    with pytest.raises(DataError) as err:
+        write_corpus(pairs, **paths)
+    assert str(err.value) == f"{message}, which a corpus line cannot hold"
+    assert list(tmp_path.iterdir()) == []
