@@ -60,7 +60,7 @@ from types import SimpleNamespace
 
 from . import dedup
 from . import pipeline as pl
-from .corpus import LanguagePair, Side, atomic_write, block_pairs, compute_stats, corpus_stamps, deferred_renames
+from .corpus import LanguagePair, Side, atomic_write, compute_stats, corpus_stamps, deferred_renames
 from .corpus import fetch_blocks, read_blocks, read_corpus, write_blocks, write_corpus
 from .dedup import DedupStream
 from .errors import ConfigError, CurateError, DataError
@@ -377,7 +377,7 @@ def cmd_lid(args) -> int:
     if side is Side.BOTH:
         raise ConfigError("export one side at a time: --side s or --side t")
     blocks, _ = _open_corpus(args)
-    count = export_predictions(block_pairs(_ticker(blocks, "read")), side, args.out)
+    count = export_predictions(_ticker(blocks, "read"), side, args.out)
     print(f"wrote {count} predictions to {args.out}")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ Ingestion is byte-faithful: no Unicode normalization, blank lines are
 kept (filters may remove them later).  Lines containing tab characters
 are rejected in both formats, because a tab would corrupt TSV output and
 break the read/write round-trip guarantee; for the same reason, writing
-rejects a text with a tab or a line feed.  Every reader, ``fetch_pairs``
+rejects a text with a tab or a line feed.  Every reader, ``fetch_blocks``
 too, takes its lines from one scanner, ``_line_blocks``, and decodes a
 chunk of whole lines at once.  A bad line raises only when the consumer
 reaches it, naming its line (and, for invalid UTF-8, its byte offset).
@@ -26,8 +26,8 @@ block is split on tabs once, and its lines are checked one by one only
 when that split shows a line without exactly one tab.  ``write_blocks``
 joins each side of a block into one string and checks it for tabs and
 line feeds by counting them.  ``fetch_blocks`` reads given lines back a
-block at a time.  ``read_corpus``, ``write_corpus`` and ``fetch_pairs``
-are the same functions a pair at a time.  Each module that uses numpy
+block at a time.  ``read_corpus`` and ``write_corpus`` are the same
+functions a pair at a time.  Each module that uses numpy
 binds its ``np`` to a ``_LazyNumpy``, so importing the package loads no
 numpy; a run loads it at its first use.
 """
@@ -168,6 +168,18 @@ class PairBlock:
 def block_pairs(blocks: Iterable[PairBlock]) -> Iterator[SentencePair]:
     """The pairs of the blocks, one SentencePair each."""
     return chain.from_iterable(map(PairBlock.pairs, blocks))
+
+
+def as_blocks(pairs: Iterable[SentencePair] | Iterable[PairBlock], size: int) -> Iterator[PairBlock]:
+    """pairs as PairBlocks: given blocks as they are, SentencePairs size at a time."""
+    pairs = iter(pairs)
+    first = next(pairs, None)
+    if isinstance(first, PairBlock):
+        yield first
+        del first  # the block, before the next one is read
+        yield from pairs
+    elif first is not None:
+        yield from map(PairBlock.of, _batches(chain([first], pairs), size))
 
 
 def _batches(items: Iterable, size: int) -> Iterator[list]:
@@ -431,7 +443,7 @@ def _tsv_fields(lines: Sequence[str], ids: np.ndarray | range, path: Path) -> tu
 def corpus_stamps(
     source_path: _Path = None, target_path: _Path = None, *, tsv_path: _Path = None
 ) -> list[tuple[int, int]]:
-    """(st_size, st_mtime_ns) of each corpus file, for ``fetch_pairs`` to check."""
+    """(st_size, st_mtime_ns) of each corpus file, for ``fetch_blocks`` to check."""
     stamps = []
     for path in _corpus_paths(source_path, target_path, tsv_path):
         try:
@@ -530,13 +542,6 @@ def fetch_blocks(
                 raise error
 
 
-def fetch_pairs(
-    ids, stamps: list[tuple[int, int]], source_path: _Path = None, target_path: _Path = None, *, tsv_path: _Path = None
-) -> Iterator[SentencePair]:
-    """``fetch_blocks``, a pair at a time."""
-    return block_pairs(fetch_blocks(ids, stamps, source_path, target_path, tsv_path=tsv_path))
-
-
 def _writable(pair: SentencePair) -> SentencePair:
     """The pair, if each text fits on one corpus line; carriage returns read back as they are."""
     for side, text in (("source", pair.source), ("target", pair.target)):
@@ -564,8 +569,9 @@ def atomic_write(path: str | Path, mode: str = "w"):
 
     The destination never exists in a partially-written state.  Inside
     ``deferred_renames`` the rename waits until that context ends.  An
-    OSError while the file is made, written or renamed into place is
-    raised as a DataError that names the path.
+    OSError while the file is made, written or renamed into place, and a
+    path or text that UTF-8 cannot encode (a lone surrogate), is raised
+    as a DataError that names the path.
     """
     path = Path(path)
     encoding = None if "b" in mode else "utf-8"
@@ -587,7 +593,7 @@ def atomic_write(path: str | Path, mode: str = "w"):
         if tmp_name is not None:
             with suppress(OSError):
                 os.unlink(tmp_name)
-        if isinstance(exc, OSError):
+        if isinstance(exc, (OSError, UnicodeEncodeError)):
             raise DataError(f"failed writing {path}: {exc}") from exc
         raise
 

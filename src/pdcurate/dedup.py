@@ -29,7 +29,7 @@ would remove the later pair of such a couple as a duplicate.
 
 Pairs are deduplicated ``_BLOCK_PAIRS`` at a time, one checked side
 after the other.  A side's texts are fingerprinted from the code points
-that ``filters.normalize_texts`` gives a chunk at a time, with no string
+that ``textnorm.normalize_texts`` gives a chunk at a time, with no string
 built per text or token, into one uint64 array of keys.  One
 ``np.unique`` of that array gives both the distinct keys to probe in the
 index (one binary search each) and the keys that the block side counts
@@ -50,7 +50,8 @@ as one sorted run (the two sides merged) without being probed or sorted
 again.  So the result does not depend on the block size, and the index
 is probed once per block side.  Removal reasons are built only for a
 removal log, a block at a time: each removal key's normalized text, or
-its n-token window.
+its n-token window, sliced from the removed texts that
+``textnorm.normalized_texts`` decodes a chunk at a time.
 
 The index holds its fingerprints as sorted uint64 runs, 8 bytes each,
 merged geometrically (a new run is merged into the one before while it
@@ -59,7 +60,7 @@ older run in place.  numpy is imported only when a first block arrives
 (``corpus._LazyNumpy``).
 
 ``pipeline.run`` pushes each block of the input through the stages in
-turn and calls a dedup stage's ``dedup_block`` with the pairs that the
+turn and calls a dedup stage's ``dedup_columns`` with the pairs that the
 stage before it kept, so the index grows while the corpus is still
 being read, and only the current block of pairs is held.
 """
@@ -73,9 +74,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import PairBlock, SentencePair, Side, _LazyNumpy
 from .errors import ConfigError
-from .filters import _chunks, normalize_texts
-# dedup does not call word_ngrams; the name stays a seam that perfbench/tracer.py patches
-from .textnorm import NormMode, normalize, tokenize, word_ngrams  # noqa: F401
+# dedup calls neither normalize nor word_ngrams; the names stay seams that perfbench/tracer.py patches
+from .textnorm import NormMode, _chunks, normalize, normalize_texts, normalized_texts, word_ngrams  # noqa: F401
 
 np = _LazyNumpy(globals())
 
@@ -202,8 +202,8 @@ RemovalCallback = Callable[[SentencePair, str, str], None]
 class DedupStream:
     """Single-pass dedup over an id-ordered pair stream, one block at a time.
 
-    Iterate to obtain kept pairs, or pass id-ordered blocks to
-    ``dedup_block`` one after another; ``removed_count`` counts the
+    Iterate to obtain kept pairs, or pass id-ordered ``PairBlock``s to
+    ``dedup_columns`` one after another; ``removed_count`` counts the
     removals so far.  ``on_removed(pair, stage, reason)`` fires for
     every removal, in id order, which backs the optional removal log.
     """
@@ -229,7 +229,11 @@ class DedupStream:
         self._last_id = -1  # each iteration checks its ids afresh
         pairs = iter(self._pairs)
         while block := list(islice(pairs, _BLOCK_PAIRS)):
-            yield from self.dedup_block(block)
+            keep, reasons = self.dedup_columns(PairBlock.of(block), self._on_removed is not None)
+            if reasons is not None:
+                for pair, reason in zip(compress(block, (~keep).tolist()), reasons):
+                    self._on_removed(pair, self._stage_name, reason)
+            yield from compress(block, keep.tolist())
 
     def _keys(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """The keys of one side's raw texts, each text's in positional order, and how many each has."""
@@ -278,14 +282,6 @@ class DedupStream:
         unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
         hit = self._index.hits(unique)[inverse]
         return unique, inverse, hit, hit | (counts > 1)[inverse]
-
-    def dedup_block(self, block: list[SentencePair]) -> list[SentencePair]:
-        """The kept pairs of the stream's next block, whose ids must ascend from the last block's."""
-        keep, reasons = self.dedup_columns(PairBlock.of(block), self._on_removed is not None)
-        if reasons is not None:
-            for pair, reason in zip(compress(block, (~keep).tolist()), reasons):
-                self._on_removed(pair, self._stage_name, reason)
-        return list(compress(block, keep.tolist()))
 
     def dedup_columns(self, block: PairBlock, reasons: bool = False) -> tuple[np.ndarray, list[str] | None]:
         """Which pairs of the stream's next block dedup keeps, as a boolean array, and with
@@ -366,15 +362,18 @@ class DedupStream:
         seconds = (at >= sides[0][1].size).tolist()
         texts = [sides[second][0][owner] for owner, second in zip(owners, seconds)]
         n, mode = self.spec.ngram, self.spec.norm
+        if n is None and mode is NormMode.IDENTITY:
+            return texts  # the raw text is the key
+        texts = normalized_texts(texts, mode)
         if n is None:
-            return [normalize(text, mode) for text in texts]
+            return texts
         starts, base = at.copy(), 0  # each key's place among its text's keys
         for _, owner in sides:
             mine = (base <= at) & (at < base + owner.size)
             # a text's keys are adjacent, in positional order
             starts[mine] -= base + owner.searchsorted(owner[at[mine] - base])
             base += owner.size
-        return [" ".join(tokenize(text, mode)[start : start + n]) for text, start in zip(texts, starts.tolist())]
+        return [" ".join(text.split(" ")[start : start + n]) for text, start in zip(texts, starts.tolist())]
 
 
 dedup_stream = DedupStream  # function-style name for the same constructor

@@ -1,7 +1,8 @@
 """Language identification: a Unicode-script detector plus file-backed tables.
 
 The built-in detector classifies text into en/si/ta by counting letter
-characters per script block:
+characters per script block, with the code-point classes and kernels of
+``textnorm``:
 
 * Sinhala  U+0D80 - U+0DFF
 * Tamil    U+0B80 - U+0BFF
@@ -16,52 +17,27 @@ lookup-backed predictor instead.
 Text with no letters at all, or letters only outside the three tracked
 scripts, is labeled ``und`` with probability 0; ``und`` never matches an
 expected language, so such sentences always fail LID filters.
+
+``script_predict`` is a one-text call of the block kernel, and
+``export_predictions`` (``curate lid``) classifies a block of texts at a
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .corpus import SentencePair, Side, atomic_write, read_side_file
+from .corpus import _PIECE_PAIRS, PairBlock, SentencePair, Side, _LazyNumpy, as_blocks, atomic_write, read_side_file
 from .errors import PredictorError
-from .textnorm import LazyTranslateTable
+from .textnorm import _count_letters, _per_text
 
-# letters are mapped to one marker char per script so counting runs at
-# C speed inside str.translate / str.count
-_MARK_LATIN = "L"
-_MARK_SINHALA = "S"
-_MARK_TAMIL = "T"
-_MARK_OTHER = "O"
-
-_LATIN_BLOCKS = (
-    (0x0041, 0x005A),
-    (0x0061, 0x007A),
-    (0x00C0, 0x00FF),
-    (0x0100, 0x024F),
-    (0x1E00, 0x1EFF),
-)
-_SINHALA_BLOCK = (0x0D80, 0x0DFF)
-_TAMIL_BLOCK = (0x0B80, 0x0BFF)
+np = _LazyNumpy(globals())
 
 TIE_ORDER = ("en", "si", "ta")
 SCRIPT_LANGS = frozenset(TIE_ORDER)
-
-
-def _script_mark(codepoint: int) -> str | None:
-    if not chr(codepoint).isalpha():
-        return None
-    if any(lo <= codepoint <= hi for lo, hi in _LATIN_BLOCKS):
-        return _MARK_LATIN
-    if _SINHALA_BLOCK[0] <= codepoint <= _SINHALA_BLOCK[1]:
-        return _MARK_SINHALA
-    if _TAMIL_BLOCK[0] <= codepoint <= _TAMIL_BLOCK[1]:
-        return _MARK_TAMIL
-    return _MARK_OTHER
-
-
-_SCRIPT_MARKS = LazyTranslateTable(_script_mark)
+_LABELS = (*TIE_ORDER, "und")  # the detector's labels, by the code _script_labels gives them
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,22 +52,27 @@ class LidPrediction:
             raise ValueError(f"prediction probability {self.prob} outside [0, 1]")
 
 
-_UNDETERMINED = LidPrediction("und", 0.0)
+def _script_labels(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each text's majority letter script as its code in _LABELS, and that script's share of its letters.
+
+    Ties break in the fixed order en < si < ta; a text with no letter in
+    a tracked script is ``und`` with probability 0.
+    """
+    letters, *scripts = _per_text(texts, _count_letters, 4)
+    best = np.max(scripts, axis=0)
+    labels = np.argmax(scripts, axis=0)  # the first of tied scripts, as in TIE_ORDER
+    labels[best == 0] = _LABELS.index("und")
+    return labels, np.divide(best, letters, out=np.zeros(len(texts)), where=best > 0)
 
 
 def script_predict(text: str) -> LidPrediction:
-    """Classify text by majority letter script.
+    """Classify text by majority letter script: ``_script_labels`` of one text.
 
     prob is the fraction of letters belonging to the majority script.
     Ties break in the fixed order en < si < ta.
     """
-    marks = text.translate(_SCRIPT_MARKS)
-    counts = [marks.count(_MARK_LATIN), marks.count(_MARK_SINHALA), marks.count(_MARK_TAMIL)]
-    best = max(counts)
-    if best == 0:
-        # no letters, or none in a tracked script: no majority script
-        return _UNDETERMINED
-    return LidPrediction(TIE_ORDER[counts.index(best)], best / len(marks))
+    (label,), (prob,) = (array.tolist() for array in _script_labels([text]))
+    return LidPrediction(_LABELS[label], prob)
 
 
 class LidPredictor:
@@ -154,19 +135,25 @@ def load_predictions(path: str | Path) -> TablePredictor:
     return TablePredictor(source=table, target=table)
 
 
-def export_predictions(pairs: Iterable[SentencePair], side: Side, path: str | Path) -> int:
+def export_predictions(pairs: Iterable[SentencePair] | Iterable[PairBlock], side: Side, path: str | Path) -> int:
     """Write the script detector's predictions for one side of a corpus to the prediction TSV.
 
-    Probabilities use shortest round-tripping float repr, so exporting
-    and reloading reproduces identical predictions.
+    pairs are SentencePairs or ``PairBlock``s; ``_PIECE_PAIRS`` texts are
+    classified at a time.  Probabilities use shortest round-tripping
+    float repr, so exporting and reloading reproduces identical
+    predictions.
     """
     if side is Side.BOTH:
         raise ValueError("export one side at a time (source or target)")
     count = 0
     with atomic_write(path) as out:
-        for pair in pairs:
-            text = pair.source if side is Side.SOURCE else pair.target
-            pred = script_predict(text)
-            out.write(f"{pair.id}\t{pred.label}\t{pred.prob!r}\n")
-            count += 1
+        for block in as_blocks(pairs, _PIECE_PAIRS):
+            texts = block.sources if side is Side.SOURCE else block.targets
+            for low in range(0, len(block), _PIECE_PAIRS):
+                labels, probs = _script_labels(texts[low : low + _PIECE_PAIRS])
+                ids = block.ids[low : low + _PIECE_PAIRS].tolist()
+                rows = zip(ids, map(_LABELS.__getitem__, labels.tolist()), probs.tolist())
+                out.write("".join(f"{pair_id}\t{label}\t{prob!r}\n" for pair_id, label, prob in rows))
+            count += len(block)
+            del block
     return count

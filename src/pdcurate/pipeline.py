@@ -33,7 +33,7 @@ import time
 from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -41,7 +41,7 @@ import yaml
 
 from . import dedup
 from .corpus import CorpusStats, LanguagePair, PairBlock, SentencePair, Side, _LazyNumpy
-from .corpus import _batches, block_pairs, compute_stats
+from .corpus import as_blocks, block_pairs, compute_stats
 from .dedup import DedupSpec, DedupStream
 from .errors import ConfigError, DataError
 from .filters import (
@@ -398,7 +398,7 @@ def _lid_keep(spec: LidSpec, block: PairBlock, ctx: _StageContext) -> np.ndarray
 
 def _dedup_stage(spec, name, ctx):
     # removal reasons are built only for a removal log
-    stream = DedupStream((), spec, stage_name=name)
+    stream = DedupStream((), spec)
     return lambda block: stream.dedup_columns(block, ctx.log_removals)
 
 
@@ -682,18 +682,6 @@ def _rank_top_k(
     return pool, count
 
 
-def _blocks(pairs: Iterable[SentencePair] | Iterable[PairBlock]) -> Iterator[PairBlock]:
-    """pairs as PairBlocks: given blocks as they are, SentencePairs ``dedup._BLOCK_PAIRS`` at a time."""
-    pairs = iter(pairs)
-    first = next(pairs, None)
-    if isinstance(first, PairBlock):
-        yield first
-        del first  # the block, before the next one is read
-        yield from pairs
-    elif first is not None:
-        yield from map(PairBlock.of, _batches(chain([first], pairs), dedup._BLOCK_PAIRS))
-
-
 def _pairs_in_rank_order(pairs: Iterable[SentencePair], ranked: RankedCorpus) -> list[SentencePair]:
     """The ranked pairs in rank order, picked out of a second pass over a run's input."""
     slot = dict(zip(ranked.ids(), range(len(ranked))))
@@ -775,7 +763,9 @@ def run(
         if ranking is not None and iter(pairs) is pairs:
             pairs = list(pairs)  # read a second time for the ranked pairs
         sink = lambda blocks, ranked: kept.extend(
-            block_pairs(blocks) if ranked is None else _pairs_in_rank_order(block_pairs(_blocks(pairs)), ranked)
+            block_pairs(blocks)
+            if ranked is None
+            else _pairs_in_rank_order(block_pairs(as_blocks(pairs, dedup._BLOCK_PAIRS)), ranked)
         )
     names = [stage_name(index, stage) for index, stage in enumerate(config.stages)]
     removals = _Removals(names)
@@ -786,7 +776,7 @@ def run(
     seconds = [0.0] * len(block_fns)
 
     def survivor_blocks() -> Iterator[PairBlock]:
-        for block in _blocks(pairs):
+        for block in as_blocks(pairs, dedup._BLOCK_PAIRS):
             counts[0] += len(block)
             for at, block_fn in enumerate(block_fns):
                 if not len(block):

@@ -382,6 +382,96 @@ def test_lid_export_and_reuse(corpus, capsys):
     assert lines[0].split("\t")[1] == "si"
 
 
+def _cli_subprocess(tmp_path, *argv):
+    """curate argv in a child process, whose stderr writes a lone surrogate as an escape."""
+    env = {key: value for key, value in os.environ.items() if not key.startswith("CURATE_")}
+    env["PYTHONPATH"] = str(Path(pdcurate.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "pdcurate.cli", *argv], cwd=tmp_path, capture_output=True, text=True, env=env
+    )
+
+
+def test_a_text_that_utf8_cannot_encode_is_a_data_error(tmp_path):
+    (tmp_path / "r.yaml").write_text('seed: 1\npair_count: 5\nvocabularies: {en: ["ab\\ud800", "cd"]}\n')
+    out = tmp_path / "out"
+    proc = _cli_subprocess(
+        tmp_path, "synth", "--recipe", "r.yaml", "--out", str(out / "l.tsv"),
+        "--source-out", str(out / "s.txt"), "--target-out", str(out / "t.txt"),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"data error: failed writing {out / 'l.tsv'}: ")
+    assert list(out.iterdir()) == []
+
+
+def test_a_path_that_utf8_cannot_encode_is_a_data_error(tmp_path, corpus):
+    (tmp_path / "cfg.yaml").write_text(f'language_pair: en-si\nreport: "{tmp_path}/rep\\ud800.txt"\n')
+    proc = _cli_subprocess(
+        tmp_path, "run", "--config", "cfg.yaml", "--source", "s.txt", "--target", "t.txt", "--out-dir", "out"
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"data error: failed writing {tmp_path}/rep\\ud800.txt: ")
+    assert list((tmp_path / "out").iterdir()) == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.yaml", "out", "s.txt", "t.txt"]
+
+
+_PER_TEXT = ("normalize", "tokenize", "is_alpha_word", "char_ratios", "script_predict", "length_pass", "ratio_pass")
+
+
+def test_no_command_calls_the_per_text_api(tmp_path, monkeypatch, capsys):
+    # each command's files, with every module's per-text function names
+    # raising, equal those of an unpatched run
+    rates = [flag for label in ("CN", "CB", "CS", "UN", "WL", "NL") for flag in ("--rate", f"{label}=0.1")]
+    args = ("--pairs", "400", "--seed", "3", "--duplicates", "0.2", *rates, "--out", str(tmp_path / "l.tsv"))
+    assert run_cli("synth", *args, "--source-out", str(tmp_path / "s.txt"), "--target-out", str(tmp_path / "t.txt")) == 0
+    write_embeddings(np.random.default_rng(5).normal(size=(400, 4)), tmp_path / "e.bin")
+    emb = str(tmp_path / "e.bin")
+    capsys.readouterr()
+    assert run_cli("preset", "--pair", "en-si", "--src-emb", emb, "--tgt-emb", emb, "--top-k", "50") == 0
+    (tmp_path / "preset.yaml").write_text(capsys.readouterr().out)
+    (tmp_path / "nums.yaml").write_text(
+        "language_pair: en-si\nstages:\n- {kind: dedup, side: st, params: {norm: nums}}\n"
+        "- {kind: dedup, side: st, params: {norm: nums, ngram: 4}}\n"
+    )
+    corpus = ("--source", str(tmp_path / "s.txt"), "--target", str(tmp_path / "t.txt"))
+    filters = {
+        "length": (), "lidthresh": ("--pair", "en-si"), "sentwratio": ("--lo", "0.6"), "sentcratio": ("--lo", "0.8"),
+        "stratio": ("--lo", "0.79", "--hi", "1.39"),
+    }
+    commands = {
+        "preset": ("run", "--config", str(tmp_path / "preset.yaml"), *corpus, "--removal-log"),
+        "nums": ("run", "--config", str(tmp_path / "nums.yaml"), *corpus, "--removal-log"),
+        "dedup": ("dedup", "--norm", "identity", *corpus, "--log", "{out}/removals.tsv"),
+        **{kind: ("filter", "--kind", kind, *flags, *corpus, "--log", "{out}/removals.tsv") for kind, flags in filters.items()},
+    }
+
+    def outputs(folder, name):
+        argv = [arg.format(out=folder) for arg in commands[name]]
+        assert run_cli(*argv, "--out-dir", str(folder)) == 0
+        files = {path.name: path.read_bytes() for path in folder.iterdir() if path.name != "report.txt"}
+        if "report.tsv" in files:  # without its wall times
+            files["report.tsv"] = [line.rsplit(b"\t", 1)[0] for line in files["report.tsv"].splitlines()]
+        return files
+
+    def lid(folder):
+        assert run_cli("lid", *corpus, "--side", "s", "--out", str(folder / "preds.tsv")) == 0
+        return (folder / "preds.tsv").read_bytes()
+
+    plain = {name: outputs(tmp_path / "plain" / name, name) for name in commands}
+    plain_lid = lid(tmp_path / "plain")
+    assert all(files["removals.tsv"] for files in plain.values())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-text function was called")
+
+    for module in [module for name, module in sys.modules.items() if name.split(".")[0] == "pdcurate"]:
+        for name in _PER_TEXT:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for name in commands:
+        assert outputs(tmp_path / "patched" / name, name) == plain[name], name
+    assert lid(tmp_path / "patched") == plain_lid
+
+
 def test_report_command(tmp_path, capsys):
     scores = tmp_path / "scores.tsv"
     scores.write_text(
@@ -838,7 +928,8 @@ def test_top_k_below_one_from_the_environment_is_a_config_error(capsys, monkeypa
     ids=["run", "preset", "stats", "synth", "lid", "report"],
 )
 def test_importing_the_cli_does_not_load_numpy(tmp_path, command):
-    # nor do these commands; the run has dedup stages on an empty corpus and no ranking
+    # nor do these commands but lid, which classifies its texts with the
+    # numpy kernels; the run has dedup stages on an empty corpus and no ranking
     (tmp_path / "s.txt").write_text("")
     (tmp_path / "t.txt").write_text("")
     (tmp_path / "a.txt").write_text("one two three four\nfive six\n")
@@ -859,11 +950,11 @@ def test_importing_the_cli_does_not_load_numpy(tmp_path, command):
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "False"
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == f"0 {command.startswith('lid')}"
 
 
 def test_each_module_binds_numpy_at_its_first_use(tmp_path, capsys):
-    # a preset-plus-ranking run uses numpy in corpus, dedup, filters, pipeline and ranking
+    # a preset-plus-ranking run uses numpy in corpus, dedup, filters, lid, pipeline, ranking and textnorm
     write_corpus(_stream_pairs(distinct=50, n=200), tmp_path / "s.txt", tmp_path / "t.txt")
     write_embeddings(np.random.default_rng(3).normal(size=(200, 8)), tmp_path / "e.bin")
     emb = str(tmp_path / "e.bin")
@@ -874,8 +965,8 @@ def test_each_module_binds_numpy_at_its_first_use(tmp_path, capsys):
     run = "run --config cfg.yaml --source s.txt --target t.txt --out-dir out".split()
     script = (
         "import sys, types, pdcurate.cli\n"
-        "from pdcurate import corpus, dedup, filters, pipeline, ranking\n"
-        "modules = (corpus, dedup, filters, pipeline, ranking)\n"
+        "from pdcurate import corpus, dedup, filters, lid, pipeline, ranking, textnorm\n"
+        "modules = (corpus, dedup, filters, lid, pipeline, ranking, textnorm)\n"
         "print('numpy' in sys.modules, any(isinstance(getattr(m, 'np', None), types.ModuleType) for m in modules))\n"
         f"code = pdcurate.cli.main({run!r})\n"
         "print(code, all(getattr(m, 'np', None) is sys.modules['numpy'] for m in modules))\n"

@@ -17,8 +17,9 @@ from pdcurate.corpus import (
     SentencePair,
     Side,
     compute_stats,
+    block_pairs,
     corpus_stamps,
-    fetch_pairs,
+    fetch_blocks,
     read_corpus,
     read_side_file,
     write_corpus,
@@ -76,6 +77,16 @@ def test_read_rejects_tabs_in_two_file_mode(tmp_path):
     write_lines(tmp_path / "t.txt", ["x"])
     with pytest.raises(DataError, match="tab"):
         list(read_corpus(tmp_path / "s.txt", tmp_path / "t.txt"))
+
+
+@pytest.mark.parametrize("tsv", [False, True])
+def test_writing_a_text_that_utf8_cannot_encode_is_a_data_error(tmp_path, tsv):
+    pairs = [SentencePair(0, "fine", "row"), SentencePair(1, "x", "lone \ud800")]
+    paths = {"tsv_path": tmp_path / "c.tsv"} if tsv else {"source_path": tmp_path / "s.txt", "target_path": tmp_path / "t.txt"}
+    failed = paths["tsv_path" if tsv else "target_path"]
+    with pytest.raises(DataError, match=f"failed writing {failed}: 'utf-8' codec can't encode"):
+        write_corpus(pairs, **paths)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_invalid_utf8_reports_offset_and_line(tmp_path):
@@ -279,10 +290,10 @@ def test_fetch_pairs_reads_lines_back_as_read_corpus_does(tmp_path, tsv):
     assert len(pairs) == 6 and pairs[1].source == "crlf line\r" and pairs[2].source == ""
     ids = [3, 0, 5, 2, 1, 4]
     stamps = corpus_stamps(**paths)
-    assert list(fetch_pairs(ids, stamps, **paths)) == [pairs[i] for i in ids]
-    assert list(fetch_pairs([], stamps, **paths)) == []
+    assert list(block_pairs(fetch_blocks(ids, stamps, **paths))) == [pairs[i] for i in ids]
+    assert list(block_pairs(fetch_blocks([], stamps, **paths))) == []
     with pytest.raises(DataError, match="has 6 lines, so no line for pair id 6"):
-        list(fetch_pairs([2, 6], stamps, **paths))
+        list(block_pairs(fetch_blocks([2, 6], stamps, **paths)))
 
 
 line_text = st.text(st.characters(blacklist_characters="\t\n", blacklist_categories=("Cs",)), max_size=6)
@@ -304,7 +315,7 @@ def test_fetch_pairs_matches_read_corpus_at_any_chunk_size(tmp_path_factory, row
     pairs = list(read_corpus(**paths))
     ids = data.draw(st.lists(st.integers(0, len(pairs) - 1), unique=True))
     with mock.patch.object(corpus, "_CHUNK_BYTES", chunk):
-        assert list(fetch_pairs(ids, corpus_stamps(**paths), **paths)) == [pairs[i] for i in ids]
+        assert list(block_pairs(fetch_blocks(ids, corpus_stamps(**paths), **paths))) == [pairs[i] for i in ids]
 
 
 def test_fetch_pairs_rejects_a_file_that_changed(tmp_path):
@@ -313,7 +324,7 @@ def test_fetch_pairs_rejects_a_file_that_changed(tmp_path):
     with open(paths["target_path"], "a", encoding="utf-8") as out:
         out.write("e\n")
     with pytest.raises(DataError, match=f"{paths['target_path']} changed during the run"):
-        list(fetch_pairs([0], stamps, **paths))
+        list(block_pairs(fetch_blocks([0], stamps, **paths)))
 
 
 def _brute_force_lines(data: bytes, path, tabs: bool):
@@ -435,7 +446,7 @@ def test_a_line_of_many_chunks_reads_back_whole(tmp_path):
     paths = _write_corpus_bytes(tmp_path, [long, "short"], ["t0", "t1"], tsv=False, final_lf=True)
     with mock.patch.object(corpus, "_CHUNK_BYTES", 16):
         assert list(read_corpus(**paths)) == [SentencePair(0, long, "t0"), SentencePair(1, "short", "t1")]
-        assert list(fetch_pairs([1, 0], corpus_stamps(**paths), **paths))[1] == SentencePair(0, long, "t0")
+        assert list(block_pairs(fetch_blocks([1, 0], corpus_stamps(**paths), **paths)))[1] == SentencePair(0, long, "t0")
 
 
 

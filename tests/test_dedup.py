@@ -9,42 +9,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from pdcurate import dedup
-from pdcurate.corpus import LanguagePair, SentencePair, Side
+from pdcurate.corpus import LanguagePair, PairBlock, SentencePair, Side
 from pdcurate.dedup import DedupSpec, DedupStream, SeenIndex, dedup_stream
 from pdcurate.errors import ConfigError
 from pdcurate.pipeline import PipelineConfig, run
-from pdcurate.textnorm import NormMode, normalize, word_ngrams
+from pdcurate.textnorm import NormMode
 
 
 def pairs_of(*rows):
     return [SentencePair(i, s, t) for i, (s, t) in enumerate(rows)]
 
 
+def oracle_dedup(pairs, spec):
+    """The oracle's kept pairs and (id, reason) removals."""
+    rows = [(pair.id, pair.source, pair.target) for pair in pairs]
+    kept, removed = oracle.dedup(rows, spec.norm.value, spec.ngram, spec.side.value)
+    return [SentencePair(*row) for row in kept], removed
+
+
 def brute_force_dedup(pairs, spec):
-    """Quadratic reference: compare each pair against all earlier kept pairs."""
-
-    def keys(text):
-        norm = normalize(text, spec.norm)
-        if spec.ngram is None:
-            return {norm}
-        return word_ngrams(norm.split(), spec.ngram)
-
-    kept, removed = [], 0
-    for pair in pairs:
-        duplicate = False
-        for earlier in kept:
-            if spec.side.checks_source and keys(pair.source) & keys(earlier.source):
-                duplicate = True
-                break
-            if spec.side.checks_target and keys(pair.target) & keys(earlier.target):
-                duplicate = True
-                break
-        if duplicate:
-            removed += 1
-        else:
-            kept.append(pair)
-    return kept, removed
+    """The oracle's kept pairs and removal count."""
+    kept, removed = oracle_dedup(pairs, spec)
+    return kept, len(removed)
 
 
 def run_dedup(pairs, spec):
@@ -101,15 +89,15 @@ def test_out_of_order_ids_rejected(monkeypatch):
     pairs = [SentencePair(1, "a", "b"), SentencePair(0, "c", "d")]
     with pytest.raises(ValueError, match="out of order"):
         list(dedup_stream(pairs, DedupSpec()))
-    # ids that do not continue from one block to the next, iterated or passed to dedup_block
+    # ids that do not continue from one block to the next, iterated or passed to dedup_columns
     monkeypatch.setattr(dedup, "_BLOCK_PAIRS", 1)
     with pytest.raises(ValueError) as iterated:
         list(dedup_stream(pairs, DedupSpec()))
     stream = DedupStream((), DedupSpec())
-    assert stream.dedup_block(pairs[:1]) == pairs[:1]
-    assert stream.dedup_block([]) == []
+    assert stream.dedup_columns(PairBlock.of(pairs[:1]))[0].tolist() == [True]
+    assert stream.dedup_columns(PairBlock.of([]))[0].tolist() == []
     with pytest.raises(ValueError) as passed:
-        stream.dedup_block(pairs[1:])
+        stream.dedup_columns(PairBlock.of(pairs[1:]))
     assert str(passed.value) == str(iterated.value) == "pair ids out of order: 0 after 1 (stream must be id-sorted)"
     # each iteration checks its ids afresh; the index stays
     stream = dedup_stream(pairs[:1], DedupSpec())
@@ -183,7 +171,7 @@ def test_full_sentence_pass_leaves_no_duplicate_keys():
     pairs = random_corpus(rng, 200)
     spec = DedupSpec(norm=NormMode.STRIP_NUMS, side=Side.SOURCE)
     kept, _ = run_dedup(pairs, spec)
-    keys = [normalize(p.source, spec.norm) for p in kept]
+    keys = [oracle.strip(p.source, spec.norm.value) for p in kept]
     assert len(keys) == len(set(keys))
 
 
@@ -473,25 +461,8 @@ def test_fingerprinting_a_block_holds_a_chunk_of_code_points_not_the_block(norm,
 
 
 def brute_force_reasons(pairs, spec):
-    """Quadratic reference: each removed pair's first key, in probe order, held by an earlier kept pair."""
-
-    def keys(text):
-        norm = normalize(text, spec.norm)
-        return [norm] if spec.ngram is None else list(word_ngrams(norm.split(), spec.ngram))
-
-    sides = [name for name in ("source", "target") if getattr(spec.side, f"checks_{name}")]
-    kept, reasons = [], {}
-    for pair in pairs:
-        hit = None
-        for side in sides:
-            earlier = {key for other in kept for key in keys(getattr(other, side))}
-            hit = next((key for key in keys(getattr(pair, side)) if key in earlier), None)
-            if hit is not None:
-                reasons[pair.id] = hit
-                break
-        if hit is None:
-            kept.append(pair)
-    return reasons
+    """The oracle's reasons: each removed pair's first key, in probe order, held by an earlier kept pair."""
+    return dict(oracle_dedup(pairs, spec)[1])
 
 
 @pytest.mark.parametrize("block_pairs", [1, 7, dedup._BLOCK_PAIRS, 10_000])
@@ -508,12 +479,15 @@ def test_block_size_does_not_change_kept_ids_or_reasons(monkeypatch, block_pairs
         assert kept == [p.id for p in expected_kept], (norm, ngram, side)
         assert stream.removed_count == expected_removed == len(log)
         assert log == brute_force_reasons(pairs, spec), (norm, ngram, side)
-        # the same blocks, passed to dedup_block one call each
-        rows = []
-        fed = DedupStream((), spec, on_removed=lambda pair, stage, reason: rows.append((pair.id, stage, reason)))
-        fed_kept = [p.id for at in range(0, len(pairs), block_pairs) for p in fed.dedup_block(pairs[at : at + block_pairs])]
+        # the same blocks, passed to dedup_columns one call each
+        fed, fed_kept, rows = DedupStream((), spec), [], []
+        for at in range(0, len(pairs), block_pairs):
+            block = PairBlock.of(pairs[at : at + block_pairs])
+            keep, reasons = fed.dedup_columns(block, True)
+            fed_kept += block.ids[keep].tolist()
+            rows += zip(block.ids[~keep].tolist(), reasons)
         assert fed_kept == kept and fed.removed_count == stream.removed_count, (norm, ngram, side)
-        assert rows == [(i, spec.describe(), reason) for i, reason in sorted(log.items())], (norm, ngram, side)
+        assert rows == sorted(log.items()), (norm, ngram, side)
 
 
 # whitespace of several kinds, leading, trailing and in runs; digits,
@@ -608,10 +582,12 @@ def test_the_index_holds_each_kept_key_of_each_side_once(monkeypatch, block_pair
     kept, log, stream = logged_reasons(pairs, spec)
     assert log == brute_force_reasons(pairs, spec)
 
-    def keys(text):
-        norm = normalize(text, spec.norm)
-        return [norm] if ngram is None else list(word_ngrams(norm.split(), ngram))
-
     sides = [name for name in ("source", "target") if getattr(side, f"checks_{name}")]
-    distinct = {(name, key) for p in pairs if p.id in kept for name in sides for key in keys(getattr(p, name))}
+    distinct = {
+        (name, key)
+        for p in pairs
+        if p.id in kept
+        for name in sides
+        for key in oracle.dedup_keys(getattr(p, name), spec.norm.value, ngram)
+    }
     assert len(pairs) > len(kept) and len(stream._index) == len(distinct)

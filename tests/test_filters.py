@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdcurate import filters
+import oracle
+from pdcurate import textnorm
 from pdcurate.corpus import SentencePair, Side
 from pdcurate.errors import ConfigError, PredictorError
 from pdcurate.filters import (
@@ -20,13 +21,12 @@ from pdcurate.filters import (
     length_pass,
     lid_keep,
     lid_pass,
-    normalize_texts,
     ratio_keep,
     ratio_pass,
     stratio_bounds_from_reference,
 )
 from pdcurate.lid import LidPredictor, ScriptPredictor
-from pdcurate.textnorm import NormMode, normalize
+from pdcurate.textnorm import NormMode, normalize_texts, normalized_texts
 
 
 def pair(source, target="target words here right now", pair_id=0):
@@ -250,11 +250,18 @@ _block_pairs = st.lists(st.tuples(_texts, _texts), max_size=20).map(
 )
 
 
+def oracle_keeps(pairs, kind, side, **params):
+    """The oracle's verdict on each pair of a one-stage run."""
+    rows = [(pair.id, pair.source, pair.target) for pair in pairs]
+    removed = {row[0] for row in oracle.run(rows, [{"kind": kind, "side": side.value, "params": params}]).removals}
+    return [pair.id not in removed for pair in pairs]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     pairs=_block_pairs,
     side=st.sampled_from(list(Side)),
-    chunk=st.sampled_from([1, 7, filters._CHUNK_CODEPOINTS]),
+    chunk=st.sampled_from([1, 7, textnorm._CHUNK_CODEPOINTS]),
     min_words=st.integers(1, 4),
     lid=st.tuples(st.sampled_from(["en", "si", "ta", "und"]), st.sampled_from(["en", "si", "ta"])),
     min_prob=st.sampled_from([None, 0.5, 0.7]),
@@ -264,14 +271,18 @@ _block_pairs = st.lists(st.tuples(_texts, _texts), max_size=20).map(
 def test_block_functions_match_the_per_pair_filters(
     pairs, side, chunk, min_words, lid, min_prob, kind, lo
 ):
-    with mock.patch.object(filters, "_CHUNK_CODEPOINTS", chunk):
+    # the block functions and the per-pair ones, one-pair calls of them, give the oracle's verdicts
+    with mock.patch.object(textnorm, "_CHUNK_CODEPOINTS", chunk):
         spec = LengthSpec(min_words, side)
-        assert length_keep(pairs, spec).tolist() == [length_pass(p, spec) for p in pairs]
+        expected = oracle_keeps(pairs, "length", side, min_words=min_words)
+        assert length_keep(pairs, spec).tolist() == [length_pass(p, spec) for p in pairs] == expected
         spec = LidSpec(*lid, min_prob=min_prob, side=side)
+        expected = oracle_keeps(pairs, "lid", side, expected_source=lid[0], expected_target=lid[1], min_prob=min_prob)
         predictor = ScriptPredictor()
-        assert lid_keep(pairs, spec).tolist() == [lid_pass(p, spec, predictor) for p in pairs]
+        assert lid_keep(pairs, spec).tolist() == [lid_pass(p, spec, predictor) for p in pairs] == expected
         spec = RatioSpec(kind, lo, lo + 0.5 if kind is RatioKind.ST_RATIO else None, side)
-        assert ratio_keep(pairs, spec).tolist() == [ratio_pass(p, spec) for p in pairs]
+        expected = oracle_keeps(pairs, kind.value, side, lo=spec.lo, hi=spec.hi)
+        assert ratio_keep(pairs, spec).tolist() == [ratio_pass(p, spec) for p in pairs] == expected
 
 
 def test_block_functions_take_an_empty_block():
@@ -334,15 +345,14 @@ def decoded(texts, mode):
 @given(
     texts=st.lists(_norm_texts, max_size=20),
     mode=st.sampled_from(list(NormMode)),
-    chunk=st.sampled_from([1, 7, filters._CHUNK_CODEPOINTS]),
+    chunk=st.sampled_from([1, 7, textnorm._CHUNK_CODEPOINTS]),
 )
 def test_normalize_texts_matches_normalize(texts, mode, chunk):
     # a text that normalizes to "" is in no chunk, so decodes as ""; the
     # strip modes collapse whitespace anyway, and IDENTITY collapses it here
-    with mock.patch.object(filters, "_CHUNK_CODEPOINTS", chunk):
-        assert decoded(texts, mode) == [" ".join(normalize(text, mode).split()) for text in texts]
-        if mode is not NormMode.IDENTITY:
-            assert decoded(texts, mode) == [normalize(text, mode) for text in texts]
+    with mock.patch.object(textnorm, "_CHUNK_CODEPOINTS", chunk):
+        assert decoded(texts, mode) == [" ".join(oracle.strip(text, mode.value).split()) for text in texts]
+        assert normalized_texts(texts, mode) == decoded(texts, mode)
 
 
 @pytest.mark.parametrize("mode", [NormMode.STRIP_NUMS, NormMode.STRIP_PUNCT_NUMS])

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import oracle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -119,6 +121,11 @@ def test_pure_tamil_is_certain(text):
 @given(st.text(alphabet=st.sampled_from(LATIN), min_size=1))
 def test_pure_latin_is_certain(text):
     assert script_predict(text) == LidPrediction("en", 1.0)
+
+
+@given(st.one_of(st.text(), st.text(st.sampled_from(SINHALA[:5] + TAMIL[:5] + list("aZé\u1e00ɏ්́ி1 Ω\U0001d400")))))
+def test_script_predict_gives_the_oracles_label(text):
+    assert script_predict(text) == LidPrediction(*oracle.script_label(text))
 
 
 # ---------------------------------------------------------------- tables

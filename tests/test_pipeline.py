@@ -2,6 +2,8 @@ import itertools
 import tempfile
 import time
 from collections import Counter
+from dataclasses import fields
+from enum import Enum
 from unittest import mock
 
 import numpy as np
@@ -10,20 +12,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from pdcurate import dedup, pipeline
 from pdcurate.corpus import LanguagePair, SentencePair, Side, compute_stats
 from pdcurate.dedup import DedupSpec
 from pdcurate.errors import ConfigError, DataError
-from pdcurate.filters import (
-    LengthSpec,
-    LidSpec,
-    RatioKind,
-    RatioSpec,
-    length_pass,
-    lid_pass,
-    ratio_pass,
-)
-from pdcurate.lid import LidPrediction, ScriptPredictor, TablePredictor, script_predict
+from pdcurate.filters import LengthSpec, LidSpec, RatioKind, RatioSpec
+from pdcurate.lid import LidPrediction, ScriptPredictor, TablePredictor
 from pdcurate.pipeline import (
     PipelineConfig,
     RankingSpec,
@@ -37,10 +32,10 @@ from pdcurate.pipeline import (
     stage_kind,
     stage_name,
 )
-from pdcurate.ranking import cosine, write_embeddings
+from pdcurate.ranking import write_embeddings
 from pdcurate.synthnoise import NoiseRecipe, generate, load_recipe, recipe_from_dict
 from pdcurate.taxonomy import NoiseLabel
-from pdcurate.textnorm import NormMode, normalize
+from pdcurate.textnorm import NormMode
 
 EN_SI = LanguagePair("en", "si")
 
@@ -617,42 +612,21 @@ _stage_specs = st.one_of(
 )
 
 
-def _naive_dedup_keys(text, spec):
-    norm = normalize(text, spec.norm)
-    if spec.ngram is None:
-        return [norm]
-    tokens = norm.split()
-    return [" ".join(tokens[i : i + spec.ngram]) for i in range(len(tokens) - spec.ngram + 1)]
+def _oracle_stage(stage):
+    """A stage spec as a config lists it, which the oracle takes."""
+    kind = {DedupSpec: "dedup", LengthSpec: "length", LidSpec: "lid"}.get(type(stage)) or stage.kind.value
+    params = {f.name: getattr(stage, f.name) for f in fields(stage) if f.name not in ("kind", "side")}
+    params = {name: value.value if isinstance(value, Enum) else value for name, value in params.items()}
+    return {"kind": kind, "side": stage.side.value, "params": params}
 
 
-def _naive_run(stages, pairs, predictor):
-    """Stage-major reference: every stage sees the whole survivor list in id order."""
-    current, rows, failures = list(pairs), [], []
-    for index, stage in enumerate(stages):
-        name = stage_name(index, stage)
-        kept = []
-        for pair in current:
-            if type(stage) is DedupSpec:
-                reason = None
-                for side in (Side.SOURCE, Side.TARGET):
-                    if reason is not None or stage.side not in (side, Side.BOTH):
-                        continue
-                    keys_of = lambda p: _naive_dedup_keys(p.side_text(side)[0], stage)
-                    seen = {key for earlier in kept for key in keys_of(earlier)}
-                    reason = next((key for key in keys_of(pair) if key in seen), None)
-            elif type(stage) is LengthSpec:
-                reason = None if length_pass(pair, stage) else "length"
-            elif type(stage) is LidSpec:
-                ok = lid_pass(pair, stage, predictor, on_error=lambda *_: failures.append(pair.id))
-                reason = None if ok else "lid"
-            else:
-                reason = None if ratio_pass(pair, stage) else stage.kind.value
-            if reason is None:
-                kept.append(pair)
-            else:
-                rows.append((pair.id, name, reason))
-        current = kept
-    return [pair.id for pair in current], rows, len(failures)
+def _naive_run(stages, pairs, table=None):
+    """The oracle's stage-major run, with the one prediction table for both sides if given:
+    the surviving ids, the removal rows and the LID failure count."""
+    rows = [(pair.id, pair.source, pair.target) for pair in pairs]
+    tables = None if table is None else {"s": table, "t": table}
+    result = oracle.run(rows, [_oracle_stage(stage) for stage in stages], tables=tables)
+    return [row[0] for row in result.rows], result.removals, result.lid_failures
 
 
 @settings(max_examples=200, deadline=None)
@@ -663,15 +637,17 @@ def _naive_run(stages, pairs, predictor):
 )
 def test_run_matches_naive_stage_major_reference(texts, stages, table_ids):
     pairs = [SentencePair(i, s, t) for i, (s, t) in enumerate(texts)]
+    table = None
     if table_ids is None:
         predictor = ScriptPredictor()
     else:  # ids outside the table make the predictor fail, which fails the pair closed
-        table = {i: script_predict(pairs[i].source) for i in table_ids if i < len(pairs)}
-        predictor = TablePredictor(source=table, target=table)
+        table = {i: oracle.script_label(pairs[i].source) for i in table_ids if i < len(pairs)}
+        predictions = {i: LidPrediction(*prediction) for i, prediction in table.items()}
+        predictor = TablePredictor(source=predictions, target=predictions)
     config = PipelineConfig(language_pair=EN_SI, stages=tuple(stages))
     removal_log = []
     result = run(config, pairs, removal_log=removal_log, predictor=predictor)
-    expected_ids, expected_rows, expected_failures = _naive_run(stages, pairs, predictor)
+    expected_ids, expected_rows, expected_failures = _naive_run(stages, pairs, table)
     assert [pair.id for pair in result.pairs] == expected_ids
     assert removal_log == expected_rows
     assert result.report.lid_failures == expected_failures
@@ -680,7 +656,7 @@ def test_run_matches_naive_stage_major_reference(texts, stages, table_ids):
     ]
 
 
-# small integer rows score exactly alike in rank_corpus and cosine; the
+# small integer rows score exactly alike in rank_corpus and the oracle; the
 # repeated rows tie and the zero row scores 0 as a zero-norm vector
 _PALETTE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 1), (1, 1, 1)]
 
@@ -715,7 +691,7 @@ def test_block_and_batch_sizes_change_no_output(
     ), mock.patch.object(pipeline, "_SPILL_ROWS", spill_rows):
         result = run(config, pairs, removal_log=removal_log, predictor=predictor)
 
-    survivors, expected_rows, expected_failures = _naive_run(stages, pairs, predictor)
+    survivors, expected_rows, expected_failures = _naive_run(stages, pairs)
     assert removal_log == expected_rows
     report = result.report
     assert report.lid_failures == expected_failures
@@ -731,7 +707,7 @@ def test_block_and_batch_sizes_change_no_output(
         assert result.pairs == [pairs[i] for i in survivors]
         assert result.ranked is None and report.ranking is None and report.warnings == []
         return
-    scores = {i: cosine(*rows[i]) for i in survivors}
+    scores = {i: oracle.cosine(*rows[i]) for i in survivors}
     order = sorted(survivors, key=lambda i: (-scores[i], i))[:k]
     zero_norm = sum(1 for i in survivors if not any(rows[i][0]) or not any(rows[i][1]))
     assert result.pairs == [pairs[i] for i in order]

@@ -504,3 +504,11 @@ def test_ranked_tsv_rejects_a_text_that_would_break_its_row(tmp_path, pair, mess
     with pytest.raises(DataError, match=message):
         write_ranked_tsv(ranked, [SentencePair(1, "fine", "row"), pair], path)
     assert not path.exists()
+
+
+def test_ranked_tsv_with_a_text_that_utf8_cannot_encode_is_a_data_error(tmp_path):
+    ranked = RankedCorpus(np.array([1, 0]), np.array([0.9, 0.1]))
+    path = tmp_path / "scores.tsv"
+    with pytest.raises(DataError, match=f"failed writing {path}: 'utf-8' codec can't encode"):
+        write_ranked_tsv(ranked, [SentencePair(1, "fine", "row"), SentencePair(0, "lone \ud800", "x")], path)
+    assert list(tmp_path.iterdir()) == []

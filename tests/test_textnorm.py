@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdcurate.textnorm import NormMode, char_ratios, normalize, tokenize, word_ngrams
+import oracle
+from pdcurate.textnorm import NormMode, char_ratios, is_alpha_word, normalize, tokenize, word_ngrams
 
 
 def test_tokenize_whitespace_runs():
@@ -111,6 +112,21 @@ def test_char_ratios_bounded(text):
     alpha_chars, alpha_words = char_ratios(text)
     assert 0.0 <= alpha_chars <= 1.0
     assert 0.0 <= alpha_words <= 1.0
+
+
+# whitespace of several kinds, combining marks, Nd digits of three
+# scripts, punctuation and symbols, letters of each tracked script and
+# astral ones, a zero-width joiner
+_mixed = st.text(st.sampled_from(list(" \t\r\xa0\u2028\u3000්ිிa_Z9٣෦.!$+«මකதமΩ\u200d\U0001d400\U0001f600")))
+
+
+@given(st.one_of(st.text(), _mixed))
+def test_the_per_text_functions_give_the_oracles_values(text):
+    for mode in NormMode:
+        assert normalize(text, mode) == oracle.strip(text, mode.value)
+        assert tokenize(text, mode) == oracle.strip(text, mode.value).split()
+    assert char_ratios(text) == (oracle.alpha_char_ratio(text), oracle.alpha_word_ratio(text))
+    assert [is_alpha_word(token) for token in text.split()] == [all(map(oracle.is_alpha, token)) for token in text.split()]
 
 
 def test_word_ngrams_definition():
