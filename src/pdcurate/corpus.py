@@ -116,14 +116,6 @@ class SentencePair:
     source: str
     target: str
 
-    def side_text(self, side: Side) -> tuple[str, ...]:
-        """The text of the checked side(s), source first."""
-        if side is Side.SOURCE:
-            return (self.source,)
-        if side is Side.TARGET:
-            return (self.target,)
-        return (self.source, self.target)
-
 
 class PairBlock:
     """A block of pairs as columns: their ids and each side's texts, in the same order.
@@ -179,13 +171,8 @@ def as_blocks(pairs: Iterable[SentencePair] | Iterable[PairBlock], size: int) ->
         del first  # the block, before the next one is read
         yield from pairs
     elif first is not None:
-        yield from map(PairBlock.of, _batches(chain([first], pairs), size))
-
-
-def _batches(items: Iterable, size: int) -> Iterator[list]:
-    """The items as lists of size, the last one shorter."""
-    items = iter(items)
-    return iter(lambda: list(islice(items, size)), [])
+        pairs = chain([first], pairs)
+        yield from map(PairBlock.of, iter(lambda: list(islice(pairs, size)), []))
 
 
 @dataclass(frozen=True, slots=True)
@@ -542,21 +529,15 @@ def fetch_blocks(
                 raise error
 
 
-def _writable(pair: SentencePair) -> SentencePair:
-    """The pair, if each text fits on one corpus line; carriage returns read back as they are."""
-    for side, text in (("source", pair.source), ("target", pair.target)):
-        if "\t" in text or "\n" in text:
-            name = "tab" if "\t" in text else "line feed"
-            raise DataError(f"pair {pair.id}: {side} text contains a {name}, which a corpus line cannot hold")
-    return pair
-
-
 def _check_lines(text: str, lines: int, tabs: int, block: PairBlock) -> None:
-    """Raise _writable's DataError for block's first pair unless text, lines of its pairs,
-    has lines LFs and tabs tabs: then no text of those pairs holds a tab or a line feed."""
+    """Raise a DataError for block's first text with a tab or a line feed unless text, lines of its pairs,
+    has lines LFs and tabs tabs: then no text of those pairs holds one.  A carriage return reads back as it is."""
     if text.count("\n") != lines or text.count("\t") != tabs:
         for pair in block.pairs():
-            _writable(pair)
+            for side, value in (("source", pair.source), ("target", pair.target)):
+                if "\t" in value or "\n" in value:
+                    name = "tab" if "\t" in value else "line feed"
+                    raise DataError(f"pair {pair.id}: {side} text contains a {name}, which a corpus line cannot hold")
 
 
 # (temp file, destination) of each atomic_write inside deferred_renames
@@ -656,5 +637,4 @@ def write_corpus(
     pairs: Iterable[SentencePair], source_path: _Path = None, target_path: _Path = None, *, tsv_path: _Path = None
 ) -> CorpusStats:
     """``write_blocks`` of pairs."""
-    blocks = map(PairBlock.of, _batches(pairs, _PIECE_PAIRS))
-    return write_blocks(blocks, source_path, target_path, tsv_path=tsv_path)
+    return write_blocks(as_blocks(pairs, _PIECE_PAIRS), source_path, target_path, tsv_path=tsv_path)

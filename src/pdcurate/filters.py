@@ -18,15 +18,14 @@ requires the prediction probability to clear a threshold (0.7 in the
 recommended setup); a predictor failure fails the pair closed and is
 counted separately in run reports via the on_error hook.
 
-Each filter kind has a block function (``length_keep``, ``lid_keep``
-for the built-in script detector, ``ratio_keep``) that decides a list
-of pairs at once, and a per-pair predicate (``length_pass``,
-``lid_pass``, ``ratio_pass``).  The block functions count the classes
-of each checked side's code points with ``textnorm``'s kernels, which
-own code-point classification.  ``length_pass`` and ``ratio_pass`` are
-one-pair calls of their block functions, so they cost tens of
-microseconds a call; ``lid_pass`` asks any ``LidPredictor`` pair by
-pair.  numpy is imported on the first call (``corpus._LazyNumpy``).
+Each filter kind has a block function (``length_keep``, ``lid_keep``,
+``ratio_keep``) that decides a list of pairs at once, and a per-pair
+predicate (``length_pass``, ``lid_pass``, ``ratio_pass``), a one-pair
+call of it that costs tens of microseconds.  The block functions count
+the classes of each checked side's code points with ``textnorm``'s
+kernels, which own code-point classification; ``lid_keep`` does so for
+the script detector and asks any other ``LidPredictor`` text by text.
+numpy is imported on the first call (``corpus._LazyNumpy``).
 """
 
 from __future__ import annotations
@@ -37,11 +36,14 @@ from typing import Callable, Iterator, Sequence
 
 from .corpus import PairBlock, SentencePair, Side, _LazyNumpy
 from .errors import ConfigError, PredictorError
-from .lid import _LABELS, LidPredictor, _script_labels
+from .lid import _LABELS, LidPredictor, _is_script_detector, _script_labels
 # nothing here calls char_ratios; the name stays a seam that perfbench/tracer.py patches
 from .textnorm import _count_alpha_chars, _count_alpha_words, _count_tokens, _per_text, char_ratios  # noqa: F401
 
 np = _LazyNumpy(globals())
+
+_Pairs = Sequence[SentencePair] | PairBlock
+_OnError = Callable[[SentencePair, Side, Exception], None] | None  # on_error(pair, side, exc) of a predictor failure
 
 STRATIO_BOUNDS = {
     ("en", "si"): (0.79, 1.39),
@@ -121,35 +123,15 @@ def length_pass(pair: SentencePair, spec: LengthSpec) -> bool:
     return bool(length_keep([pair], spec)[0])
 
 
-def lid_pass(
-    pair: SentencePair,
-    spec: LidSpec,
-    predictor: LidPredictor,
-    on_error: Callable[[SentencePair, Side, Exception], None] | None = None,
-) -> bool:
-    """True iff every checked side carries the expected language label.
+def lid_pass(pair: SentencePair, spec: LidSpec, predictor: LidPredictor, on_error: _OnError = None) -> bool:
+    """True iff every checked side carries the expected language label: ``lid_keep`` of one pair.
 
     With min_prob set, the prediction probability must also clear it.
     Predictor failures remove the pair (fail closed); on_error lets run
     reports count those separately.
     """
-    checks: list[tuple[Side, str, str]] = []
-    if spec.side.checks_source:
-        checks.append((Side.SOURCE, pair.source, spec.expected_source))
-    if spec.side.checks_target:
-        checks.append((Side.TARGET, pair.target, spec.expected_target))
-    for side, text, expected in checks:
-        try:
-            pred = predictor.predict(text, pair_id=pair.id, side=side)
-        except PredictorError as exc:
-            if on_error is not None:
-                on_error(pair, side, exc)
-            return False
-        if pred.label != expected:
-            return False
-        if spec.min_prob is not None and pred.prob < spec.min_prob:
-            return False
-    return True
+    report = on_error and (lambda _, side, exc: on_error(pair, side, exc))  # pair itself, not a copy
+    return bool(lid_keep([pair], spec, predictor, report)[0])
 
 
 def ratio_pass(pair: SentencePair, spec: RatioSpec) -> bool:
@@ -162,16 +144,16 @@ def ratio_pass(pair: SentencePair, spec: RatioSpec) -> bool:
     return bool(ratio_keep([pair], spec)[0])
 
 
-def _checked(pairs: Sequence[SentencePair] | PairBlock, side: Side) -> Iterator[tuple[Sequence[str], bool]]:
-    """The texts of each side that side checks, with True for the source side."""
+def _checked(pairs: _Pairs, side: Side) -> Iterator[tuple[Sequence[str], Side]]:
+    """The texts of each side that side checks, source first, with that side."""
     block = pairs if isinstance(pairs, PairBlock) else PairBlock.of(pairs)
     if side.checks_source:
-        yield block.sources, True
+        yield block.sources, Side.SOURCE
     if side.checks_target:
-        yield block.targets, False
+        yield block.targets, Side.TARGET
 
 
-def length_keep(pairs: Sequence[SentencePair] | PairBlock, spec: LengthSpec) -> np.ndarray:
+def length_keep(pairs: _Pairs, spec: LengthSpec) -> np.ndarray:
     """length_pass of each pair, as a boolean array."""
     keep = np.ones(len(pairs), dtype=bool)
     for texts, _ in _checked(pairs, spec.side):
@@ -179,19 +161,39 @@ def length_keep(pairs: Sequence[SentencePair] | PairBlock, spec: LengthSpec) -> 
     return keep
 
 
-def lid_keep(pairs: Sequence[SentencePair] | PairBlock, spec: LidSpec) -> np.ndarray:
-    """lid_pass of each pair with the script detector (``ScriptPredictor``), as a boolean array."""
-    keep = np.ones(len(pairs), dtype=bool)
-    for texts, is_source in _checked(pairs, spec.side):
-        labels, probs = _script_labels(texts)
-        expected = spec.expected_source if is_source else spec.expected_target
-        keep &= labels == (_LABELS.index(expected) if expected in _LABELS else -1)  # -1: no label's code
+def lid_keep(
+    pairs: _Pairs, spec: LidSpec, predictor: LidPredictor | None = None, on_error: _OnError = None
+) -> np.ndarray:
+    """lid_pass of each pair, as a boolean array; predictor None is the script detector.
+
+    The script detector labels each checked side's texts at once.  Any
+    other predictor is asked text by text, the source side first, and
+    about a side only for the pairs that passed the side before it.
+    """
+    block = pairs if isinstance(pairs, PairBlock) else PairBlock.of(pairs)
+    keep = np.ones(len(block), dtype=bool)
+    for texts, side in _checked(block, spec.side):
+        expected = spec.expected_source if side is Side.SOURCE else spec.expected_target
+        if _is_script_detector(predictor):
+            labels, probs = _script_labels(texts)
+            keep &= labels == (_LABELS.index(expected) if expected in _LABELS else -1)  # -1: no label's code
+        else:
+            ids, probs = block.ids.tolist(), np.zeros(len(block))
+            for at in np.flatnonzero(keep).tolist():
+                try:
+                    pred = predictor.predict(texts[at], pair_id=ids[at], side=side)
+                except PredictorError as exc:
+                    if on_error is not None:
+                        on_error(SentencePair(ids[at], block.sources[at], block.targets[at]), side, exc)
+                    keep[at] = False
+                    continue
+                keep[at], probs[at] = pred.label == expected, pred.prob
         if spec.min_prob is not None:
             keep &= probs >= spec.min_prob
     return keep
 
 
-def ratio_keep(pairs: Sequence[SentencePair] | PairBlock, spec: RatioSpec) -> np.ndarray:
+def ratio_keep(pairs: _Pairs, spec: RatioSpec) -> np.ndarray:
     """ratio_pass of each pair, as a boolean array."""
     if spec.kind is RatioKind.ST_RATIO:
         source, target = (

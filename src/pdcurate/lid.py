@@ -20,7 +20,8 @@ expected language, so such sentences always fail LID filters.
 
 ``script_predict`` is a one-text call of the block kernel, and
 ``export_predictions`` (``curate lid``) classifies a block of texts at a
-time.
+time.  So does ``filters.lid_keep`` for the script detector:
+``ScriptPredictor`` and any subclass that keeps its ``predict``.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ class ScriptPredictor(LidPredictor):
 
     def predict(self, text: str, pair_id: int | None = None, side: Side | None = None) -> LidPrediction:
         return script_predict(text)
+
+
+def _is_script_detector(predictor: LidPredictor | None) -> bool:
+    """True for None, and for a predictor whose labels ``_script_labels`` gives a block at a time."""
+    return predictor is None or type(predictor).predict is ScriptPredictor.predict
 
 
 class TablePredictor(LidPredictor):

@@ -60,7 +60,7 @@ from .filters import (
     ratio_keep,
     ratio_pass,
 )
-from .lid import SCRIPT_LANGS, LidPredictor, ScriptPredictor, TablePredictor
+from .lid import SCRIPT_LANGS, LidPredictor, ScriptPredictor, TablePredictor, _is_script_detector
 from .lid import load_prediction_table, load_predictions
 from .ranking import EmbeddingStore, RankedCorpus, load_embeddings, merge_rankings
 from .ranking import rank_corpus, repeated_id_error, top_k
@@ -207,8 +207,8 @@ class _StageKind:
     params maps each spec field a stage's params may set to its
     converter, and defaults(kind, language_pair) gives the fields they
     leave out.  kind(spec) is the kind the row writes and describe(spec)
-    names the stage in reports.  block_fn(spec, name, ctx), called once
-    per run, returns the stage's block function: it takes the id-ordered
+    names the stage in reports.  block_fn(spec, ctx), called once per
+    run, returns the stage's block function: it takes the id-ordered
     ``PairBlock`` of the pairs that reach the stage and returns a boolean
     array of the pairs it keeps and the removal reason: one for all
     removed pairs, a list with one per removed pair, or None.
@@ -218,7 +218,7 @@ class _StageKind:
     spec: type
     params: dict[str, Callable[[Any], Any]]
     kind: Callable[[Any], str]
-    block_fn: Callable[[Any, str, "_StageContext"], Callable[[PairBlock], tuple]]
+    block_fn: Callable[[Any, "_StageContext"], Callable[[PairBlock], tuple]]
     defaults: Callable[[str, LanguagePair | None], dict] = lambda kind, language_pair: {}
     describe: Callable[[Any], str] = _kind_at_side
     uses_predictor: bool = False
@@ -372,31 +372,24 @@ class _StageContext:
         self.report.lid_failures += 1  # the pair fails closed and is removed as "lid"
 
 
-# Stage functions reach lid_pass (for a predictor other than the script
-# detector) and DedupStream through this module's globals at call time,
-# so patching those names here (as an instrumented run does) reaches
-# every stage.  length_pass and ratio_pass are imported only because the
-# benchmark's tracer wraps them here.
+# Dedup stages reach DedupStream through this module's globals at call
+# time, so patching that name here (as an instrumented run does) reaches
+# every stage.  Each filter stage, LID with any predictor included, calls
+# its block function; length_pass, lid_pass and ratio_pass, one-pair calls
+# of them, are imported only because the benchmark's tracer wraps them here.
 
 
 def _filter_stage(keep):
     """The block_fn of a block test keep(spec, block, ctx) -> a boolean array; the stage kind is its reason."""
 
-    def block_fn(spec, name, ctx):
+    def block_fn(spec, ctx):
         reason = stage_kind(spec)
         return lambda block: (keep(spec, block, ctx), reason)
 
     return block_fn
 
 
-def _lid_keep(spec: LidSpec, block: PairBlock, ctx: _StageContext) -> np.ndarray:
-    if type(ctx.predictor) is ScriptPredictor:
-        return lid_keep(block, spec)
-    verdicts = (lid_pass(pair, spec, ctx.predictor, on_error=ctx.lid_failed) for pair in block.pairs())
-    return np.fromiter(verdicts, dtype=bool, count=len(block))
-
-
-def _dedup_stage(spec, name, ctx):
+def _dedup_stage(spec, ctx):
     # removal reasons are built only for a removal log
     stream = DedupStream((), spec)
     return lambda block: stream.dedup_columns(block, ctx.log_removals)
@@ -423,7 +416,7 @@ _STAGE_KINDS = (
         spec=LidSpec,
         params={"expected_source": _text, "expected_target": _text, "min_prob": _number},
         kind=lambda spec: "lid",
-        block_fn=_filter_stage(_lid_keep),
+        block_fn=_filter_stage(lambda spec, block, ctx: lid_keep(block, spec, ctx.predictor, ctx.lid_failed)),
         defaults=_lid_defaults,
         uses_predictor=True,
     ),
@@ -610,8 +603,8 @@ def _build_predictor(config: PipelineConfig) -> LidPredictor:
     )
 
 
-def _lid_stages(config: PipelineConfig) -> list[LidSpec]:
-    return [stage for stage in config.stages if _row(stage).uses_predictor]
+def _lid_stages(config: PipelineConfig) -> dict[str, LidSpec]:
+    return {stage_name(at, stage): stage for at, stage in enumerate(config.stages) if _row(stage).uses_predictor}
 
 
 def validate_config(config: PipelineConfig) -> None:
@@ -630,7 +623,7 @@ def validate_config(config: PipelineConfig) -> None:
         files.path is not None
         or (None not in (files.source, files.target) and os.path.samefile(files.source, files.target))
     )
-    for stage in lid_stages:
+    for name, stage in lid_stages.items():
         # one shared table gives both sides of a pair the same label
         differ = stage.expected_source != stage.expected_target
         if shared_table and stage.side is Side.BOTH and differ:
@@ -638,6 +631,10 @@ def validate_config(config: PipelineConfig) -> None:
                 f"one shared prediction table cannot tell {stage.expected_source} from "
                 f"{stage.expected_target} on side st; give distinct per-side prediction files"
             )
+        # a checked side with no table would fail every pair closed
+        for key, checks in (("source", stage.side.checks_source), ("target", stage.side.checks_target)):
+            if checks and files is not None and files.path is None and getattr(files, key) is None:
+                raise ConfigError(f"stage {name} checks the {key} side, but lid_predictions gives no {key} file")
 
 
 def _id_batches(blocks: Iterable[PairBlock], size: int) -> Iterator[np.ndarray]:
@@ -742,10 +739,10 @@ def run(
     """
     validate_config(config)
     report = RunReport()
-    lid_stages = _lid_stages(config)
+    lid_stages = _lid_stages(config).values()
     if predictor is None and lid_stages:
         predictor = _build_predictor(config)
-    if isinstance(predictor, ScriptPredictor):
+    if _is_script_detector(predictor):
         # the built-in script detector only ever emits en/si/ta
         expected = {s.expected_source for s in lid_stages} | {s.expected_target for s in lid_stages}
         unsupported = expected - SCRIPT_LANGS
@@ -771,7 +768,7 @@ def run(
     removals = _Removals(names)
     ctx = _StageContext(report, removal_log is not None, predictor)
 
-    block_fns = [_row(stage).block_fn(stage, name, ctx) for name, stage in zip(names, config.stages)]
+    block_fns = [_row(stage).block_fn(stage, ctx) for stage in config.stages]
     counts = [0] * (len(block_fns) + 1)  # the pairs that reach each stage, and the survivors
     seconds = [0.0] * len(block_fns)
 

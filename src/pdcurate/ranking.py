@@ -42,7 +42,8 @@ from itertools import count
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import PairBlock, SentencePair, _LazyNumpy, _check_lines, _writable, atomic_write, read_side_file
+from .corpus import _PIECE_PAIRS, PairBlock, SentencePair, _LazyNumpy, _check_lines, as_blocks, atomic_write
+from .corpus import read_side_file
 from .errors import DataError
 
 np = _LazyNumpy(globals())
@@ -317,38 +318,39 @@ def merge_rankings(first: RankedCorpus, second: RankedCorpus) -> RankedCorpus:
     return RankedCorpus(ids[order], scores[order], first.zero_norm_count + second.zero_norm_count)
 
 
-def _score_rows(rank: int, ids: list[int], scores: list[float], sources, targets) -> str:
-    """The scores.tsv rows of ranks rank, rank + 1, ... for the given pair ids, scores and texts."""
-    return "".join(map("{}\t{}\t{:.6f}\t{}\t{}\n".format, count(rank), ids, scores, sources, targets))
-
-
 def scored_blocks(ranked: RankedCorpus, blocks: Iterable[PairBlock], out) -> Iterator[PairBlock]:
     """Write the scores.tsv rows of blocks to out, and yield each block once its rows are written.
 
     blocks hold the ranked pairs in rank order, as ``fetch_blocks`` of
-    ``ranked.id_array`` gives them.  A text with a tab or a line feed,
-    which would break its row, is a DataError.
+    ``ranked.id_array`` gives them; a pair at another rank, or a pair too
+    many or too few, raises ValueError.  A text with a tab or a line
+    feed, which would break its row, is a DataError.
     """
     rank = 1
     for block in blocks:
+        ids = ranked._ids[rank - 1 : rank - 1 + len(block)]
+        if len(ids) < len(block):
+            raise ValueError(f"more pairs are given than the {len(ranked)} ranked")
+        if (wrong := np.flatnonzero(block.ids != ids)).size:
+            at = int(wrong[0])
+            raise ValueError(f"pair {block.ids[at]} is given where pair {ids[at]} ranks {rank + at}")
         scores = ranked._scores[rank - 1 : rank - 1 + len(block)].tolist()
-        rows = _score_rows(rank, block.ids.tolist(), scores, block.sources, block.targets)
+        columns = count(rank), ids.tolist(), scores, block.sources, block.targets
+        rows = "".join(map("{}\t{}\t{:.6f}\t{}\t{}\n".format, *columns))
         _check_lines(rows, len(block), 4 * len(block), block)
         out.write(rows)
         rank += len(block)
         yield block
         del block, rows
+    if rank - 1 < len(ranked):
+        raise ValueError(f"{rank - 1} pairs are given for the {len(ranked)} ranked")
 
 
 def write_ranked_tsv(ranked: RankedCorpus, pairs: Iterable[SentencePair], path: str | Path) -> None:
-    """Score sidecar: ``rank<TAB>id<TAB>score<TAB>source<TAB>target``.
+    """Score sidecar: ``rank<TAB>id<TAB>score<TAB>source<TAB>target``, the rows of ``scored_blocks``.
 
-    pairs are the ranked pairs in rank order, one per entry.  A text
-    with a tab or a line feed, which would break its row, is a DataError.
+    pairs are the ranked pairs in rank order, one per entry.
     """
     with atomic_write(path) as out:
-        rows = zip(map(_writable, pairs), ranked._ids, ranked._scores.tolist(), strict=True)
-        for rank, (pair, pair_id, score) in enumerate(rows, start=1):
-            if pair.id != pair_id:
-                raise ValueError(f"pair {pair.id} is given where pair {pair_id} ranks {rank}")
-            out.write(_score_rows(rank, [pair.id], [score], [pair.source], [pair.target]))
+        for _ in scored_blocks(ranked, as_blocks(pairs, _PIECE_PAIRS), out):
+            pass

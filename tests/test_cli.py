@@ -603,6 +603,13 @@ def test_filter_lid_counts_a_pair_missing_from_the_predictions(corpus, capsys):
     output = capsys.readouterr().out
     assert "kept 3, removed 1 (lid@s)" in output
     assert "lid failures (failed closed): 1\n" in output
+    # without a target file, a stage on side st could only remove every pair
+    argv = ["--source", str(corpus / "s.txt"), "--target", str(corpus / "t.txt"), "--out-dir", str(corpus / "st")]
+    code = run_cli("filter", "--kind", "lid", "--pair", "en-si", "--side", "st", "--src-predictions", str(preds), *argv)
+    assert code == 2
+    message = "stage 0:lid@st checks the target side, but lid_predictions gives no target file"
+    assert f"configuration error: {message}\n" in capsys.readouterr().err
+    assert not (corpus / "st").exists()
 
 
 def test_tsv_input_gives_tsv_output(tmp_path):

@@ -25,7 +25,7 @@ from pdcurate.filters import (
     ratio_pass,
     stratio_bounds_from_reference,
 )
-from pdcurate.lid import LidPredictor, ScriptPredictor
+from pdcurate.lid import LidPrediction, LidPredictor, ScriptPredictor, TablePredictor
 from pdcurate.textnorm import NormMode, normalize_texts, normalized_texts
 
 
@@ -250,11 +250,18 @@ _block_pairs = st.lists(st.tuples(_texts, _texts), max_size=20).map(
 )
 
 
-def oracle_keeps(pairs, kind, side, **params):
-    """The oracle's verdict on each pair of a one-stage run."""
+def oracle_keeps(pairs, kind, side, tables=None, **params):
+    """The oracle's verdict on each pair of a one-stage run, and its LID failure count."""
     rows = [(pair.id, pair.source, pair.target) for pair in pairs]
-    removed = {row[0] for row in oracle.run(rows, [{"kind": kind, "side": side.value, "params": params}]).removals}
-    return [pair.id not in removed for pair in pairs]
+    result = oracle.run(rows, [{"kind": kind, "side": side.value, "params": params}], tables=tables)
+    removed = {row[0] for row in result.removals}
+    return [pair.id not in removed for pair in pairs], result.lid_failures
+
+
+# prediction tables that miss some ids, each id's (label, prob)
+_lid_table = st.dictionaries(
+    st.integers(0, 19), st.tuples(st.sampled_from(["en", "si", "ta", "fr"]), st.sampled_from([0.5, 0.7, 0.95]))
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -267,22 +274,58 @@ def oracle_keeps(pairs, kind, side, **params):
     min_prob=st.sampled_from([None, 0.5, 0.7]),
     kind=st.sampled_from(list(RatioKind)),
     lo=st.sampled_from([0.0, 0.5, 0.6, 0.8, 1.0]),
+    tables=st.tuples(_lid_table, _lid_table),
 )
 def test_block_functions_match_the_per_pair_filters(
-    pairs, side, chunk, min_words, lid, min_prob, kind, lo
+    pairs, side, chunk, min_words, lid, min_prob, kind, lo, tables
 ):
     # the block functions and the per-pair ones, one-pair calls of them, give the oracle's verdicts
     with mock.patch.object(textnorm, "_CHUNK_CODEPOINTS", chunk):
         spec = LengthSpec(min_words, side)
-        expected = oracle_keeps(pairs, "length", side, min_words=min_words)
+        expected, _ = oracle_keeps(pairs, "length", side, min_words=min_words)
         assert length_keep(pairs, spec).tolist() == [length_pass(p, spec) for p in pairs] == expected
         spec = LidSpec(*lid, min_prob=min_prob, side=side)
-        expected = oracle_keeps(pairs, "lid", side, expected_source=lid[0], expected_target=lid[1], min_prob=min_prob)
+        params = dict(expected_source=lid[0], expected_target=lid[1], min_prob=min_prob)
+        expected, _ = oracle_keeps(pairs, "lid", side, **params)
         predictor = ScriptPredictor()
         assert lid_keep(pairs, spec).tolist() == [lid_pass(p, spec, predictor) for p in pairs] == expected
+        # a table that misses an id, and a predictor that always fails, fail the pair closed
+        source, target = ({i: LidPrediction(*row) for i, row in table.items()} for table in tables)
+        for predictor, oracle_tables in (
+            (TablePredictor(source=source, target=target), dict(zip("st", tables))),
+            (FailingPredictor(), {"s": None, "t": None}),
+        ):
+            expected, failures = oracle_keeps(pairs, "lid", side, oracle_tables, **params)
+            block_failed, pair_failed = [], []
+            keep = lid_keep(pairs, spec, predictor, lambda *args: block_failed.append(args[:2]))
+            verdicts = [lid_pass(p, spec, predictor, lambda *args: pair_failed.append(args[:2])) for p in pairs]
+            assert keep.tolist() == verdicts == expected
+            # the block reports a side's failures before the next side's, so order by pair
+            block_failed.sort(key=lambda failure: failure[0].id)
+            assert block_failed == pair_failed and len(block_failed) == failures
         spec = RatioSpec(kind, lo, lo + 0.5 if kind is RatioKind.ST_RATIO else None, side)
-        expected = oracle_keeps(pairs, kind.value, side, lo=spec.lo, hi=spec.hi)
+        expected, _ = oracle_keeps(pairs, kind.value, side, lo=spec.lo, hi=spec.hi)
         assert ratio_keep(pairs, spec).tolist() == [ratio_pass(p, spec) for p in pairs] == expected
+
+
+def test_lid_keep_asks_a_side_only_for_the_pairs_that_passed_the_side_before_it():
+    class Recording(LidPredictor):
+        def __init__(self):
+            self.asked = []
+
+        def predict(self, text, pair_id=None, side=None):
+            self.asked.append((pair_id, side))
+            if pair_id == 3:
+                raise PredictorError("no prediction")
+            return LidPrediction("en" if pair_id % 2 == 0 else "si", 0.5 if pair_id == 4 else 0.9)
+
+    pairs = [SentencePair(i, f"source {i}", f"target {i}") for i in range(6)]
+    predictor, failed = Recording(), []
+    keep = lid_keep(pairs, LidSpec("en", "en", min_prob=0.7), predictor, lambda *args: failed.append(args[:2]))
+    # 1 and 5 have the wrong label, 3 fails and 4 is below min_prob on the source side
+    assert keep.tolist() == [True, False, True, False, False, False]
+    assert predictor.asked == [(i, Side.SOURCE) for i in range(6)] + [(0, Side.TARGET), (2, Side.TARGET)]
+    assert failed == [(pairs[3], Side.SOURCE)]
 
 
 def test_block_functions_take_an_empty_block():

@@ -168,6 +168,16 @@ def test_curate_run_matches_the_oracle(pool, picks, tsv, language_pair, stages, 
         ]
         out = folder / "out"
         argv = ["run", "--config", str(folder / "config.yaml"), *corpus, "--out-dir", str(out), "--removal-log"]
+        # a LID stage that checks a side with no prediction file could only remove every pair
+        unread = predictions is not None and any(
+            predictions[side] is None and stage["kind"] in ("lid", "lidthresh") and side in stage["side"]
+            for stage in stages
+            for side in "st"
+        )
+        if unread:
+            assert cli.main(argv) == 2
+            assert not out.exists()
+            return
         assert cli.main(argv) == 0
 
         expected = oracle.run_files(oracle.run(rows, stages, language_pair, predictions, ranking), tsv, len(rows))

@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pdcurate import dedup, pipeline
+from pdcurate import dedup, lid, pipeline
 from pdcurate.corpus import LanguagePair, SentencePair, Side, compute_stats
 from pdcurate.dedup import DedupSpec
 from pdcurate.errors import ConfigError, DataError
 from pdcurate.filters import LengthSpec, LidSpec, RatioKind, RatioSpec
 from pdcurate.lid import LidPrediction, ScriptPredictor, TablePredictor
 from pdcurate.pipeline import (
+    LidPredictionFiles,
     PipelineConfig,
     RankingSpec,
     config_from_dict,
@@ -29,6 +30,7 @@ from pdcurate.pipeline import (
     parse_config,
     recommended_preset,
     run,
+    stage_from_dict,
     stage_kind,
     stage_name,
 )
@@ -243,8 +245,18 @@ def test_script_lid_rejects_unsupported_language():
         language_pair=LanguagePair("en", "fr"),
         stages=(LidSpec("en", "fr", min_prob=0.7, side=Side.BOTH),),
     )
+    pairs = [SentencePair(0, "hello", "bonjour")]
     with pytest.raises(ConfigError, match="fr"):
-        run(config, [SentencePair(0, "hello", "bonjour")])
+        run(config, pairs)
+    with pytest.raises(ConfigError, match="fr"):
+        run(config, pairs, predictor=type("Sub", (ScriptPredictor,), {})())
+
+    # a subclass with its own predict is asked text by text, so it may predict any language
+    class French(ScriptPredictor):
+        def predict(self, text, pair_id=None, side=None):
+            return LidPrediction("en" if side is Side.SOURCE else "fr", 1.0)
+
+    assert run(config, pairs, predictor=French()).pairs == pairs
 
 
 def test_a_script_predictor_subclass_is_asked_pair_by_pair():
@@ -257,6 +269,19 @@ def test_a_script_predictor_subclass_is_asked_pair_by_pair():
     config = PipelineConfig(language_pair=EN_SI, stages=(LidSpec("si", "si"),))
     assert run(config, pairs, predictor=AlwaysSinhala()).pairs == pairs
     assert run(config, pairs, predictor=ScriptPredictor()).pairs == []
+
+
+def test_a_script_predictor_subclass_that_keeps_predict_decides_a_block_at_a_time(monkeypatch):
+    class Sub(ScriptPredictor):
+        pass
+
+    def script_predict(text):
+        raise AssertionError("asked text by text")
+
+    monkeypatch.setattr(lid, "script_predict", script_predict)
+    pairs = [SentencePair(0, "hello there friend", "මම ගෙදර යමි"), SentencePair(1, "hello", "hello")]
+    config = PipelineConfig(language_pair=EN_SI, stages=(LidSpec("en", "si"),))
+    assert run(config, pairs, predictor=Sub()).pairs == pairs[:1]
 
 
 def test_table_predictor_allows_any_language(tmp_path):
@@ -405,6 +430,21 @@ def test_removal_log_and_lid_failures(tmp_path):
     assert [pair.id for pair in result.pairs] == [0]
     assert result.report.lid_failures == 1
     assert removal_log == [(1, "0:lid@s", "lid")]
+
+
+@pytest.mark.parametrize(
+    "given, side, missing",
+    [("source", "t", "target"), ("source", "st", "target"), ("target", "s", "source"), ("target", "st", "source")],
+)
+def test_a_lid_stage_checking_a_side_with_no_prediction_file_is_a_config_error(tmp_path, given, side, missing):
+    # every pair would fail closed on that side, so the run could only remove them all
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("0\ten\t0.99\n")
+    stages = (LengthSpec(1), stage_from_dict({"kind": "lid", "side": side}, EN_SI))
+    config = PipelineConfig(EN_SI, stages, lid_predictions=LidPredictionFiles(**{given: str(preds)}))
+    message = f"stage 1:lid@{side} checks the {missing} side, but lid_predictions gives no {missing} file"
+    with pytest.raises(ConfigError, match=message):
+        run(config, [SentencePair(0, "hello there", "x")])
 
 
 def test_spilled_removal_rows_round_trip_any_text():

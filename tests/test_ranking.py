@@ -506,6 +506,24 @@ def test_ranked_tsv_rejects_a_text_that_would_break_its_row(tmp_path, pair, mess
     assert not path.exists()
 
 
+@pytest.mark.parametrize("piece", [1, 2, 256])
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ([1, 2], "pair 2 is given where pair 0 ranks 2"),
+        ([1, 0, 2], "more pairs are given than the 2 ranked"),
+        ([1], "1 pairs are given for the 2 ranked"),
+    ],
+)
+def test_ranked_tsv_takes_exactly_the_ranked_pairs_in_rank_order(tmp_path, monkeypatch, piece, ids, message):
+    # piece is the block size of write_ranked_tsv's rows, so a mismatch may start a block or end one
+    monkeypatch.setattr(ranking, "_PIECE_PAIRS", piece)
+    ranked = RankedCorpus(np.array([1, 0]), np.array([0.9, 0.1]))
+    with pytest.raises(ValueError, match=message):
+        write_ranked_tsv(ranked, [SentencePair(i, "source", "target") for i in ids], tmp_path / "scores.tsv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ranked_tsv_with_a_text_that_utf8_cannot_encode_is_a_data_error(tmp_path):
     ranked = RankedCorpus(np.array([1, 0]), np.array([0.9, 0.1]))
     path = tmp_path / "scores.tsv"
