@@ -218,9 +218,6 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     started = time.perf_counter()
     report = _run(config, args, out_dir / "removals.tsv" if args.removal_log else None)
-    for stage in report.stages:
-        if stage.stats.pair_count and not stage.stats.retained_count:
-            report.warnings.append(f"stage {stage.name} removed all {stage.stats.pair_count} pairs it was given")
     written = report.total.retained_count if report.ranking is None else report.ranking.emitted
     report_text = report.to_text()
     with atomic_write(out_dir / "report.txt") as out:

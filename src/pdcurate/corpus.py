@@ -14,27 +14,30 @@ Ingestion is byte-faithful: no Unicode normalization, blank lines are
 kept (filters may remove them later).  Lines containing tab characters
 are rejected in both formats, because a tab would corrupt TSV output and
 break the read/write round-trip guarantee; for the same reason, writing
-rejects a text with a tab or a line feed.  Every reader, ``fetch_blocks``
-too, takes its lines from one scanner, ``_line_blocks``, and decodes a
-chunk of whole lines at once.  A bad line raises only when the consumer
-reaches it, naming its line (and, for invalid UTF-8, its byte offset).
+rejects a text with a tab or a line feed.  Every reader takes its lines
+from one scanner, ``_line_blocks``, and decodes a chunk of whole lines at
+once; ``fetch_blocks`` finds the lines it wants with that scanner and
+reads each back by pread.  A bad line's DataError travels with its chunk
+as a value, and is raised only when the consumer reaches the line,
+naming it (and, for invalid UTF-8, its byte offset).
 
 Pairs travel in blocks, as columns: a ``PairBlock`` holds an int64 id
 array and the two sides' texts, and no ``SentencePair`` is built for a
-pair in it.  ``read_blocks`` cuts each file's lines into blocks; a TSV
-block is split on tabs once, and its lines are checked one by one only
+pair in it.  One cutter, ``_cut``, builds the blocks of ``read_blocks``
+and ``fetch_blocks`` alike from each file's lines in columns; a TSV
+chunk is split on tabs once, and its lines are checked one by one only
 when that split shows a line without exactly one tab.  ``write_blocks``
 joins each side of a block into one string and checks it for tabs and
-line feeds by counting them.  ``fetch_blocks`` reads given lines back a
-block at a time.  ``read_corpus`` and ``write_corpus`` are the same
-functions a pair at a time.  Each module that uses numpy
-binds its ``np`` to a ``_LazyNumpy``, so importing the package loads no
-numpy; a run loads it at its first use.
+line feeds by counting them.  ``read_corpus`` and ``write_corpus`` are
+the same functions a pair at a time.  Each module that uses numpy binds
+its ``np`` to a ``_LazyNumpy``, so importing the package loads no numpy;
+a run loads it at its first use.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 from contextlib import ExitStack, contextmanager, suppress
 from contextvars import ContextVar
@@ -253,19 +256,20 @@ def _decode(data: bytes, path: Path, line_no: int, offset: int, tabs: bool = Tru
     return text, error and DataError(f"{path}: {error}")
 
 
-def _lines(path: Path, tabs: bool = True) -> Iterator[list[str]]:
-    """The lines of path, a list per block; a bad line's DataError is raised when the consumer reaches the line."""
-    line_no = 1
+def _lines(path: Path, tabs: bool = True) -> Iterator[tuple[list[str], range, DataError | None]]:
+    """(lines, line ids, error) for each chunk of path: its lines, their 0-based numbers and None, or,
+    in the last chunk, the lines before the first bad one and that line's DataError."""
+    ids = range(0)
     with open(path, "rb") as handle:
         for offset, block in _line_blocks(handle):
-            text, error = _decode(block, path, line_no, offset, tabs)
+            text, error = _decode(block, path, ids.stop + 1, offset, tabs)
             lines = text.split("\n")
             del text
             lines.pop()  # the empty segment after the last LF
-            yield lines
+            ids = range(ids.stop, ids.stop + len(lines))
+            yield lines, ids, error
             if error:
-                raise error
-            line_no += len(lines)
+                return
 
 
 def read_side_file(
@@ -289,24 +293,27 @@ def read_side_file(
     path = Path(path)
     if not path.is_file():
         raise DataError(f"file not found: {path}")
-    for line_no, text in enumerate(chain.from_iterable(_lines(path)), start=1):
-        text = text.removesuffix("\r")
-        if line_no == 1:
-            text = text.removeprefix("\ufeff")
-        if not text and not blank_lines:
-            raise DataError(f"{path}: line {line_no}: blank line")
-        if not text or comments and text.startswith("#"):
-            continue
-        row = text.split("\t")
-        if fields is None:
-            fields = len(row)
-        if len(row) != fields:
-            raise DataError(f"{path}: line {line_no}: expected {fields} fields, got {len(row)}")
-        try:
-            parsed = parse_row(row)
-        except ValueError as exc:
-            raise DataError(f"{path}: line {line_no}: {exc}") from exc
-        yield parsed
+    for lines, ids, error in _lines(path):
+        for line_no, text in enumerate(lines, start=ids.start + 1):
+            text = text.removesuffix("\r")
+            if line_no == 1:
+                text = text.removeprefix("\ufeff")
+            if not text and not blank_lines:
+                raise DataError(f"{path}: line {line_no}: blank line")
+            if not text or comments and text.startswith("#"):
+                continue
+            row = text.split("\t")
+            if fields is None:
+                fields = len(row)
+            if len(row) != fields:
+                raise DataError(f"{path}: line {line_no}: expected {fields} fields, got {len(row)}")
+            try:
+                parsed = parse_row(row)
+            except ValueError as exc:
+                raise DataError(f"{path}: line {line_no}: {exc}") from exc
+            yield parsed
+        if error:
+            raise error
 
 
 _Path = str | Path | None  # a corpus file argument: source and target together, or tsv alone
@@ -338,7 +345,7 @@ def read_blocks(
     for path in paths:
         if not path.is_file():
             raise DataError(f"corpus file not found: {path}")
-    return _read_tsv(paths[0], size) if len(paths) == 1 else _read_two_file(*paths, size)
+    return _cut([_lines(path, tabs=len(paths) == 1) for path in paths], range(sys.maxsize), size, paths)
 
 
 def read_corpus(
@@ -348,71 +355,62 @@ def read_corpus(
     return block_pairs(read_blocks(source_path, target_path, tsv_path=tsv_path, size=_PIECE_PAIRS))
 
 
-def _line_lists(path: Path, tabs: bool, size: int, tsv: bool = False) -> Iterator[tuple[list[str], DataError | None]]:
-    """The lines of path, size at a time, each list with None; the last list is shorter
-    and comes with the DataError of the line after it, or None at the file's end.
+def _columns(
+    chunks: Iterable[tuple[list[str], Sequence[int], DataError | None]], size: int, tsv: Path | None = None
+) -> Iterator[tuple[list[list[str]], DataError | None]]:
+    """The rows of the chunks (as ``_lines`` gives them) in columns, size rows at a time, with None;
+    the last columns are shorter and come with the DataError of the row after them, or None at the end.
 
-    With tsv, each line is given as its two fields, source then target, so a
-    list holds 2 * size of them, split a chunk at a time.
+    The columns are [lines] or, with tsv (the TSV file's path), [sources, targets]: each line's
+    two fields, split a chunk at a time.
     """
-    held, error, line_no = [], None, 0
-    try:
-        for lines in _lines(path, tabs):
-            if tsv:
-                lines, error = _tsv_fields(lines, range(line_no, line_no + len(lines)), path)
-                line_no += len(lines) // 2
-            held += lines
-            while len(held) >= size * (1 + tsv):
-                yield held[: size * (1 + tsv)], None
-                del held[: size * (1 + tsv)]
-            if error:
-                break
-    except DataError as exc:
-        error = exc
-    yield held, error
+    columns, error = [[], []] if tsv else [[]], None
+    for lines, ids, error in chunks:
+        if tsv:
+            lines, bad_row = _tsv_fields(lines, ids, tsv)
+            error = bad_row or error  # a bad row is before the chunk's bad line
+        for at, column in enumerate(columns):
+            column += lines[at :: len(columns)]
+        while len(columns[0]) >= size:
+            yield [column[:size] for column in columns], None
+            for column in columns:
+                del column[:size]
+        if error:
+            break
+    yield columns, error
 
 
 # The block readers and writers drop each block before they read the next;
 # a zip or enumerate over blocks would hold the last one while it does.
 
 
-def _read_two_file(source_path: Path, target_path: Path, size: int) -> Iterator[PairBlock]:
-    sides = [_line_lists(source_path, False, size), _line_lists(target_path, False, size)]
+def _cut(chunks: list[Iterator], ids: Sequence[int], size: int, paths: list[Path]) -> Iterator[PairBlock]:
+    """The PairBlocks of the corpus files at paths, from the chunks of each (as ``_lines`` gives them),
+    numbered by ids, size pairs each but the last.
+
+    Pair i is read source side before target side: when a side's rows run
+    out, its DataError is raised, the source side's first, and then a side
+    with a row that the other lacks raises AlignmentError.  The block before
+    a bad line holds the pairs up to it.
+    """
+    sides = [_columns(side, size, paths[0] if len(paths) == 1 else None) for side in chunks]
     for start in count(0, size):
-        (sources, source_error), (targets, target_error) = next(sides[0]), next(sides[1])
-        n = min(len(sources), len(targets))
-        lengths = len(sources), len(targets)
-        if n:
-            yield PairBlock(range(start, start + n), sources[:n], targets[:n])
-        del sources, targets
-        if n == size:
-            continue
-        # pair start + n is the first that a side lacks; source line i is read before target line i
-        for length, error in zip(lengths, (source_error, target_error)):
-            if length == n and error:
-                raise error
-        if lengths[0] == lengths[1]:
-            return
-        longer = source_path if lengths[0] > n else target_path
+        read = [(column, error) for columns, error in map(next, sides) for column in columns]
+        n = min(len(column) for column, _ in read)
+        if n:  # a column of n rows goes into the block as it is, not copied
+            yield PairBlock(ids[start : start + n], *(column if len(column) == n else column[:n] for column, _ in read))
+        if n < size:
+            break
+        del read  # the block's texts, before the next block is read
+    for column, error in read:  # pair start + n is the first that a side lacks
+        if len(column) == n and error:
+            raise error
+    if len(read[0][0]) != len(read[-1][0]):
+        longer = paths[0] if len(read[0][0]) > n else paths[1]
         raise AlignmentError(
-            f"{source_path} and {target_path} disagree in length: "
-            f"{longer} has an unmatched line {start + n + 1}",
+            f"{paths[0]} and {paths[1]} disagree in length: {longer} has an unmatched line {start + n + 1}",
             line=start + n + 1,
         )
-
-
-def _read_tsv(path: Path, size: int) -> Iterator[PairBlock]:
-    lists = _line_lists(path, True, size, tsv=True)
-    for start in count(0, size):
-        fields, error = next(lists)
-        n = len(fields) // 2
-        if n:
-            yield PairBlock(range(start, start + n), fields[0::2], fields[1::2])
-        del fields
-        if error:
-            raise error
-        if n < size:
-            return
 
 
 def _tsv_fields(lines: Sequence[str], ids: np.ndarray | range, path: Path) -> tuple[list[str], DataError | None]:
@@ -466,26 +464,25 @@ def _line_spans(handle, path: Path, ids: np.ndarray) -> tuple[np.ndarray, np.nda
     return starts, stops
 
 
-def _ints(array: np.ndarray) -> Iterator[int]:
-    """The values of a 1-D integer array as ints, converted ``_PIECE_PAIRS`` at a time."""
-    blocks = range(0, len(array), _PIECE_PAIRS)
-    return chain.from_iterable(array[low : low + _PIECE_PAIRS].tolist() for low in blocks)
-
-
-def _lines_at(handle, path: Path, starts: np.ndarray, stops: np.ndarray, ids: np.ndarray) -> Iterator[str]:
-    """The lines at the byte spans starts..stops of handle, each read by one pread and decoded.
-
-    ids number the lines in errors.
-    """
+def _lines_at(
+    handle, path: Path, starts: np.ndarray, stops: np.ndarray, ids: np.ndarray
+) -> Iterator[tuple[list[str], np.ndarray, DataError | None]]:
+    """The chunks, as ``_lines`` gives them, of the lines at the byte spans starts..stops of handle,
+    ``_PIECE_PAIRS`` at a time and numbered by ids; each line is read by one pread and decoded."""
     fd = handle.fileno()
-    for start, stop, pair_id in zip(_ints(starts), _ints(stops), _ints(ids)):
-        raw = os.pread(fd, stop - start, start)
-        if len(raw) != stop - start:
-            raise DataError(f"{path} changed during the run: it ends before line {pair_id + 1}")
-        text, error = _decode(raw, path, pair_id + 1, start)
+    for low in range(0, len(ids), _PIECE_PAIRS):
+        piece, lines, error = slice(low, low + _PIECE_PAIRS), [], None
+        for start, stop, pair_id in zip(starts[piece].tolist(), stops[piece].tolist(), ids[piece].tolist()):
+            raw = os.pread(fd, stop - start, start)
+            text, error = _decode(raw, path, pair_id + 1, start)
+            if len(raw) != stop - start:
+                error = DataError(f"{path} changed during the run: it ends before line {pair_id + 1}")
+            if error:
+                break
+            lines.append(text)
+        yield lines, ids[low : low + len(lines)], error
         if error:
-            raise error
-        yield text
+            return
 
 
 def fetch_blocks(
@@ -504,7 +501,7 @@ def fetch_blocks(
     ids = np.asarray(ids, dtype=np.int64)
     order = np.argsort(ids, kind="stable")
     with ExitStack() as stack:
-        sides = []
+        chunks = []
         for path, stamp in zip(paths, stamps, strict=True):
             try:
                 handle = stack.enter_context(open(path, "rb", buffering=0))
@@ -515,18 +512,8 @@ def fetch_blocks(
                 raise DataError(f"{path} changed during the run (its size or modification time differs)")
             starts, stops = np.empty_like(ids), np.empty_like(ids)
             starts[order], stops[order] = _line_spans(handle, path, ids[order])
-            sides.append(_lines_at(handle, path, starts, stops, ids))
-        rows = zip(*sides)  # source line i is read before target line i
-        for low in range(0, len(ids), _PIECE_PAIRS):
-            block_ids = ids[low : low + _PIECE_PAIRS]
-            texts = list(zip(*islice(rows, len(block_ids))))
-            if len(paths) == 2:
-                yield PairBlock(block_ids, *texts)
-                continue
-            fields, error = _tsv_fields(texts[0], block_ids, paths[0])
-            yield PairBlock(block_ids[: len(fields) // 2], fields[0::2], fields[1::2])
-            if error:
-                raise error
+            chunks.append(_lines_at(handle, path, starts, stops, ids))
+        yield from _cut(chunks, ids, _PIECE_PAIRS, paths)
 
 
 def _check_lines(text: str, lines: int, tabs: int, block: PairBlock) -> None:

@@ -623,6 +623,7 @@ def validate_config(config: PipelineConfig) -> None:
         files.path is not None
         or (None not in (files.source, files.target) and os.path.samefile(files.source, files.target))
     )
+    checked = {"source": False, "target": False}  # whether a LID stage checks the side
     for name, stage in lid_stages.items():
         # one shared table gives both sides of a pair the same label
         differ = stage.expected_source != stage.expected_target
@@ -635,6 +636,13 @@ def validate_config(config: PipelineConfig) -> None:
         for key, checks in (("source", stage.side.checks_source), ("target", stage.side.checks_target)):
             if checks and files is not None and files.path is None and getattr(files, key) is None:
                 raise ConfigError(f"stage {name} checks the {key} side, but lid_predictions gives no {key} file")
+            checked[key] |= checks
+    # a file that no stage reads would be loaded, and checked, for nothing
+    if files is not None and not lid_stages:
+        raise ConfigError("lid_predictions gives a file, but no stage is a LID stage")
+    for key, checks in checked.items():
+        if files is not None and getattr(files, key) is not None and not checks:
+            raise ConfigError(f"lid_predictions gives a {key} file, but no LID stage checks the {key} side")
 
 
 def _id_batches(blocks: Iterable[PairBlock], size: int) -> Iterator[np.ndarray]:
@@ -710,9 +718,11 @@ def run(
     for a pair.  The output, the removal log (joined stage-major) and the
     report counts are the same as if each stage ran over all pairs that
     reach it before the next one started.  A stage's wall time is the
-    time spent in its calls.  With ranking, both embedding stores are
-    loaded before the first pair is read, and ranking holds the ids and
-    scores of the top k survivors so far, never their texts.
+    time spent in its calls; a stage that is given pairs and keeps none
+    of them adds a report warning, after ranking's.  With ranking, both
+    embedding stores are loaded before the first pair is read, and
+    ranking holds the ids and scores of the top k survivors so far,
+    never their texts.
 
     sink(blocks, ranked), if given, is called once with the output.
     Without ranking, blocks is an iterator over the survivors' PairBlocks
@@ -810,6 +820,8 @@ def run(
 
     for at, name in enumerate(names):
         report.stages.append(StageReport(name, compute_stats(counts[at], counts[at + 1]), seconds[at]))
+        if counts[at] and not counts[at + 1]:
+            report.warnings.append(f"stage {name} removed all {counts[at]} pairs it was given")
     report.total = compute_stats(counts[0], counts[-1])
     return RunResult(pairs=kept, report=report, ranked=ranked)
 

@@ -700,6 +700,33 @@ def test_filter_rejects_ambiguous_prediction_tables(corpus, capsys, per_side, ma
     assert match in capsys.readouterr().err
 
 
+_NO_LID_STAGE = "lid_predictions gives a file, but no stage is a LID stage"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("filter", "--kind", "length", "--predictions", "p.tsv"), _NO_LID_STAGE),
+        (("run", "--config", "length.yaml"), _NO_LID_STAGE),
+        (("run", "--config", "lid.yaml"), "lid_predictions gives a target file, but no LID stage checks the target side"),
+    ],
+    ids=["filter", "run-with-no-lid-stage", "run-with-an-unread-target-file"],
+)
+def test_a_prediction_file_that_no_lid_stage_reads_is_a_config_error(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.tsv").write_text(_PAIRS_TSV)
+    # the files do not parse, so loading one would be a data error (exit 3)
+    for name in ("p.tsv", "tp.tsv"):
+        (tmp_path / name).write_text("0\ten\t0.9\textra\n")
+    (tmp_path / "length.yaml").write_text(_CONFIG + "stages:\n- {kind: length}\nlid_predictions: {path: p.tsv}\n")
+    (tmp_path / "lid.yaml").write_text(
+        _CONFIG + "stages:\n- {kind: lid, side: s}\nlid_predictions: {source: p.tsv, target: tp.tsv}\n"
+    )
+    assert run_cli(*argv, "--tsv", "c.tsv", "--out-dir", "out") == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_removal_log_is_independent_of_hash_seed(tmp_path):
     # every later pair shares several 3-grams with an earlier kept pair,
     # so the reported key depends on the order in which keys are probed

@@ -1,5 +1,7 @@
 import contextlib
 import io
+import os
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import count
@@ -250,6 +252,24 @@ def test_streaming_memory_bounded(tmp_path):
     assert peak < 64 * 1024 * 1024, f"streaming read peaked at {peak} bytes"
 
 
+@pytest.mark.parametrize("tsv", [False, True], ids=["two-file", "tsv"])
+def test_reading_blocks_holds_no_block_while_it_reads_the_next(tmp_path, tsv):
+    size = 2048
+    texts = [f"{'w' * 100}{i:06d}" for i in range(4 * size)]
+    paths = _write_corpus_bytes(tmp_path, texts, texts, tsv, final_lf=True)
+    block = 2 * size * sys.getsizeof(texts[0])  # the texts of one block
+    tracemalloc.start()
+    try:
+        for pairs in corpus.read_blocks(**paths, size=size):
+            del pairs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a block and the chunks being read peak near 1.4 blocks; a block that is
+    # still held while the next one is read, near 2.4
+    assert peak < 1.8 * block, f"reading blocks peaked at {peak / block:.2f} blocks"
+
+
 def test_side_parsing():
     assert Side.from_string("s") is Side.SOURCE
     assert Side.from_string("ST") is Side.BOTH
@@ -325,6 +345,45 @@ def test_fetch_pairs_rejects_a_file_that_changed(tmp_path):
         out.write("e\n")
     with pytest.raises(DataError, match=f"{paths['target_path']} changed during the run"):
         list(block_pairs(fetch_blocks([0], stamps, **paths)))
+
+
+@pytest.mark.parametrize(
+    "tsv, rewrites, message",
+    [
+        (False, {"target_path": (2, b"\xff2")}, "{target_path}: invalid UTF-8 at line 3, byte offset 6"),
+        # both sides of pair 2 are bad: source line 3 is read first
+        (
+            False,
+            {"source_path": (2, b"s\xff"), "target_path": (2, b"\xff2")},
+            "{source_path}: invalid UTF-8 at line 3, byte offset 7",
+        ),
+        # pair 5 is fetched before pair 2
+        (
+            False,
+            {"source_path": (2, b"s\xff"), "target_path": (5, b"\xff5")},
+            "{target_path}: invalid UTF-8 at line 6, byte offset 15",
+        ),
+        (True, {"tsv_path": (2, b"s\t2\t2")}, "{tsv_path}: line 3 has 3 tab-separated fields, expected 2"),
+        (True, {"tsv_path": (2, b"s2\t\xff2")}, "{tsv_path}: invalid UTF-8 at line 3, byte offset 15"),
+    ],
+    ids=["target-utf8", "both-sides-of-a-pair", "target-first", "tsv-three-fields", "tsv-utf8"],
+)
+def test_fetch_pairs_meets_a_bad_line_that_an_in_place_rewrite_left(tmp_path, tsv, rewrites, message):
+    n = 300  # fetched in reverse, so the bad lines are in the second block
+    paths = _write_corpus_bytes(tmp_path, [f"s{i}" for i in range(n)], [f"t{i}" for i in range(n)], tsv, True)
+    stamps = corpus_stamps(**paths)
+    for key, (line, text) in rewrites.items():
+        data = paths[key].read_bytes().split(b"\n")
+        assert len(text) == len(data[line])  # the file keeps its size
+        data[line] = text
+        stat = paths[key].stat()
+        paths[key].write_bytes(b"\n".join(data))
+        os.utime(paths[key], ns=(stat.st_atime_ns, stat.st_mtime_ns))  # and its modification time
+    assert corpus_stamps(**paths) == stamps
+    ids = list(range(n - 1, -1, -1))
+    got, error = _drain(block_pairs(fetch_blocks(ids, stamps, **paths)))
+    assert error == (DataError, message.format(**paths))
+    assert got == [SentencePair(i, f"s{i}", f"t{i}") for i in ids][: len(got)]
 
 
 def _brute_force_lines(data: bytes, path, tabs: bool):

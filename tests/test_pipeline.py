@@ -437,7 +437,8 @@ def test_removal_log_and_lid_failures(tmp_path):
     [("source", "t", "target"), ("source", "st", "target"), ("target", "s", "source"), ("target", "st", "source")],
 )
 def test_a_lid_stage_checking_a_side_with_no_prediction_file_is_a_config_error(tmp_path, given, side, missing):
-    # every pair would fail closed on that side, so the run could only remove them all
+    # every pair would fail closed on that side, so the run could only remove them all;
+    # with side t or s, the given file is unread too, but the side with no file is named first
     preds = tmp_path / "preds.tsv"
     preds.write_text("0\ten\t0.99\n")
     stages = (LengthSpec(1), stage_from_dict({"kind": "lid", "side": side}, EN_SI))
@@ -445,6 +446,34 @@ def test_a_lid_stage_checking_a_side_with_no_prediction_file_is_a_config_error(t
     message = f"stage 1:lid@{side} checks the {missing} side, but lid_predictions gives no {missing} file"
     with pytest.raises(ConfigError, match=message):
         run(config, [SentencePair(0, "hello there", "x")])
+
+
+@pytest.mark.parametrize(
+    "given, side, message",
+    [
+        (["path"], None, "lid_predictions gives a file, but no stage is a LID stage"),
+        (["source"], None, "lid_predictions gives a file, but no stage is a LID stage"),
+        (["source", "target"], "s", "lid_predictions gives a target file, but no LID stage checks the target side"),
+        (["source", "target"], "t", "lid_predictions gives a source file, but no LID stage checks the source side"),
+    ],
+    ids=["path-and-no-lid-stage", "source-and-no-lid-stage", "unread-target", "unread-source"],
+)
+def test_a_prediction_file_that_no_lid_stage_reads_is_a_config_error(tmp_path, given, side, message):
+    # the files do not parse, so loading one would be a DataError
+    for key in given:
+        (tmp_path / key).write_text("0\ten\t0.99\textra\n")
+    stages = (LengthSpec(1),) + (() if side is None else (stage_from_dict({"kind": "lid", "side": side}, EN_SI),))
+    files = LidPredictionFiles(**{key: str(tmp_path / key) for key in given})
+    with pytest.raises(ConfigError) as err:
+        run(PipelineConfig(EN_SI, stages, lid_predictions=files), [SentencePair(0, "hello there", "x")])
+    assert str(err.value) == message
+
+
+def test_a_library_run_warns_of_a_stage_that_removes_every_pair_it_is_given():
+    pairs = [SentencePair(i, f"short {i}", f"text {i}") for i in range(3)]
+    stages = (LengthSpec(1), LengthSpec(3), LengthSpec(5))  # the last stage is given no pair
+    report = run(PipelineConfig(EN_SI, stages), pairs).report
+    assert report.warnings == ["stage 1:length@st removed all 3 pairs it was given"]
 
 
 def test_spilled_removal_rows_round_trip_any_text():
@@ -743,9 +772,14 @@ def test_block_and_batch_sizes_change_no_output(
         zip(counts, counts[1:])
     )
     assert (report.total.pair_count, report.total.retained_count) == (len(pairs), counts[-1])
+    removed_all = [
+        f"stage {stage_name(index, stage)} removed all {before} pairs it was given"
+        for index, (stage, before, after) in enumerate(zip(stages, counts, counts[1:]))
+        if before and not after
+    ]
     if k is None:
         assert result.pairs == [pairs[i] for i in survivors]
-        assert result.ranked is None and report.ranking is None and report.warnings == []
+        assert result.ranked is None and report.ranking is None and report.warnings == removed_all
         return
     scores = {i: oracle.cosine(*rows[i]) for i in survivors}
     order = sorted(survivors, key=lambda i: (-scores[i], i))[:k]
@@ -759,7 +793,7 @@ def test_block_and_batch_sizes_change_no_output(
         expected_warnings.append(
             f"top_k {k} exceeds ranked corpus size {len(survivors)}; emitting everything"
         )
-    assert report.warnings == expected_warnings
+    assert report.warnings == expected_warnings + removed_all
 
 
 # ---------------------------------------------------------------- config checks
